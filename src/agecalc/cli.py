@@ -96,7 +96,10 @@ def _coerce(key: str, value: str):
     if key in _FLOAT_KEYS:
         return float(value)
     if key in _INT_KEYS:
-        return int(value)
+        n = int(value)
+        if key == "burn_in" and n < 0:
+            raise ValueError("must be >= 0, got %d" % n)
+        return n
     if key in _LIST_KEYS:
         return [float(v) for v in value.split(",") if v.strip()]
     if key in _BOOL_KEYS:
@@ -280,6 +283,16 @@ def _write_output(text: str, out: str) -> None:
             fh.write(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % (text,))
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agecalc",
@@ -294,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base seed override")
         p.add_argument("--samples", type=int, default=None, help="simulated updates per scenario")
         p.add_argument(
-            "--workers", type=int, default=os.cpu_count() or 1,
+            "--workers", type=_positive_int, default=os.cpu_count() or 1,
             help="worker processes for replications",
         )
         p.add_argument(

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -277,6 +278,7 @@ class EmpiricalTail:
         self._min = math.inf
         self._max = -math.inf
         self._edges: Optional[np.ndarray] = None
+        self._lower: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
 
     @property
@@ -308,16 +310,32 @@ class EmpiricalTail:
     def _to_histogram(self) -> None:
         hi = self._max if self._max > 0 else 1.0
         self._edges = np.linspace(0.0, 2.0 * hi, self.bins + 1)
+        # bin j holds lower[j] < x <= lower[j + 1]; bin 0 is open below and
+        # the last bin (overflow) open above
+        self._lower = np.concatenate(([-math.inf], self._edges[1:], [math.inf]))
         self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
         for chunk in self._chunks:
             self._bin(chunk)
         self._chunks = []
 
     def _bin(self, samples: np.ndarray) -> None:
-        # bins are (lower, upper]; searchsorted left puts x == edge below it
-        idx = np.searchsorted(self._edges, samples, side="left") - 1
-        np.clip(idx, 0, self.bins, out=idx)
-        self._counts += np.bincount(idx, minlength=self.bins + 1)
+        # Same bins as searchsorted(edges, x, side="left") - 1 clipped to
+        # [0, bins], in constant time per sample: guess ceil(x / width) - 1,
+        # then one step against the true linspace edges corrects the rounding
+        # of both (exact while the width is a normal float, as edges[k] is
+        # k * width rounded). The quotient is clipped before the integer cast
+        # so that +inf and huge values land in the overflow bin.
+        bins, lower = self.bins, self._lower
+        with np.errstate(over="ignore"):
+            q = samples / self._edges[1]
+        np.ceil(q, out=q)
+        np.clip(q, 1.0, bins + 1.0, out=q)
+        idx = q.astype(np.intp)
+        idx -= 1
+        idx += samples > lower[1:][idx]
+        idx -= samples <= lower[idx]
+        np.maximum(idx, 0, out=idx)  # only -inf steps below bin 0
+        self._counts += np.bincount(idx, minlength=bins + 1)
 
     def _sorted_samples(self) -> np.ndarray:
         if self._sorted is None:
@@ -459,36 +477,54 @@ def run_replications(
 
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
-    replications are merged in index order.
+    replications are merged in index order as they arrive. The pool has
+    min(workers, n_reps) processes.
     """
     if isinstance(scenario.policy, EventTriggered):
         _integer_threshold(scenario.policy)
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0, got %d" % burn_in)
     if n_updates < burn_in + 2:
         raise ValueError(
             "n_updates=%d leaves no samples after burn_in=%d" % (n_updates, burn_in)
         )
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %d" % workers)
 
     tails = MetricTails(
         delay=EmpiricalTail(raw_limit=raw_limit),
         peak_aoi=EmpiricalTail(raw_limit=raw_limit),
         peak_doi=EmpiricalTail(raw_limit=raw_limit),
     )
-    if workers > 1 and n_reps > 1:
+    workers = min(workers, n_reps)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
+            pending = deque(
                 pool.submit(_simulate_one, scenario, n_updates, base_seed, r, burn_in)
                 for r in range(n_reps)
-            ]
-            results = [f.result() for f in futures]
+            )
+            _merge_in_order(tails, (pending.popleft().result() for _ in range(n_reps)))
     else:
-        results = [
-            _simulate_one(scenario, n_updates, base_seed, r, burn_in)
-            for r in range(n_reps)
-        ]
+        _merge_in_order(
+            tails,
+            (_simulate_one(scenario, n_updates, base_seed, r, burn_in) for r in range(n_reps)),
+        )
+    return tails
+
+
+def _merge_in_order(
+    tails: MetricTails, results: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> None:
+    """Add each replication's samples to the tails as the iterator yields them.
+
+    The order matters: histogram edges depend on the pooled maximum at the
+    moment the raw limit is crossed.
+    """
     for t, a, f in results:
         tails.delay.add(t)
         tails.peak_aoi.add(a)
         tails.peak_doi.add(f)
-    return tails
+        # drop this replication before waiting for the next one
+        del t, a, f

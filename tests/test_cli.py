@@ -132,6 +132,19 @@ class TestCli:
         assert main(["bound", "--config", missing]) == 2
         assert main(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_negative_burn_in_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "neg.cfg", SIM_CONFIG.replace("burn_in = 2000", "burn_in = -5"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n.csv")]) == 2
+        assert "burn_in" in capsys.readouterr().err
+
+    def test_workers_below_one_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "mm1.cfg", SIM_CONFIG)
+        for workers in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--config", cfg, "--workers", workers])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+
     def test_unknown_figure_exit_2(self):
         assert main(["figure", "fig99"]) == 2
 

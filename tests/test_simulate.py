@@ -1,8 +1,11 @@
 import math
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agecalc import (
     Deterministic,
@@ -24,6 +27,7 @@ from agecalc import (
     peak_metrics,
     run_replications,
 )
+from agecalc import simulate
 from agecalc.simulate import STREAM_EVENTS, STREAM_SERVICE, _simulate_one
 
 
@@ -178,6 +182,35 @@ class TestEmpiricalTail:
         assert binned.exceed_fraction(x) >= raw.exceed_fraction(x) - 1e-12
         assert binned.exceed_fraction(x) <= raw.exceed_fraction(x) + 2e-2
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hi=st.one_of(st.sampled_from((0.0, -3.0)), st.floats(1e-300, 1e300)),
+        bins=st.integers(1, 20_000),
+        on_edges=st.lists(
+            st.tuples(st.integers(0, 20_000), st.sampled_from((-1, 0, 1))), max_size=60
+        ),
+        others=st.lists(st.floats(allow_nan=False), max_size=60),
+    )
+    def test_histogram_bins_match_searchsorted(self, hi, bins, on_edges, others):
+        # hi is the pooled maximum when the raw limit is crossed
+        tail = EmpiricalTail(raw_limit=1, bins=bins)
+        tail.add(np.array([hi, hi]))
+        edges = tail._edges
+        top = edges[-1]
+        nudge = {-1: -math.inf, 0: None, 1: math.inf}
+        x = [
+            edges[k % (bins + 1)] if d == 0 else np.nextafter(edges[k % (bins + 1)], nudge[d])
+            for k, d in on_edges
+        ]
+        x += [0.0, -0.0, -1.0, -top, 1.5 * top, 2.0 * top, 1e300] + others
+        x = np.array(x, dtype=np.float64)
+        before = tail._counts.copy()
+        tail.add(x)
+        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
+        assert np.array_equal(tail._counts - before, np.bincount(ref, minlength=bins + 1))
+        tail.add(np.array([math.inf]))
+        assert tail._counts[-1] - before[-1] == np.count_nonzero(ref == bins) + 1
+
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
         tail = EmpiricalTail.from_samples(rng.exponential(1.0, 10_000))
@@ -229,6 +262,65 @@ class TestRunReplications:
         for eps in (1e-2, 1e-3, 1.0):
             assert a.delay.quantile(eps) == b.delay.quantile(eps)
             assert a.peak_aoi.quantile(eps) == b.peak_aoi.quantile(eps)
+
+    def test_workers_do_not_change_histogram_tails(self):
+        # 4 x 19,000 samples per metric: the raw limit is crossed while the
+        # second replication is merged, and the bin edges (from the maximum
+        # of the first two) would differ if the last two were merged first
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        runs = [
+            run_replications(
+                scenario, 20_000, 4, 3, burn_in=1_000, workers=w, raw_limit=30_000
+            ).by_name()
+            for w in (1, 2)
+        ]
+        for name in ("delay", "peak_aoi", "peak_doi"):
+            a, b = runs[0][name], runs[1][name]
+            assert a.bin_width > 0
+            assert a.bin_width == b.bin_width
+            assert np.array_equal(a._counts, b._counts)
+            for eps in (1e-1, 1e-2, 1e-3):
+                assert a.quantile(eps) == b.quantile(eps)
+
+    def test_pool_sized_to_replications(self, monkeypatch):
+        # a stand-in pool records its size and runs jobs inline: no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        pooled = run_replications(scenario, 3_000, 2, 5, burn_in=100, workers=3)
+        assert sizes == [2]
+        run_replications(scenario, 3_000, 1, 5, burn_in=100, workers=3)
+        assert sizes == [2]
+        serial = run_replications(scenario, 3_000, 2, 5, burn_in=100, workers=1)
+        assert sizes == [2]
+        assert pooled.delay.quantile(0.01) == serial.delay.quantile(0.01)
+
+    def test_rejects_workers_below_one(self):
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_replications(scenario, 3_000, 2, 1, burn_in=100, workers=workers)
+
+    def test_rejects_negative_burn_in(self):
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        with pytest.raises(ValueError, match="burn_in"):
+            run_replications(scenario, 3_000, 1, 1, burn_in=-5)
 
     def test_chunked_path_matches_operation_path(self):
         # the streaming production path must agree with the plain
