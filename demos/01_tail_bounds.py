@@ -7,17 +7,19 @@ The single-event-triggered exponential system is a plain M|M|1 queue, so
 its bound can be held against the known exact tail.
 """
 
+import math
+
 from agecalc import (
     EventTriggered,
     Exponential,
     Metric,
     Scenario,
     TimeTriggered,
-    aoi_mgf_bound,
-    delay_mgf_bound,
     envelope_set,
     exact_mm1_tail,
     invert_to_quantile,
+    log_aoi_mgf_bound,
+    log_delay_mgf_bound,
     optimize_theta,
 )
 
@@ -36,8 +38,8 @@ print("arrival lower envelope  rho_a =", env.rho_arrival_lower)
 print("stable (rho_a > rho_s):        ", env.stable)
 
 print("\n== MGF bounds at that theta ==")
-m_delay = delay_mgf_bound(env)
-m_age = aoi_mgf_bound(env)
+m_delay = math.exp(log_delay_mgf_bound(env))
+m_age = math.exp(log_aoi_mgf_bound(env))
 print("E[exp(0.25 T)]     <=", round(m_delay, 4))
 print("E[exp(0.25 peak)]  <=", round(m_age, 4))
 

@@ -13,10 +13,6 @@ from .models import (
     DomainError,
     Erlang,
     Exponential,
-    log_mgf,
-    mgf_domain_limit,
-    mgf_eval,
-    model_mean,
     sample,
 )
 from .envelopes import (
@@ -24,11 +20,7 @@ from .envelopes import (
     EventTriggered,
     TimeTriggered,
     TriggerPolicy,
-    arrival_envelopes,
-    arrival_lower_rate,
     envelope_set,
-    mean_update_spacing,
-    residual_mgf,
     service_envelope,
 )
 from .bounds import (
@@ -39,14 +31,13 @@ from .bounds import (
     Metric,
     NoFeasibleTheta,
     Scenario,
-    aoi_mgf_bound,
-    delay_mgf_bound,
     doi_epsilon_bound,
     doi_tail_probability,
     exact_mm1_tail,
     invert_to_quantile,
+    log_aoi_mgf_bound,
+    log_delay_mgf_bound,
     optimize_theta,
-    stability_check,
 )
 from .simulate import (
     EmpiricalTail,
@@ -54,12 +45,7 @@ from .simulate import (
     EventStreamExhausted,
     InsufficientSamples,
     MetricTails,
-    UpdateTrace,
     derive_rng,
-    empirical_quantile,
-    fifo_service,
-    generate_arrivals,
-    peak_metrics,
     run_replications,
 )
 from .sweeps import (

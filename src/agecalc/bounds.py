@@ -13,8 +13,9 @@ epsilon-quantile bound (ln M - ln eps)/theta; the free parameter theta is
 optimized numerically. Deviation (event-count) bounds multiply the MGF bound
 by a geometric factor in the event-count domain and invert the same way.
 
-All internal arithmetic is carried in log space so that near-boundary theta
-values do not overflow.
+The MGF bounds are computed and returned in log space
+(`log_delay_mgf_bound`, `log_aoi_mgf_bound`) so that near-boundary theta
+values do not overflow; stability at a theta is `EnvelopeSet.stable`.
 """
 
 from __future__ import annotations
@@ -22,26 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .envelopes import (
-    EnvelopeSet,
-    EventTriggered,
-    TimeTriggered,
-    TriggerPolicy,
-    envelope_set,
-    mean_update_spacing,
-)
-from .models import (
-    DistributionModel,
-    DomainError,
-    Exponential,
-    log_mgf,
-    mgf_domain_limit,
-    model_mean,
-)
+from .envelopes import EnvelopeSet, TimeTriggered, TriggerPolicy, envelope_set
+from .models import DistributionModel, DomainError
 
 
 class InstabilityError(ValueError):
@@ -78,9 +65,7 @@ class Scenario:
     @property
     def utilization(self) -> float:
         """Mean service time over mean update spacing; must be < 1 for stability."""
-        return model_mean(self.service_model) / mean_update_spacing(
-            self.policy, self.event_model
-        )
+        return self.service_model.mean / self.policy.spacing(self.event_model)
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,7 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# MGF bounds (log space internals, plain values on the public surface)
+# MGF bounds, in log space
 
 
 def _log_geometric_term(theta: float, gap: float) -> float:
@@ -111,7 +96,8 @@ def _log_geometric_term(theta: float, gap: float) -> float:
 
 
 def log_delay_mgf_bound(env: EnvelopeSet) -> float:
-    """ln of the delay MGF bound at env.theta; raises InstabilityError."""
+    """Upper bound of ln E[exp(theta*T)] at env.theta for the steady stream
+    of updates; raises InstabilityError."""
     gap = env.rho_arrival_lower - env.rho_service
     if gap <= 0:
         raise InstabilityError(
@@ -123,7 +109,8 @@ def log_delay_mgf_bound(env: EnvelopeSet) -> float:
 
 
 def log_aoi_mgf_bound(env: EnvelopeSet, rho_arrival_upper: Optional[float] = None) -> float:
-    """ln of the peak-age MGF bound at env.theta.
+    """Upper bound of ln E[exp(theta*peak_age)] at env.theta; strictly above
+    log_delay_mgf_bound.
 
     Needs the arrival upper envelope rate; raises DomainError when it is
     infinite (event-model MGF diverges at theta).
@@ -142,25 +129,6 @@ def log_aoi_mgf_bound(env: EnvelopeSet, rho_arrival_upper: Optional[float] = Non
     )
     idle_term = env.theta * (env.sigma_service + env.rho_service + upper)
     return float(np.logaddexp(queue_term, idle_term))
-
-
-def _exp_or_inf(v: float) -> float:
-    return math.inf if v > 709.0 else math.exp(v)
-
-
-def delay_mgf_bound(env: EnvelopeSet) -> float:
-    """Upper bound of E[exp(theta*T)] for the steady stream of updates."""
-    return _exp_or_inf(log_delay_mgf_bound(env))
-
-
-def aoi_mgf_bound(env: EnvelopeSet, rho_arrival_upper: Optional[float] = None) -> float:
-    """Upper bound of E[exp(theta*peak_age)]; strictly above delay_mgf_bound."""
-    return _exp_or_inf(log_aoi_mgf_bound(env, rho_arrival_upper))
-
-
-def stability_check(env: EnvelopeSet) -> bool:
-    """True iff the arrival lower rate strictly exceeds the service rate."""
-    return env.rho_arrival_lower > env.rho_service
 
 
 def invert_to_quantile(mgf_bound_value: float, theta: float, epsilon: float) -> float:
@@ -197,10 +165,32 @@ def _scenario_env(scenario: Scenario, theta: float) -> EnvelopeSet:
 
 
 def _log_event_mgf_neg(scenario: Scenario, theta: float) -> float:
-    v = log_mgf(scenario.event_model, -theta)
+    v = scenario.event_model.log_mgf(-theta)
     if v == 0.0:
         raise InfiniteDoI("event model has log M(-theta) = 0 at theta=%g" % theta)
     return v
+
+
+def _doi_terms(scenario: Scenario, theta: float) -> Tuple[float, float, float, int]:
+    """Terms of the policy's deviation tail bound at theta,
+
+      P[peak deviation > phi] <= exp(log_m + log_residual) * M_I(-theta)**(phi - alpha + one),
+
+    as (log_m, log_residual, alpha, one). Time-triggered: the age MGF bound
+    and the residual-time term, with alpha = one = 0. Event-triggered: the
+    delay MGF bound and no residual term, with alpha the threshold and
+    one = 1, so the bound holds for phi >= threshold - 1. The count offset
+    stays two terms so that each caller rounds its closed form in one order.
+    """
+    env = _scenario_env(scenario, theta)
+    policy = scenario.policy
+    if isinstance(policy, TimeTriggered):
+        return log_aoi_mgf_bound(env), scenario.event_model.log_residual_mgf(theta), 0, 0
+    return log_delay_mgf_bound(env), 0.0, policy.threshold, 1
+
+
+def _exp_or_inf(v: float) -> float:
+    return math.inf if v > 709.0 else math.exp(v)
 
 
 def doi_tail_probability(scenario: Scenario, theta: float, phi: float) -> float:
@@ -215,45 +205,29 @@ def doi_tail_probability(scenario: Scenario, theta: float, phi: float) -> float:
         raise ValueError("theta must be positive, got %r" % (theta,))
     if phi < 0 or int(phi) != phi:
         raise ValueError("phi must be a nonnegative integer, got %r" % (phi,))
-    env = _scenario_env(scenario, theta)
-    log_mi = log_mgf(scenario.event_model, -theta)
-    if isinstance(scenario.policy, TimeTriggered):
-        log_residual = (
-            log_mi if isinstance(scenario.event_model, Exponential) else 0.0
+    log_m, log_residual, alpha, one = _doi_terms(scenario, theta)
+    k = phi - alpha + one
+    if k < 0:
+        raise ValueError(
+            "phi must be >= threshold - 1 for event-triggered systems, got %r" % (phi,)
         )
-        log_p = log_aoi_mgf_bound(env) + log_residual + phi * log_mi
-    else:
-        k = phi - scenario.policy.threshold + 1
-        if k < 0:
-            raise ValueError(
-                "phi must be >= threshold - 1 for event-triggered systems, got %r" % (phi,)
-            )
-        log_p = log_delay_mgf_bound(env) + k * log_mi
-    return _exp_or_inf(log_p)
+    log_mi = scenario.event_model.log_mgf(-theta)
+    return _exp_or_inf(log_m + log_residual + k * log_mi)
 
 
 def doi_epsilon_bound(scenario: Scenario, theta: float) -> DoiBound:
     """Solve the deviation tail bound for the epsilon-quantile at one theta.
 
     Returns both the real-valued solution (used for plotting sweep curves)
-    and the ceiled integer bound. For non-memoryless event models the
-    residual-time factor is estimated by 1, which keeps the bound valid at
-    the cost of a slight slack for the time-triggered system.
+    and the ceiled integer bound, at least threshold - 1 for event-triggered
+    systems. For non-memoryless event models the residual-time factor is
+    estimated by 1, which keeps the bound valid at the cost of a slight
+    slack for the time-triggered system.
     """
-    env = _scenario_env(scenario, theta)
+    log_m, log_residual, alpha, one = _doi_terms(scenario, theta)
     log_mi = _log_event_mgf_neg(scenario, theta)
-    eps = scenario.epsilon
-    if isinstance(scenario.policy, TimeTriggered):
-        log_residual = (
-            log_mi if isinstance(scenario.event_model, Exponential) else 0.0
-        )
-        real = (math.log(eps) - log_aoi_mgf_bound(env) - log_residual) / log_mi
-        integer = max(math.ceil(real), 0)
-    else:
-        alpha = scenario.policy.threshold
-        real = (math.log(eps) - log_delay_mgf_bound(env)) / log_mi + alpha - 1.0
-        integer = max(math.ceil(real), math.ceil(alpha) - 1)
-    return DoiBound(real=real, integer=integer)
+    real = (math.log(scenario.epsilon) - log_m - log_residual) / log_mi + alpha - one
+    return DoiBound(real=real, integer=max(math.ceil(real), math.ceil(alpha) - one))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +242,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _theta_limit(scenario: Scenario, metric: Metric) -> float:
     """Supremum of usable theta: smallest MGF singularity among the MGFs
     this metric evaluates at +theta, capped when all are everywhere finite."""
-    limits = [mgf_domain_limit(scenario.service_model)]
-    if metric is Metric.PEAK_AOI and isinstance(scenario.policy, EventTriggered):
-        limits.append(mgf_domain_limit(scenario.event_model))
-    limit = min(limits)
+    limit = scenario.service_model.mgf_limit
+    if metric is Metric.PEAK_AOI:
+        limit = min(limit, scenario.policy.upper_rate_limit(scenario.event_model))
     if math.isinf(limit):
         return _THETA_CAP
     return limit - 2.0 * 1e-9

@@ -40,6 +40,7 @@ from .sweeps import (
     DEFAULT_SAMPLES,
     FIGURES,
     CsvRow,
+    SampleBudgetError,
     SweepSpec,
     bound_rows,
     make_model,
@@ -229,8 +230,10 @@ def cmd_figure(args) -> Tuple[List[CsvRow], Optional[Dict]]:
         )
     samples = args.samples or DEFAULT_SAMPLES
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    rows, summary = FIGURES[args.name](samples, seed, args.workers)
-    return rows, summary
+    try:
+        return FIGURES[args.name](samples, seed, args.workers)
+    except SampleBudgetError as exc:
+        raise ConfigError(str(exc))
 
 
 def _scenario_id(config_path: str) -> str:
@@ -283,14 +286,22 @@ def _write_output(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % (text,))
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
+    if n < low:
+        raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, n))
     return n
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,8 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
-        p.add_argument("--samples", type=int, default=None, help="simulated updates per scenario")
+        p.add_argument("--seed", type=_nonnegative_int, default=None, help="base seed override")
+        p.add_argument(
+            "--samples", type=_positive_int, default=None,
+            help="simulated updates per scenario",
+        )
         p.add_argument(
             "--workers", type=_positive_int, default=os.cpu_count() or 1,
             help="worker processes for replications",

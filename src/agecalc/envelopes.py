@@ -8,8 +8,11 @@ theta > 0 by envelope rates:
   arrival upper envelope: E[exp(theta*A(v,n))]  <= exp(theta*rho_upper*(n-v))
 
 For iid increments the envelopes are tight and follow directly from the
-per-increment log-MGF. All quantities are evaluated on demand at a given
-theta; nothing is tabulated.
+per-increment log-MGF. Each policy class computes its own arrival rates
+(`lower_rate`, `upper_rate`), its mean update `spacing`, and the arrivals
+and sampled event counts of a simulated run (`arrivals`, `sampled_counts`).
+All quantities are evaluated on demand at a given theta; nothing is
+tabulated.
 """
 
 from __future__ import annotations
@@ -18,25 +21,48 @@ import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .models import (
-    Deterministic,
-    DistributionModel,
-    DomainError,
-    Exponential,
-    log_mgf,
-    model_mean,
-)
+import numpy as np
+
+from .models import DistributionModel, DomainError
 
 
 @dataclass(frozen=True)
 class TimeTriggered:
-    """Updates generated periodically, every `interval` time units."""
+    """Updates generated periodically, every `interval` time units.
+
+    Both arrival rates equal the interval and ignore the event model.
+    """
 
     interval: float
 
     def __post_init__(self) -> None:
         if not self.interval > 0:
             raise ValueError("interval must be positive, got %r" % (self.interval,))
+
+    def lower_rate(self, event_model: DistributionModel, theta: float) -> float:
+        return self.interval
+
+    def upper_rate(self, event_model: DistributionModel, theta: float) -> float:
+        return self.interval
+
+    def upper_rate_limit(self, event_model: DistributionModel) -> float:
+        """Supremum of the theta at which upper_rate is finite."""
+        return math.inf
+
+    def spacing(self, event_model: DistributionModel) -> float:
+        """Mean time between updates."""
+        return self.interval
+
+    def check_simulable(self) -> None:
+        """Every interval can be simulated."""
+
+    def arrivals(self, events, first: int, m: int) -> np.ndarray:
+        """Arrival times of the m updates from 1-based index `first` on."""
+        return self.interval * np.arange(first, first + m, dtype=np.float64)
+
+    def sampled_counts(self, events, arrivals: np.ndarray, first: int) -> np.ndarray:
+        """Events sampled by the updates at these arrivals; ties count."""
+        return events.count_upto(arrivals)
 
 
 @dataclass(frozen=True)
@@ -53,6 +79,42 @@ class EventTriggered:
     def __post_init__(self) -> None:
         if not self.threshold >= 1:
             raise ValueError("threshold must be >= 1, got %r" % (self.threshold,))
+
+    def lower_rate(self, event_model: DistributionModel, theta: float) -> float:
+        """-(threshold/theta) * ln M_I(-theta); defined for every theta > 0."""
+        return -(self.threshold / theta) * event_model.log_mgf(-theta)
+
+    def upper_rate(self, event_model: DistributionModel, theta: float) -> float:
+        """(threshold/theta) * ln M_I(theta); +inf where the event MGF diverges."""
+        try:
+            return (self.threshold / theta) * event_model.log_mgf(theta)
+        except DomainError:
+            return math.inf
+
+    def upper_rate_limit(self, event_model: DistributionModel) -> float:
+        """Supremum of the theta at which upper_rate is finite."""
+        return event_model.mgf_limit
+
+    def spacing(self, event_model: DistributionModel) -> float:
+        """Mean time between updates: threshold * mean inter-event time."""
+        return self.threshold * event_model.mean
+
+    def check_simulable(self) -> None:
+        """Raise ValueError unless the threshold is an integer."""
+        if int(self.threshold) != self.threshold:
+            raise ValueError(
+                "simulation needs an integer event threshold, got %r" % (self.threshold,)
+            )
+
+    def arrivals(self, events, first: int, m: int) -> np.ndarray:
+        """Arrival times of the next m updates: every threshold-th event taken."""
+        alpha = int(self.threshold)
+        return events.take(alpha * m)[alpha - 1::alpha].astype(np.float64, copy=True)
+
+    def sampled_counts(self, events, arrivals: np.ndarray, first: int) -> np.ndarray:
+        """Events sampled by updates first, first+1, ...: exactly n*threshold."""
+        alpha = int(self.threshold)
+        return alpha * np.arange(first, first + len(arrivals), dtype=np.int64)
 
 
 TriggerPolicy = Union[TimeTriggered, EventTriggered]
@@ -83,59 +145,7 @@ def service_envelope(service: DistributionModel, theta: float) -> Tuple[float, f
     """
     if not theta > 0:
         raise ValueError("theta must be positive, got %r" % (theta,))
-    if isinstance(service, Deterministic):
-        return 0.0, service.value  # log M(theta)/theta without the round trip
-    return 0.0, log_mgf(service, theta) / theta
-
-
-def arrival_lower_rate(
-    policy: TriggerPolicy, event_model: DistributionModel, theta: float
-) -> float:
-    """Arrival lower envelope rate at theta > 0; defined for every theta."""
-    if not theta > 0:
-        raise ValueError("theta must be positive, got %r" % (theta,))
-    if isinstance(policy, TimeTriggered):
-        return policy.interval
-    return -(policy.threshold / theta) * log_mgf(event_model, -theta)
-
-
-def arrival_envelopes(
-    policy: TriggerPolicy, event_model: DistributionModel, theta: float
-) -> Tuple[float, float]:
-    """Arrival envelope rates (lower, upper) at theta > 0.
-
-    Time-triggered arrivals have both rates equal to the update interval and
-    ignore the event model. Event-triggered arrivals accumulate `threshold`
-    inter-event times per update; the upper rate raises DomainError when the
-    event-model MGF diverges at theta. Callers that only need the lower rate
-    should use arrival_lower_rate instead.
-    """
-    lower = arrival_lower_rate(policy, event_model, theta)
-    if isinstance(policy, TimeTriggered):
-        return lower, policy.interval
-    upper = (policy.threshold / theta) * log_mgf(event_model, theta)
-    return lower, upper
-
-
-def residual_mgf(event_model: DistributionModel, theta: float) -> float:
-    """MGF of the residual inter-event time at -theta, for theta > 0.
-
-    Memoryless events make the residual an ordinary inter-event time. For
-    any other model the value is estimated by 1, which is always an upper
-    bound and keeps the deviation bound valid.
-    """
-    if not theta > 0:
-        raise ValueError("theta must be positive, got %r" % (theta,))
-    if isinstance(event_model, Exponential):
-        return math.exp(log_mgf(event_model, -theta))
-    return 1.0
-
-
-def mean_update_spacing(policy: TriggerPolicy, event_model: DistributionModel) -> float:
-    """Mean time between updates: the interval, or threshold * mean inter-event time."""
-    if isinstance(policy, TimeTriggered):
-        return policy.interval
-    return policy.threshold * model_mean(event_model)
+    return 0.0, service.envelope_rate(theta)
 
 
 def envelope_set(
@@ -150,20 +160,13 @@ def envelope_set(
     event-model MGF only makes rho_arrival_upper infinite.
     """
     sigma_s, rho_s = service_envelope(service_model, theta)
-    lower = arrival_lower_rate(policy, event_model, theta)
-    if isinstance(policy, TimeTriggered):
-        upper = policy.interval
-    else:
-        try:
-            upper = (policy.threshold / theta) * log_mgf(event_model, theta)
-        except DomainError:
-            upper = math.inf
+    lower = policy.lower_rate(event_model, theta)
     return EnvelopeSet(
         theta=theta,
         sigma_service=sigma_s,
         rho_service=rho_s,
         rho_arrival_lower=lower,
-        rho_arrival_upper=upper,
+        rho_arrival_upper=policy.upper_rate(event_model, theta),
         stable=lower > rho_s,
     )
 
@@ -174,10 +177,6 @@ __all__ = [
     "TriggerPolicy",
     "EnvelopeSet",
     "service_envelope",
-    "arrival_lower_rate",
-    "arrival_envelopes",
-    "residual_mgf",
-    "mean_update_spacing",
     "envelope_set",
     "DomainError",
 ]

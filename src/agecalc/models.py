@@ -2,8 +2,11 @@
 
 Every model is a nonnegative random variable with a closed-form moment
 generating function M(theta) = E[exp(theta*X)]. The tail calculus only
-works for light-tailed models, so the MGF and its validity domain are the
-primary interface; sampling support is provided for the simulator.
+works for light-tailed models, so each model class answers everything the
+calculus and the simulator ask of a distribution: `log_mgf(theta)`, its
+validity limit `mgf_limit`, the `mean`, the log-MGF `envelope_rate(theta)`
+per unit of theta, the residual-time term `log_residual_mgf(theta)` and
+`sample(rng, size)`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,15 @@ class DomainError(ValueError):
     """MGF requested at or beyond its singularity; restrict the theta range."""
 
 
+def _log_exponential_mgf(model, theta: float) -> float:
+    # -ln(1 - theta/rate), guarded below the singularity at theta = rate
+    if theta > model.rate - MGF_GUARD:
+        raise DomainError(
+            "MGF of %r diverges at theta=%g (singularity %g)" % (model, theta, model.rate)
+        )
+    return -math.log1p(-theta / model.rate)
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential distribution with the given rate (mean 1/rate)."""
@@ -32,6 +44,31 @@ class Exponential:
     def __post_init__(self) -> None:
         if not self.rate > 0:
             raise ValueError("rate must be positive, got %r" % (self.rate,))
+
+    @property
+    def mean(self) -> float:
+        return 1.0 / self.rate
+
+    @property
+    def mgf_limit(self) -> float:
+        """Supremum of the theta values for which the MGF is finite."""
+        return self.rate
+
+    def log_mgf(self, theta: float) -> float:
+        """ln M(theta) = -ln(1 - theta/rate); DomainError within MGF_GUARD of rate."""
+        return _log_exponential_mgf(self, theta)
+
+    def envelope_rate(self, theta: float) -> float:
+        """ln M(theta)/theta, the envelope rate of iid increments at theta > 0."""
+        return self.log_mgf(theta) / theta
+
+    def log_residual_mgf(self, theta: float) -> float:
+        """ln of the residual inter-event time's MGF at -theta: memoryless, so
+        the residual is an ordinary inter-event time."""
+        return self.log_mgf(-theta)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size)
 
 
 @dataclass(frozen=True)
@@ -43,6 +80,29 @@ class Deterministic:
     def __post_init__(self) -> None:
         if not self.value > 0:
             raise ValueError("value must be positive, got %r" % (self.value,))
+
+    @property
+    def mean(self) -> float:
+        return self.value
+
+    @property
+    def mgf_limit(self) -> float:
+        return math.inf
+
+    def log_mgf(self, theta: float) -> float:
+        """ln M(theta) = theta*value, finite at every theta."""
+        return theta * self.value
+
+    def envelope_rate(self, theta: float) -> float:
+        """The value itself, without the round trip through log M(theta)/theta."""
+        return self.value
+
+    def log_residual_mgf(self, theta: float) -> float:
+        """0: the residual-time factor is estimated by 1, always an upper bound."""
+        return 0.0
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.full(size, self.value)
 
 
 @dataclass(frozen=True)
@@ -58,59 +118,32 @@ class Erlang:
         if not self.rate > 0:
             raise ValueError("rate must be positive, got %r" % (self.rate,))
 
+    @property
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    @property
+    def mgf_limit(self) -> float:
+        return self.rate
+
+    def log_mgf(self, theta: float) -> float:
+        """ln M(theta) = -shape*ln(1 - theta/rate); DomainError within MGF_GUARD of rate."""
+        return self.shape * _log_exponential_mgf(self, theta)
+
+    def envelope_rate(self, theta: float) -> float:
+        return self.log_mgf(theta) / theta
+
+    def log_residual_mgf(self, theta: float) -> float:
+        """0: the residual-time factor is estimated by 1, always an upper bound."""
+        return 0.0
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.gamma(self.shape, 1.0 / self.rate, size)
+
 
 DistributionModel = Union[Exponential, Deterministic, Erlang]
 
 
-def mgf_domain_limit(model: DistributionModel) -> float:
-    """Supremum of the theta values for which the MGF is finite."""
-    if isinstance(model, (Exponential, Erlang)):
-        return model.rate
-    return math.inf
-
-
-def log_mgf(model: DistributionModel, theta: float) -> float:
-    """Natural log of the MGF at theta.
-
-    Computed directly in log space so that large theta*value products do not
-    overflow. Raises DomainError within MGF_GUARD of the singularity.
-    """
-    if isinstance(model, Deterministic):
-        return theta * model.value
-    if theta > model.rate - MGF_GUARD:
-        raise DomainError(
-            "MGF of %r diverges at theta=%g (singularity %g)" % (model, theta, model.rate)
-        )
-    single = -math.log1p(-theta / model.rate)
-    if isinstance(model, Erlang):
-        return model.shape * single
-    return single
-
-
-def mgf_eval(model: DistributionModel, theta: float) -> float:
-    """MGF value at theta: rate/(rate-theta) for Exponential, exp(theta*value)
-    for Deterministic, (rate/(rate-theta))**shape for Erlang.
-
-    Any negative theta is valid; may return inf if the value itself overflows.
-    """
-    v = log_mgf(model, theta)
-    if v > 709.0:
-        return math.inf
-    return math.exp(v)
-
-
-def model_mean(model: DistributionModel) -> float:
-    if isinstance(model, Exponential):
-        return 1.0 / model.rate
-    if isinstance(model, Deterministic):
-        return model.value
-    return model.shape / model.rate
-
-
 def sample(model: DistributionModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw iid samples as a float array of the given size."""
-    if isinstance(model, Exponential):
-        return rng.exponential(1.0 / model.rate, size)
-    if isinstance(model, Deterministic):
-        return np.full(size, model.value)
-    return rng.gamma(model.shape, 1.0 / model.rate, size)
+    return model.sample(rng, size)

@@ -31,7 +31,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .bounds import Scenario
-from .envelopes import EventTriggered, TimeTriggered, TriggerPolicy
 from .models import DistributionModel, sample
 
 STREAM_EVENTS = 0
@@ -147,67 +146,6 @@ class EventStream:
             self._first += k
 
 
-def _count_at(events, times: np.ndarray) -> np.ndarray:
-    """Count events at or before each time, for a stream or a complete array.
-
-    A plain array is treated as the complete event history: counts saturate
-    at its length for times past the last event.
-    """
-    if isinstance(events, EventStream):
-        return events.count_upto(times)
-    ev = np.asarray(events, dtype=np.float64)
-    return np.searchsorted(ev, np.asarray(times, dtype=np.float64), side="right")
-
-
-@dataclass
-class UpdateTrace:
-    """Per-update record of one simulated path."""
-
-    arrivals: np.ndarray
-    sampled_counts: np.ndarray
-    departures: Optional[np.ndarray] = None
-    departure_counts: Optional[np.ndarray] = None
-
-    @property
-    def n_updates(self) -> int:
-        return len(self.arrivals)
-
-
-def generate_arrivals(policy: TriggerPolicy, events, n_updates: int) -> UpdateTrace:
-    """Arrival times and sampled event counts for the first n_updates updates.
-
-    Time-triggered: arrivals at multiples of the interval, sampled counts by
-    streaming event counting. Event-triggered: every threshold-th event time,
-    sampled counts known to be n*threshold exactly.
-    """
-    if n_updates < 1:
-        raise ValueError("n_updates must be >= 1")
-    if isinstance(policy, TimeTriggered):
-        arrivals = policy.interval * np.arange(1, n_updates + 1, dtype=np.float64)
-        counts = _count_at(events, arrivals)
-        return UpdateTrace(arrivals=arrivals, sampled_counts=counts)
-    alpha = _integer_threshold(policy)
-    if isinstance(events, EventStream):
-        times = events.take(alpha * n_updates)
-    else:
-        ev = np.asarray(events, dtype=np.float64)
-        if len(ev) < alpha * n_updates:
-            raise EventStreamExhausted(
-                "need %d events, stream has %d" % (alpha * n_updates, len(ev))
-            )
-        times = ev[: alpha * n_updates]
-    arrivals = times[alpha - 1::alpha].astype(np.float64, copy=True)
-    counts = alpha * np.arange(1, n_updates + 1, dtype=np.int64)
-    return UpdateTrace(arrivals=arrivals, sampled_counts=counts)
-
-
-def _integer_threshold(policy: EventTriggered) -> int:
-    alpha = policy.threshold
-    if int(alpha) != alpha:
-        raise ValueError("simulation needs an integer event threshold, got %r" % (alpha,))
-    return int(alpha)
-
-
 def _fifo_chunk(
     arrivals: np.ndarray,
     service: np.ndarray,
@@ -222,39 +160,6 @@ def _fifo_chunk(
     np.maximum(g, run_max, out=g)
     dep = s + g
     return dep, float(s[-1]), float(g[-1])
-
-
-def fifo_service(trace: UpdateTrace, service_model: DistributionModel, seed) -> UpdateTrace:
-    """Fill departures by serving the trace through one FIFO queue from empty.
-
-    Service times are iid draws from service_model, independent of arrivals.
-    """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    service = sample(service_model, rng, trace.n_updates)
-    dep, _, _ = _fifo_chunk(trace.arrivals, service, 0.0, -math.inf)
-    trace.departures = dep
-    return trace
-
-
-def peak_metrics(trace: UpdateTrace, events) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-update metric samples (delay, peak age, peak count deviation).
-
-    Delay has one sample per update; the peak metrics of update n need the
-    departure of update n+1, so their arrays are one element shorter.
-    """
-    if trace.departures is None:
-        raise ValueError("trace has no departures; run fifo_service first")
-    if trace.n_updates < 2:
-        raise ValueError("need at least 2 updates for peak metrics")
-    delay = trace.departures - trace.arrivals
-    peak_aoi = trace.departures[1:] - trace.arrivals[:-1]
-    dep_counts = _count_at(events, trace.departures)
-    trace.departure_counts = dep_counts
-    peak_doi = dep_counts[1:] - trace.sampled_counts[:-1]
-    return delay, peak_aoi, peak_doi
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +293,6 @@ class EmpiricalTail:
         return tail
 
 
-def empirical_quantile(tail: EmpiricalTail, epsilon: float) -> float:
-    """Smallest sample x with the fraction of samples above x at most epsilon."""
-    return tail.quantile(epsilon)
-
-
 # ---------------------------------------------------------------------------
 # Replicated runs
 
@@ -419,11 +319,11 @@ def _simulate_one(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One replication: burned-in sample arrays (delay, peak_aoi, peak_doi)."""
     policy = scenario.policy
+    policy.check_simulable()
     events = EventStream(
         scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
-    alpha = _integer_threshold(policy) if isinstance(policy, EventTriggered) else 0
 
     t_out = np.empty(n_updates)
     a_out = np.empty(n_updates - 1)
@@ -436,20 +336,14 @@ def _simulate_one(
     while done < n_updates:
         m = min(chunk, n_updates - done)
         first = done + 1  # 1-based index of the chunk's first update
-        if isinstance(policy, TimeTriggered):
-            arr = policy.interval * np.arange(first, first + m, dtype=np.float64)
-        else:
-            arr = events.take(alpha * m)[alpha - 1::alpha].astype(np.float64, copy=True)
+        arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
 
         t_out[done:done + m] = dep - arr
 
         events.discard_through(float(arr[0]))
-        if isinstance(policy, TimeTriggered):
-            ca = events.count_upto(arr)
-        else:
-            ca = alpha * np.arange(first, first + m, dtype=np.int64)
+        ca = policy.sampled_counts(events, arr, first)
         cd = events.count_upto(dep)
 
         if done > 0:
@@ -480,8 +374,7 @@ def run_replications(
     replications are merged in index order as they arrive. The pool has
     min(workers, n_reps) processes.
     """
-    if isinstance(scenario.policy, EventTriggered):
-        _integer_threshold(scenario.policy)
+    scenario.policy.check_simulable()
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0, got %d" % burn_in)
     if n_updates < burn_in + 2:

@@ -28,7 +28,13 @@ from .bounds import (
 )
 from .envelopes import EventTriggered, TimeTriggered, TriggerPolicy
 from .models import Deterministic, DistributionModel, Exponential
-from .simulate import DEFAULT_BURN_IN, MetricTails, run_replications
+from .simulate import (
+    DEFAULT_BURN_IN,
+    EmpiricalTail,
+    InsufficientSamples,
+    MetricTails,
+    run_replications,
+)
 
 CSV_HEADER = (
     "scenario,policy,axis,axis_value,utilization,metric,source,epsilon,value,theta_star,flag"
@@ -105,6 +111,10 @@ def round_threshold(alpha: float) -> int:
     return max(1, int(math.floor(alpha + 0.5)))
 
 
+class SampleBudgetError(ValueError):
+    """A simulation sample budget too small for the burn-in."""
+
+
 def _policy_name(policy: TriggerPolicy) -> str:
     return TIME_TRIGGERED if isinstance(policy, TimeTriggered) else EVENT_TRIGGERED
 
@@ -169,11 +179,9 @@ def simulation_rows(
                 tokens.append(extra_flag)
             sigma3 = 3.0 * math.sqrt(eps * (1.0 - eps) / n)
             tokens.append("sigma3:%.3e" % sigma3)
-            if n < 10.0 / eps:
+            q, insufficient = _quantile(tail, eps)
+            if insufficient:
                 tokens.append("insufficient_samples")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                q = tail.quantile(eps)
             rows.append(
                 CsvRow(
                     scenario=scenario_id,
@@ -190,6 +198,26 @@ def simulation_rows(
                 )
             )
     return rows
+
+
+def _quantile(tail: EmpiricalTail, eps: float) -> Tuple[float, bool]:
+    """(tail.quantile(eps), whether fewer than 10/eps samples back it).
+
+    The InsufficientSamples warning is suppressed: callers record the
+    shortfall in their output instead.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InsufficientSamples)
+        return tail.quantile(eps), tail.n_samples < 10.0 / eps
+
+
+def _summary_quantile(tail: EmpiricalTail, eps: float, entry: Dict) -> float:
+    """tail.quantile(eps) for a figure summary; sets
+    entry["insufficient_samples"] when fewer than 10/eps samples back it."""
+    q, insufficient = _quantile(tail, eps)
+    if insufficient:
+        entry["insufficient_samples"] = True
+    return q
 
 
 def sweep_rows(spec: SweepSpec, scenario_id: str = "sweep") -> List[CsvRow]:
@@ -262,7 +290,7 @@ def _split_budget(samples: int, burn_in: int) -> Tuple[int, int]:
     n_reps = max(1, samples // _REP_SIZE)
     n_updates = math.ceil(samples / n_reps)
     if n_updates < burn_in + 2:
-        raise ValueError(
+        raise SampleBudgetError(
             "sample budget %d too small for burn_in %d" % (samples, burn_in)
         )
     return n_updates, n_reps
@@ -320,8 +348,9 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
         b = optimize_theta(
             Scenario(event_model, service_model, tt, eps), Metric.DELAY
         ).value
-        q = tails.delay.quantile(eps)
-        dominance["%.0e" % eps] = {"bound": b, "simulated": q, "below": bool(q <= b)}
+        entry = dominance["%.0e" % eps] = {"bound": b}
+        q = _summary_quantile(tails.delay, eps, entry)
+        entry.update(simulated=q, below=bool(q <= b))
     summary = {
         "bound_tail_slope": slope,
         "exact_slope": -0.5,
@@ -535,15 +564,18 @@ def figure_fig8(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
         scenario = Scenario(event_model, service_model, TimeTriggered(interval=w), 1e-6)
         tails = _simulate(scenario, samples, seed, workers)
         rows += simulation_rows("fig8-w%g" % w, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
-        summary["aoi_at_1e-4"]["w=%g" % w] = tails.peak_aoi.quantile(1e-4)
-        summary["doi_at_1e-4"]["w=%g" % w] = tails.peak_doi.quantile(1e-4)
+        _summarize_fig8(summary, "w=%g" % w, tails)
     for a in (4, 8, 12):
         scenario = Scenario(event_model, service_model, EventTriggered(threshold=a), 1e-6)
         tails = _simulate(scenario, samples, seed, workers)
         rows += simulation_rows("fig8-a%d" % a, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
-        summary["aoi_at_1e-4"]["alpha=%d" % a] = tails.peak_aoi.quantile(1e-4)
-        summary["doi_at_1e-4"]["alpha=%d" % a] = tails.peak_doi.quantile(1e-4)
+        _summarize_fig8(summary, "alpha=%d" % a, tails)
     return rows, summary
+
+
+def _summarize_fig8(summary: Dict, label: str, tails: MetricTails) -> None:
+    for key, tail in (("aoi_at_1e-4", tails.peak_aoi), ("doi_at_1e-4", tails.peak_doi)):
+        summary[key][label] = _summary_quantile(tail, 1e-4, summary[key])
 
 
 FIGURES = {

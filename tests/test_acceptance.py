@@ -17,7 +17,6 @@ from agecalc import (
     Metric,
     Scenario,
     TimeTriggered,
-    aoi_mgf_bound,
     best_event_threshold,
     best_update_interval,
     bound_tail_slope,
@@ -25,11 +24,12 @@ from agecalc import (
     envelope_set,
     exact_mm1_tail,
     invert_to_quantile,
+    log_aoi_mgf_bound,
     optimize_theta,
     run_replications,
 )
 from agecalc.cli import main
-from agecalc.simulate import UpdateTrace, _fifo_chunk, peak_metrics
+from agecalc.simulate import _fifo_chunk, _simulate_one
 from agecalc.sweeps import FIGURES, make_model
 
 SAMPLE_BUDGET = 10_000_000
@@ -124,7 +124,7 @@ def test_criterion_5_deterministic_events_identity():
             scenario = Scenario(events, service, TimeTriggered(w), 1e-6)
             try:
                 env = envelope_set(scenario.policy, events, service, theta)
-                age_eps = invert_to_quantile(aoi_mgf_bound(env), theta, 1e-6)
+                age_eps = invert_to_quantile(math.exp(log_aoi_mgf_bound(env)), theta, 1e-6)
             except InstabilityError:
                 continue
             phi = doi_epsilon_bound(scenario, theta).real
@@ -218,15 +218,12 @@ def test_criterion_8_structural_invariants():
             )
             assert np.allclose(got, brute, rtol=1e-12, atol=1e-12)
 
-        # peak-age versus next delay on random traces
-        for _ in range(50):
+        # peak-age versus next delay on random paths: Poisson arrivals of
+        # mean gap 2, exponential service of mean 1.5
+        poisson = Scenario(Exponential(0.5), Exponential(1.0 / 1.5), EventTriggered(1), 1e-3)
+        for replication in range(50):
             n = int(rng.integers(3, 200))
-            arrivals = np.cumsum(rng.exponential(2.0, n))
-            trace = UpdateTrace(arrivals, np.zeros(n, dtype=np.int64))
-            trace.departures, _, _ = _fifo_chunk(
-                arrivals, rng.exponential(1.5, n), 0.0, -math.inf
-            )
-            delay, aoi, _ = peak_metrics(trace, np.array([np.inf]))
+            delay, aoi, _ = _simulate_one(poisson, n, 88, replication, burn_in=0)
             assert (aoi >= delay[1:] - 1e-12).all()
 
         # deviation floor and limiting values at the preset parameters

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import agecalc.bounds as bounds_mod
 from agecalc import (
     Deterministic,
-    EnvelopeSet,
     EventTriggered,
     Exponential,
     InfiniteDoI,
@@ -16,17 +15,23 @@ from agecalc import (
     NoFeasibleTheta,
     Scenario,
     TimeTriggered,
-    aoi_mgf_bound,
-    delay_mgf_bound,
     doi_epsilon_bound,
     doi_tail_probability,
     envelope_set,
     exact_mm1_tail,
     invert_to_quantile,
-    mgf_eval,
+    log_aoi_mgf_bound,
+    log_delay_mgf_bound,
     optimize_theta,
-    stability_check,
 )
+
+
+def delay_mgf_bound(env):
+    return math.exp(log_delay_mgf_bound(env))
+
+
+def aoi_mgf_bound(env, rho_arrival_upper=None):
+    return math.exp(log_aoi_mgf_bound(env, rho_arrival_upper))
 
 
 def _tt_env(theta=0.25, w=2.0, mu=1.0):
@@ -45,14 +50,14 @@ class TestDelayMgfBound:
     def test_exceeds_service_mgf(self):
         for theta in (0.05, 0.25, 0.5):
             env = _tt_env(theta=theta)
-            assert delay_mgf_bound(env) > mgf_eval(Exponential(1.0), theta)
+            assert delay_mgf_bound(env) > math.exp(Exponential(1.0).log_mgf(theta))
 
     def test_large_theta_deterministic_limit(self):
         # all-deterministic system with spare capacity: the log-bound rate
         # tends to the service time
         env = envelope_set(TimeTriggered(5.0), Deterministic(2.0), Deterministic(4.0), 500.0)
         assert math.log(bounds_mod._exp_or_inf(0.0) + 0.0) == 0.0  # sanity of helper
-        log_bound = bounds_mod.log_delay_mgf_bound(env)
+        log_bound = log_delay_mgf_bound(env)
         assert log_bound / 500.0 == pytest.approx(4.0, abs=0.01)
 
     def test_instability_error(self):
@@ -78,7 +83,7 @@ class TestAoiMgfBound:
 
     def test_large_theta_deterministic_limit(self):
         env = envelope_set(TimeTriggered(5.0), Deterministic(2.0), Deterministic(4.0), 800.0)
-        log_bound = bounds_mod.log_aoi_mgf_bound(env)
+        log_bound = log_aoi_mgf_bound(env)
         assert log_bound / 800.0 == pytest.approx(9.0, abs=0.01)
 
     def test_domain_error_when_upper_missing(self):
@@ -113,11 +118,13 @@ class TestInversion:
 class TestStability:
     def test_examples(self):
         env = _tt_env()  # rho_arrival_lower=2, rho_service=1.1507
-        assert stability_check(env)
-        flat = EnvelopeSet(0.1, 0.0, 1.0, 1.0, 1.0, stable=False)
-        assert not stability_check(flat)
-        bad = EnvelopeSet(0.1, 0.0, 4.0, 0.5, 0.5, stable=False)
-        assert not stability_check(bad)
+        assert env.stable
+        # the condition is strict: equal rates are not stable
+        flat = envelope_set(TimeTriggered(4.0), Exponential(0.5), Deterministic(4.0), 0.1)
+        assert flat.rho_arrival_lower == flat.rho_service
+        assert not flat.stable
+        bad = envelope_set(TimeTriggered(0.5), Exponential(0.5), Deterministic(4.0), 0.1)
+        assert not bad.stable
 
 
 class TestExactMm1:
@@ -196,7 +203,7 @@ class TestDoiTailProbability:
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(8.0), 1e-6)
         theta = 0.1
         env = envelope_set(scenario.policy, scenario.event_model, scenario.service_model, theta)
-        mi = mgf_eval(Exponential(0.5), -theta)
+        mi = math.exp(Exponential(0.5).log_mgf(-theta))
         expected = aoi_mgf_bound(env) * mi * mi**3
         assert doi_tail_probability(scenario, theta, 3) == pytest.approx(expected, rel=1e-12)
 

@@ -145,6 +145,25 @@ class TestCli:
             assert exc.value.code == 2
             assert "--workers" in capsys.readouterr().err
 
+    def test_samples_below_one_exit_2(self, capsys):
+        for samples in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["figure", "fig3", "--samples", samples])
+            assert exc.value.code == 2
+            assert "--samples" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "mm1.cfg", SIM_CONFIG)
+        for argv in (["figure", "fig3"], ["simulate", "--config", cfg]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "-3"])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+
+    def test_figure_budget_below_burn_in_exit_2(self, capsys):
+        assert main(["figure", "fig3", "--samples", "5"]) == 2
+        assert "too small for burn_in" in capsys.readouterr().err
+
     def test_unknown_figure_exit_2(self):
         assert main(["figure", "fig99"]) == 2
 
@@ -186,7 +205,11 @@ class TestCli:
         out = tmp_path / "fig3.csv"
         assert main(["figure", "fig3", "--out", str(out), "--samples", "50000",
                      "--seed", "5"]) == 0
-        capsys.readouterr()
+        # 40,000 samples back the quantiles at 1e-2 and 1e-3 but not at 1e-4
+        dominance = json.loads(capsys.readouterr().out)["tt_dominance"]
+        assert dominance["1e-04"]["insufficient_samples"] is True
+        assert "insufficient_samples" not in dominance["1e-02"]
+        assert "insufficient_samples" not in dominance["1e-03"]
         lines = out.read_text().splitlines()
         hdr = lines[0].split(",")
         rows = [dict(zip(hdr, l.split(","))) for l in lines[1:]]
@@ -195,6 +218,15 @@ class TestCli:
         assert (EVENT_TRIGGERED, "bound") in kinds
         assert (EVENT_TRIGGERED, "exact") in kinds
         assert (TIME_TRIGGERED, "simulation") in kinds
+
+    def test_figure_fig8_summary_flags_insufficient_samples(self, tmp_path, capsys):
+        out = tmp_path / "fig8.csv"
+        assert main(["figure", "fig8", "--out", str(out), "--samples", "20000",
+                     "--seed", "5", "--workers", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        for key in ("aoi_at_1e-4", "doi_at_1e-4"):
+            assert summary[key].pop("insufficient_samples") is True
+            assert len(summary[key]) == 6
 
     def test_module_entry_point(self, tmp_path):
         cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)

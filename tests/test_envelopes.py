@@ -12,12 +12,7 @@ from agecalc import (
     EventTriggered,
     Exponential,
     TimeTriggered,
-    arrival_envelopes,
-    arrival_lower_rate,
     envelope_set,
-    mean_update_spacing,
-    model_mean,
-    residual_mgf,
     service_envelope,
 )
 
@@ -47,7 +42,7 @@ class TestServiceEnvelope:
     def test_rate_at_least_mean(self, theta):
         for model in (Exponential(1.0), Erlang(2, 2.0)):
             _, rho = service_envelope(model, theta * model.rate)
-            assert rho > model_mean(model)
+            assert rho > model.mean
         _, rho = service_envelope(Deterministic(2.5), theta)
         assert rho == 2.5
 
@@ -55,12 +50,13 @@ class TestServiceEnvelope:
 class TestArrivalEnvelopes:
     def test_time_triggered_ignores_event_model(self):
         for events in (Exponential(0.5), Deterministic(9.0), Erlang(3, 1.0)):
-            assert arrival_envelopes(TimeTriggered(2.0), events, 0.7) == (2.0, 2.0)
+            policy = TimeTriggered(2.0)
+            assert (policy.lower_rate(events, 0.7), policy.upper_rate(events, 0.7)) == (2.0, 2.0)
 
     def test_event_triggered_lower_value(self):
         # -(1/0.5) * ln(0.5/(0.5+0.5)); cross-checked by Monte-Carlo below.
         # theta equals the event rate here, so only the lower rate is defined.
-        lower = arrival_lower_rate(EventTriggered(1), Exponential(0.5), 0.5)
+        lower = EventTriggered(1).lower_rate(Exponential(0.5), 0.5)
         assert lower == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     def test_event_triggered_lower_monte_carlo(self):
@@ -69,18 +65,18 @@ class TestArrivalEnvelopes:
         vals = np.exp(-0.5 * draws)
         mc = -(1.0 / 0.5) * math.log(vals.mean())
         se_log = vals.std() / (vals.mean() * 1000.0)
-        lower = arrival_lower_rate(EventTriggered(1), Exponential(0.5), 0.5)
+        lower = EventTriggered(1).lower_rate(Exponential(0.5), 0.5)
         assert abs(lower - mc) < 4 * se_log / 0.5
 
     def test_small_theta_limit_is_mean_spacing(self):
-        lower, _ = arrival_envelopes(EventTriggered(8), Exponential(0.5), 1e-9)
+        lower = EventTriggered(8).lower_rate(Exponential(0.5), 1e-9)
         assert lower == pytest.approx(16.0, rel=1e-6)
 
-    def test_upper_raises_beyond_event_rate(self):
-        with pytest.raises(DomainError):
-            arrival_envelopes(EventTriggered(2), Exponential(0.5), 0.6)
+    def test_upper_infinite_beyond_event_rate(self):
+        assert math.isinf(EventTriggered(2).upper_rate(Exponential(0.5), 0.6))
+        assert EventTriggered(2).upper_rate_limit(Exponential(0.5)) == 0.5
         # the lower rate alone stays available there
-        assert arrival_lower_rate(EventTriggered(2), Exponential(0.5), 0.6) > 0
+        assert EventTriggered(2).lower_rate(Exponential(0.5), 0.6) > 0
 
     @given(
         rate=st.floats(min_value=0.1, max_value=5.0),
@@ -91,8 +87,8 @@ class TestArrivalEnvelopes:
         theta = frac * rate
         policy = EventTriggered(alpha)
         for events in (Exponential(rate), Erlang(2, 2.0 * rate)):
-            lower, upper = arrival_envelopes(policy, events, theta)
-            mean_gap = alpha * model_mean(events)
+            lower, upper = policy.lower_rate(events, theta), policy.upper_rate(events, theta)
+            mean_gap = alpha * events.mean
             assert lower < mean_gap < upper
 
     @given(
@@ -104,23 +100,26 @@ class TestArrivalEnvelopes:
         policy_lo = EventTriggered(alpha)
         policy_hi = EventTriggered(alpha + 1)
         events = Exponential(rate)
-        assert arrival_lower_rate(policy_lo, events, theta) < arrival_lower_rate(
-            policy_hi, events, theta
-        )
+        assert policy_lo.lower_rate(events, theta) < policy_hi.lower_rate(events, theta)
         faster = Exponential(rate * 1.5)
-        assert arrival_lower_rate(policy_lo, faster, theta) < arrival_lower_rate(
-            policy_lo, events, theta
-        )
+        assert policy_lo.lower_rate(faster, theta) < policy_lo.lower_rate(events, theta)
 
     def test_deterministic_events_collapse(self):
-        lower, upper = arrival_envelopes(EventTriggered(4), Deterministic(2.0), 0.3)
+        policy = EventTriggered(4)
+        lower = policy.lower_rate(Deterministic(2.0), 0.3)
+        upper = policy.upper_rate(Deterministic(2.0), 0.3)
         assert lower == pytest.approx(8.0, rel=1e-12)
         assert upper == pytest.approx(8.0, rel=1e-12)
+
+
+def residual_mgf(event_model, theta):
+    return math.exp(event_model.log_residual_mgf(theta))
 
 
 class TestResidualMgf:
     def test_memoryless_equals_inter_event(self):
         assert residual_mgf(Exponential(0.5), 0.5) == pytest.approx(0.5, rel=1e-12)
+        assert Exponential(0.5).log_residual_mgf(0.5) == Exponential(0.5).log_mgf(-0.5)
 
     def test_conservative_one_for_non_memoryless(self):
         assert residual_mgf(Deterministic(2.0), 1.0) == 1.0
@@ -152,6 +151,6 @@ class TestEnvelopeSet:
             assert env.rho_arrival_lower <= env.rho_arrival_upper
 
     def test_mean_update_spacing(self):
-        assert mean_update_spacing(TimeTriggered(7.0), Exponential(9.0)) == 7.0
-        assert mean_update_spacing(EventTriggered(8), Exponential(0.5)) == 16.0
-        assert mean_update_spacing(EventTriggered(3), Erlang(2, 1.0)) == 6.0
+        assert TimeTriggered(7.0).spacing(Exponential(9.0)) == 7.0
+        assert EventTriggered(8).spacing(Exponential(0.5)) == 16.0
+        assert EventTriggered(3).spacing(Erlang(2, 1.0)) == 6.0

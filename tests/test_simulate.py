@@ -17,63 +17,72 @@ from agecalc import (
     InsufficientSamples,
     Scenario,
     TimeTriggered,
-    UpdateTrace,
     derive_rng,
-    empirical_quantile,
     exact_mm1_tail,
-    fifo_service,
-    generate_arrivals,
-    model_mean,
-    peak_metrics,
     run_replications,
 )
 from agecalc import simulate
-from agecalc.simulate import STREAM_EVENTS, STREAM_SERVICE, _simulate_one
+from agecalc.simulate import STREAM_EVENTS, STREAM_SERVICE, _fifo_chunk, _simulate_one
 
 
 class TestGenerateArrivals:
     def test_time_triggered_synchronized_deterministic(self):
         events = EventStream(Deterministic(2.0), 1)
-        trace = generate_arrivals(TimeTriggered(2.0), events, 6)
-        assert np.allclose(trace.arrivals, [2, 4, 6, 8, 10, 12])
+        policy = TimeTriggered(2.0)
+        arrivals = policy.arrivals(events, 1, 6)
+        assert np.allclose(arrivals, [2, 4, 6, 8, 10, 12])
         # an event exactly at the sampling instant is counted
-        assert np.array_equal(trace.sampled_counts, [1, 2, 3, 4, 5, 6])
+        assert np.array_equal(policy.sampled_counts(events, arrivals, 1), [1, 2, 3, 4, 5, 6])
 
     def test_event_triggered_counts_exact(self):
         events = EventStream(Exponential(1.0), 5)
-        trace = generate_arrivals(EventTriggered(3), events, 4)
-        assert np.array_equal(trace.sampled_counts, [3, 6, 9, 12])
+        policy = EventTriggered(3)
+        arrivals = policy.arrivals(events, 1, 4)
+        assert np.array_equal(policy.sampled_counts(events, arrivals, 1), [3, 6, 9, 12])
+        assert np.array_equal(events.count_upto(arrivals), [3, 6, 9, 12])
+        # the next chunk continues from update 5
+        arrivals = policy.arrivals(events, 5, 2)
+        assert np.array_equal(policy.sampled_counts(events, arrivals, 5), [15, 18])
+        assert np.array_equal(events.count_upto(arrivals), [15, 18])
 
     def test_count_by_brute_force(self):
-        trace = generate_arrivals(TimeTriggered(5.0), np.array([1.0, 2.0, 9.0]), 1)
-        assert trace.sampled_counts[0] == 2
+        policy = TimeTriggered(5.0)
+        events = EventStream(Exponential(1.0), 6)
+        arrivals = policy.arrivals(events, 1, 8)
+        counts = policy.sampled_counts(events, arrivals, 1)
+        times = EventStream(Exponential(1.0), 6).take(1000)
+        assert np.array_equal(counts, [np.count_nonzero(times <= a) for a in arrivals])
 
     def test_event_triggered_needs_enough_events(self):
+        # two events cannot form even the first update of threshold 3
+        events = EventStream(Exponential(1.0), 5, max_events=2)
         with pytest.raises(EventStreamExhausted):
-            generate_arrivals(EventTriggered(3), np.array([1.0, 2.0, 3.0, 4.0]), 2)
+            EventTriggered(3).arrivals(events, 1, 1)
 
     def test_capped_stream_raises(self):
         events = EventStream(Exponential(1.0), 5, max_events=10)
         with pytest.raises(EventStreamExhausted):
-            generate_arrivals(EventTriggered(4), events, 3)
+            EventTriggered(4).arrivals(events, 1, 3)
+
+
+def _serve(arrivals, service):
+    """Departures of a FIFO queue that starts empty."""
+    dep, _, _ = _fifo_chunk(np.asarray(arrivals, dtype=np.float64),
+                            np.asarray(service, dtype=np.float64), 0.0, -math.inf)
+    return dep
 
 
 class TestFifoService:
     def test_no_queueing(self):
-        trace = UpdateTrace(np.array([1.0, 2.0, 3.0]), np.zeros(3))
-        fifo_service(trace, Deterministic(1.0), 0)
-        assert np.allclose(trace.departures, [2, 3, 4])
+        assert np.allclose(_serve([1.0, 2.0, 3.0], np.full(3, 1.0)), [2, 3, 4])
 
     def test_queue_buildup(self):
-        trace = UpdateTrace(np.array([1.0, 1.1, 1.2]), np.zeros(3))
-        fifo_service(trace, Deterministic(2.0), 0)
-        assert np.allclose(trace.departures, [3, 5, 7])
+        assert np.allclose(_serve([1.0, 1.1, 1.2], np.full(3, 2.0)), [3, 5, 7])
 
     def test_deterministic_system_delay(self):
         w, l = 6.0, 4.0
-        trace = UpdateTrace(w * np.arange(1, 11), np.zeros(10))
-        fifo_service(trace, Deterministic(l), 0)
-        assert np.allclose(trace.departures - trace.arrivals, l)
+        arrivals = w * np.arange(1, 11)
+        assert np.allclose(_serve(arrivals, np.full(10, l)) - arrivals, l)
 
     def test_matches_recursion_and_brute_force(self):
         # D(n) = max(A(n), D(n-1)) + L(n) and the max-plus form
@@ -94,47 +103,56 @@ class TestFifoService:
                     for i in range(n)
                 ]
             )
-            from agecalc.simulate import _fifo_chunk
-
-            got, _, _ = _fifo_chunk(arrivals, service, 0.0, -math.inf)
+            got = _serve(arrivals, service)
             assert np.allclose(got, dep)
             assert np.allclose(got, brute)
 
 
 class TestPeakMetrics:
     def test_hand_example(self):
-        trace = UpdateTrace(np.array([2.0, 4.0]), np.array([1, 2]))
-        trace.departures = np.array([3.0, 5.0])
-        delay, aoi, doi = peak_metrics(trace, np.array([1.0, 2.5, 4.5]))
-        assert np.allclose(delay, [1.0, 1.0])
-        assert np.allclose(aoi, [3.0])
-        assert np.array_equal(doi, [2])
+        # arrivals 3, 6, ..., 18 and events every 2; with chunk 4 the peak
+        # samples at index 3 span the chunk boundary. Served in 1 each, the
+        # arrivals at 6 and 12 and the departures at 4, 10 and 16 fall on
+        # events: counting ties at only one end would give 1 or 3. Served in
+        # 2 each, the departures at 8, 14 and 20 fall on events and the
+        # deviations alternate 3, 2 only if ties count.
+        for service, aoi_value, doi_values in ((1.0, 4.0, [2, 2, 2, 2, 2]),
+                                               (2.0, 5.0, [3, 2, 3, 2, 3])):
+            scenario = Scenario(
+                Deterministic(2.0), Deterministic(service), TimeTriggered(3.0), 1e-3
+            )
+            for chunk in (4, simulate._CHUNK):
+                delay, aoi, doi = _simulate_one(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
+                assert np.array_equal(delay, np.full(6, service))
+                assert np.array_equal(aoi, np.full(5, aoi_value))
+                assert np.array_equal(doi, doi_values)
 
     def test_deterministic_everything(self):
         w, l = 6.0, 4.0
-        events = EventStream(Deterministic(2.0), 0)
-        trace = generate_arrivals(TimeTriggered(w), events, 50)
-        fifo_service(trace, Deterministic(l), 0)
-        delay, aoi, doi = peak_metrics(trace, events)
+        scenario = Scenario(Deterministic(2.0), Deterministic(l), TimeTriggered(w), 1e-3)
+        delay, aoi, doi = _simulate_one(scenario, 50, 0, 0, burn_in=0)
         assert np.allclose(delay, l)
         assert np.allclose(aoi, l + w)
 
     def test_event_triggered_floor_and_order(self):
-        events = EventStream(Exponential(0.5), 11)
-        trace = generate_arrivals(EventTriggered(4), events, 400)
-        fifo_service(trace, Exponential(0.3), 12)
-        delay, aoi, doi = peak_metrics(trace, events)
+        scenario = Scenario(Exponential(0.5), Exponential(0.3), EventTriggered(4), 1e-3)
+        delay, aoi, doi = _simulate_one(scenario, 400, 11, 0, burn_in=0)
+        # C(D(n+1)) - C(A(n)) >= 4: each departure counts at least the
+        # events its own update sampled
         assert (doi >= 4).all()
         assert (aoi >= delay[1:]).all()
-        assert (trace.departures >= trace.arrivals).all()
-        assert (np.diff(trace.departures) >= 0).all()
-        # count consistency along the trace
-        assert (trace.departure_counts[1:] >= trace.sampled_counts[1:]).all()
+        # D(n) >= A(n), and D(n+1) - D(n) = aoi(n) - delay(n) >= 0
+        assert (delay >= 0).all()
+        assert (aoi >= delay[:-1]).all()
 
     def test_requires_departures(self):
-        trace = UpdateTrace(np.array([1.0, 2.0]), np.zeros(2))
+        # the peak metrics of an update need the next update's departure
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         with pytest.raises(ValueError):
-            peak_metrics(trace, np.array([1.0]))
+            run_replications(scenario, 1, 1, 0, burn_in=0)
+        tails = run_replications(scenario, 2, 1, 0, burn_in=0)
+        assert tails.delay.n_samples == 2
+        assert tails.peak_aoi.n_samples == tails.peak_doi.n_samples == 1
 
 
 class TestEmpiricalTail:
@@ -142,7 +160,7 @@ class TestEmpiricalTail:
         tail = EmpiricalTail.from_samples(np.arange(1.0, 11.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert empirical_quantile(tail, 0.2) == 8.0
+            assert tail.quantile(0.2) == 8.0
 
     def test_constant_samples(self):
         tail = EmpiricalTail.from_samples(np.full(100, 3.25))
@@ -225,7 +243,7 @@ class TestEventStream:
             times = stream.take(200_000)
             gaps = np.diff(np.concatenate([[0.0], times]))
             se = gaps.std() / math.sqrt(len(gaps)) + 1e-12
-            assert abs(gaps.mean() - model_mean(model)) <= 3 * se
+            assert abs(gaps.mean() - model.mean) <= 3 * se
 
     def test_counts_match_brute_force(self):
         stream = EventStream(Exponential(1.0), 4)
@@ -323,18 +341,35 @@ class TestRunReplications:
             run_replications(scenario, 3_000, 1, 1, burn_in=-5)
 
     def test_chunked_path_matches_operation_path(self):
-        # the streaming production path must agree with the plain
-        # generate_arrivals + fifo_service + peak_metrics composition
+        # the streaming path, in chunks shorter than the run, against a brute
+        # force over the same streams: the FIFO recursion
+        # D(n) = max(A(n), D(n-1)) + L(n) as a loop, and event counts by one
+        # search over the whole event array
+        n = 5_000
         for policy in (EventTriggered(3), TimeTriggered(2.0)):
             scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-            t, a, f = _simulate_one(scenario, 5_000, 99, 0, burn_in=0, chunk=1_024)
-            events = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS))
-            trace = generate_arrivals(policy, events, 5_000)
-            fifo_service(trace, scenario.service_model, derive_rng(99, 0, STREAM_SERVICE))
-            t2, a2, f2 = peak_metrics(trace, events)
-            assert np.allclose(t, t2, rtol=1e-9, atol=1e-9)
-            assert np.allclose(a, a2, rtol=1e-9, atol=1e-9)
-            assert np.array_equal(f, f2)
+            t, a, f = _simulate_one(scenario, n, 99, 0, burn_in=0, chunk=1_024)
+
+            times = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS)).take(
+                1 << 16
+            )
+            if isinstance(policy, EventTriggered):
+                arrivals = times[2::3][:n]
+            else:
+                arrivals = 2.0 * np.arange(1, n + 1)
+            service = scenario.service_model.sample(derive_rng(99, 0, STREAM_SERVICE), n)
+            dep = np.empty(n)
+            prev = 0.0
+            for i in range(n):
+                prev = max(arrivals[i], prev) + service[i]
+                dep[i] = prev
+            assert times[-1] > dep[-1]  # the array holds every event counted
+            sampled = np.searchsorted(times, arrivals, side="right")
+            at_departure = np.searchsorted(times, dep, side="right")
+
+            assert np.allclose(t, dep - arrivals, rtol=1e-9, atol=1e-9)
+            assert np.allclose(a, dep[1:] - arrivals[:-1], rtol=1e-9, atol=1e-9)
+            assert np.array_equal(f, at_departure[1:] - sampled[:-1])
 
     def test_mm1_quantile_matches_exact(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), EventTriggered(1), 1e-3)
