@@ -38,15 +38,15 @@ print("arrival lower envelope  rho_a =", env.rho_arrival_lower)
 print("stable (rho_a > rho_s):        ", env.stable)
 
 print("\n== MGF bounds at that theta ==")
-m_delay = math.exp(log_delay_mgf_bound(env))
-m_age = math.exp(log_aoi_mgf_bound(env))
-print("E[exp(0.25 T)]     <=", round(m_delay, 4))
-print("E[exp(0.25 peak)]  <=", round(m_age, 4))
+log_delay = log_delay_mgf_bound(env)
+log_age = log_aoi_mgf_bound(env)
+print("E[exp(0.25 T)]     <=", round(math.exp(log_delay), 4))
+print("E[exp(0.25 peak)]  <=", round(math.exp(log_age), 4))
 
 eps = 1e-6
 print("\n== Chernoff inversion at epsilon =", eps, "==")
-print("delay quantile bound:", round(invert_to_quantile(m_delay, 0.25, eps), 3))
-print("age   quantile bound:", round(invert_to_quantile(m_age, 0.25, eps), 3))
+print("delay quantile bound:", round(invert_to_quantile(log_delay, 0.25, eps), 3))
+print("age   quantile bound:", round(invert_to_quantile(log_age, 0.25, eps), 3))
 
 print("\n== optimizing theta instead of guessing it ==")
 for policy, name in ((periodic, "periodic "), (on_event, "on-event ")):

@@ -14,8 +14,9 @@ optimized numerically. Deviation (event-count) bounds multiply the MGF bound
 by a geometric factor in the event-count domain and invert the same way.
 
 The MGF bounds are computed and returned in log space
-(`log_delay_mgf_bound`, `log_aoi_mgf_bound`) so that near-boundary theta
-values do not overflow; stability at a theta is `EnvelopeSet.stable`.
+(`log_delay_mgf_bound`, `log_aoi_mgf_bound`), and `invert_to_quantile`
+takes ln M, so that near-boundary or large theta values do not overflow;
+stability at a theta is `EnvelopeSet.stable`.
 """
 
 from __future__ import annotations
@@ -108,15 +109,14 @@ def log_delay_mgf_bound(env: EnvelopeSet) -> float:
     return head + _log_geometric_term(env.theta, gap)
 
 
-def log_aoi_mgf_bound(env: EnvelopeSet, rho_arrival_upper: Optional[float] = None) -> float:
+def log_aoi_mgf_bound(env: EnvelopeSet) -> float:
     """Upper bound of ln E[exp(theta*peak_age)] at env.theta; strictly above
     log_delay_mgf_bound.
 
     Needs the arrival upper envelope rate; raises DomainError when it is
     infinite (event-model MGF diverges at theta).
     """
-    upper = env.rho_arrival_upper if rho_arrival_upper is None else rho_arrival_upper
-    if not math.isfinite(upper):
+    if not math.isfinite(env.rho_arrival_upper):
         raise DomainError("arrival upper envelope diverges at theta=%g" % env.theta)
     gap = env.rho_arrival_lower - env.rho_service
     if gap <= 0:
@@ -127,17 +127,18 @@ def log_aoi_mgf_bound(env: EnvelopeSet, rho_arrival_upper: Optional[float] = Non
     queue_term = env.theta * (env.sigma_service + 2.0 * env.rho_service) + _log_geometric_term(
         env.theta, gap
     )
-    idle_term = env.theta * (env.sigma_service + env.rho_service + upper)
+    idle_term = env.theta * (env.sigma_service + env.rho_service + env.rho_arrival_upper)
     return float(np.logaddexp(queue_term, idle_term))
 
 
-def invert_to_quantile(mgf_bound_value: float, theta: float, epsilon: float) -> float:
-    """Chernoff inversion: the epsilon-quantile bound (ln M - ln eps)/theta."""
+def invert_to_quantile(log_mgf_bound: float, theta: float, epsilon: float) -> float:
+    """Chernoff inversion of a log MGF bound ln M: the epsilon-quantile bound
+    (ln M - ln eps)/theta."""
     if not theta > 0:
         raise ValueError("theta must be positive, got %r" % (theta,))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive, got %r" % (epsilon,))
-    return (math.log(mgf_bound_value) - math.log(epsilon)) / theta
+    return (log_mgf_bound - math.log(epsilon)) / theta
 
 
 def exact_mm1_tail(arrival_rate: float, service_rate: float, epsilon: float) -> float:
@@ -260,7 +261,7 @@ def _objective(scenario: Scenario, metric: Metric, theta: float) -> float:
             log_m = log_delay_mgf_bound(env)
         else:
             log_m = log_aoi_mgf_bound(env)
-        return (log_m - math.log(scenario.epsilon)) / theta
+        return invert_to_quantile(log_m, theta, scenario.epsilon)
     except (DomainError, InstabilityError, InfiniteDoI, OverflowError):
         return math.inf
 

@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="empirical quantiles"), True)
     common(sub.add_parser("sweep", help="bound curves over a parameter grid"), True)
     fig = sub.add_parser("figure", help="preset experiment reproduction")
-    fig.add_argument("name", help="figure name (fig3, fig4a, ..., fig8)")
+    fig.add_argument("name", help="figure name (%s)" % ", ".join(sorted(FIGURES)))
     common(fig, False)
     return parser
 

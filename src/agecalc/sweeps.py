@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +120,26 @@ def _policy_name(policy: TriggerPolicy) -> str:
     return TIME_TRIGGERED if isinstance(policy, TimeTriggered) else EVENT_TRIGGERED
 
 
+def _row(scenario_id: str, scenario: Scenario, axis: str, axis_value: float, metric: Metric,
+         source: str, value: Optional[float], theta_star: Optional[float] = None,
+         flag: str = "") -> CsvRow:
+    """One output row of a scenario; its policy name, utilization and
+    epsilon come from the scenario."""
+    return CsvRow(
+        scenario=scenario_id,
+        policy=_policy_name(scenario.policy),
+        axis=axis,
+        axis_value=axis_value,
+        utilization=scenario.utilization,
+        metric=metric.value,
+        source=source,
+        epsilon=scenario.epsilon,
+        value=value,
+        theta_star=theta_star,
+        flag=flag,
+    )
+
+
 def bound_rows(
     scenario_id: str,
     scenario: Scenario,
@@ -129,7 +150,6 @@ def bound_rows(
     """Optimized-bound rows for one scenario, one per metric; infeasible
     scenarios produce value-less rows flagged accordingly."""
     rows = []
-    name = _policy_name(scenario.policy)
     for metric in metrics:
         try:
             res = optimize_theta(scenario, metric)
@@ -137,21 +157,8 @@ def bound_rows(
             value, theta = res.value, res.theta_star
         except NoFeasibleTheta:
             flag, value, theta = "infeasible", None, None
-        rows.append(
-            CsvRow(
-                scenario=scenario_id,
-                policy=name,
-                axis=axis,
-                axis_value=axis_value,
-                utilization=scenario.utilization,
-                metric=metric.value,
-                source="bound",
-                epsilon=scenario.epsilon,
-                value=value,
-                theta_star=theta,
-                flag=flag,
-            )
-        )
+        rows.append(_row(scenario_id, scenario, axis, axis_value, metric, "bound",
+                         value, theta, flag))
     return rows
 
 
@@ -166,7 +173,6 @@ def simulation_rows(
 ) -> List[CsvRow]:
     """Empirical quantile rows with a 3-sigma binomial error note per row."""
     rows = []
-    name = _policy_name(scenario.policy)
     for metric, tail in (
         (Metric.DELAY, tails.delay),
         (Metric.PEAK_AOI, tails.peak_aoi),
@@ -182,21 +188,9 @@ def simulation_rows(
             q, insufficient = _quantile(tail, eps)
             if insufficient:
                 tokens.append("insufficient_samples")
-            rows.append(
-                CsvRow(
-                    scenario=scenario_id,
-                    policy=name,
-                    axis=axis,
-                    axis_value=eps if axis == "epsilon" else axis_value,
-                    utilization=scenario.utilization,
-                    metric=metric.value,
-                    source="simulation",
-                    epsilon=eps,
-                    value=q,
-                    theta_star=None,
-                    flag=";".join(tokens),
-                )
-            )
+            rows.append(_row(scenario_id, replace(scenario, epsilon=eps), axis,
+                             eps if axis == "epsilon" else axis_value, metric,
+                             "simulation", q, flag=";".join(tokens)))
     return rows
 
 
@@ -220,8 +214,11 @@ def _summary_quantile(tail: EmpiricalTail, eps: float, entry: Dict) -> float:
     return q
 
 
-def sweep_rows(spec: SweepSpec, scenario_id: str = "sweep") -> List[CsvRow]:
-    """Bound rows over the requested axis for both coupled policies.
+def sweep_rows(
+    spec: SweepSpec, scenario_id: str = "sweep", metrics: Sequence[Metric] = ALL_METRICS
+) -> List[CsvRow]:
+    """Bound rows of the given metrics over the requested axis for both
+    coupled policies.
 
     Axis values implying utilization >= 1 still produce rows; they come back
     flagged infeasible. On a w axis the event-triggered rows appear only
@@ -246,7 +243,7 @@ def sweep_rows(spec: SweepSpec, scenario_id: str = "sweep") -> List[CsvRow]:
             except ValueError:
                 # coupled threshold below 1; no event-triggered system exists
                 # at this axis value
-                for metric in ALL_METRICS:
+                for metric in metrics:
                     rows.append(
                         CsvRow(
                             scenario=scenario_id,
@@ -269,7 +266,7 @@ def sweep_rows(spec: SweepSpec, scenario_id: str = "sweep") -> List[CsvRow]:
                 policy=policy,
                 epsilon=spec.epsilon,
             )
-            rows.extend(bound_rows(scenario_id, scenario, spec.axis, x))
+            rows.extend(bound_rows(scenario_id, scenario, spec.axis, x, metrics))
     return rows
 
 
@@ -303,51 +300,32 @@ def _simulate(scenario, samples, seed, workers, burn_in=DEFAULT_BURN_IN) -> Metr
     )
 
 
-def _bound_curve_over_eps(scenario_id, policy, event_model, service_model,
-                          metrics, eps_values, axis="epsilon") -> List[CsvRow]:
+def _eps_curve(scenario_id: str, scenario: Scenario, metrics: Sequence[Metric]) -> List[CsvRow]:
+    """Bound rows of the scenario at every epsilon of EPS_GRID."""
     rows = []
-    for eps in eps_values:
-        scenario = Scenario(event_model, service_model, policy, eps)
-        rows.extend(bound_rows(scenario_id, scenario, axis, eps, metrics))
+    for eps in EPS_GRID:
+        rows += bound_rows(scenario_id, replace(scenario, epsilon=eps), "epsilon", eps, metrics)
     return rows
 
 
 def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Dict]:
     """Sojourn-time tail decay: periodic vs single-event-triggered sampling,
     exponential events rate 0.5, exponential service rate 1."""
-    event_model = Exponential(rate=0.5)
-    service_model = Exponential(rate=1.0)
-    tt = TimeTriggered(interval=2.0)
-    et = EventTriggered(threshold=1)
-    rows = _bound_curve_over_eps("fig3", tt, event_model, service_model,
-                                 (Metric.DELAY,), EPS_GRID)
-    rows += _bound_curve_over_eps("fig3", et, event_model, service_model,
-                                  (Metric.DELAY,), EPS_GRID)
-    for eps in EPS_GRID:
-        rows.append(
-            CsvRow(
-                scenario="fig3",
-                policy=EVENT_TRIGGERED,
-                axis="epsilon",
-                axis_value=eps,
-                utilization=0.5,
-                metric=Metric.DELAY.value,
-                source="exact",
-                epsilon=eps,
-                value=exact_mm1_tail(0.5, 1.0, eps),
-                theta_star=None,
-            )
-        )
-    tt_scenario = Scenario(event_model, service_model, tt, 1e-6)
-    tails = _simulate(tt_scenario, samples, seed, workers)
-    rows += simulation_rows("fig3", tt_scenario, "epsilon", 0.0, tails, SIM_EPS)
+    tt = Scenario(Exponential(rate=0.5), Exponential(rate=1.0), TimeTriggered(interval=2.0), 1e-6)
+    et = replace(tt, policy=EventTriggered(threshold=1))
+    rows = _eps_curve("fig3", tt, (Metric.DELAY,)) + _eps_curve("fig3", et, (Metric.DELAY,))
+    rows += [
+        _row("fig3", replace(et, epsilon=eps), "epsilon", eps, Metric.DELAY, "exact",
+             exact_mm1_tail(0.5, 1.0, eps))
+        for eps in EPS_GRID
+    ]
+    tails = _simulate(tt, samples, seed, workers)
+    rows += simulation_rows("fig3", tt, "epsilon", 0.0, tails, SIM_EPS)
 
-    slope = bound_tail_slope(event_model, service_model, et)
+    slope = bound_tail_slope(tt.event_model, tt.service_model, et.policy)
     dominance = {}
     for eps in (1e-2, 1e-3, 1e-4):
-        b = optimize_theta(
-            Scenario(event_model, service_model, tt, eps), Metric.DELAY
-        ).value
+        b = optimize_theta(replace(tt, epsilon=eps), Metric.DELAY).value
         entry = dominance["%.0e" % eps] = {"bound": b}
         q = _summary_quantile(tails.delay, eps, entry)
         entry.update(simulated=q, below=bool(q <= b))
@@ -375,133 +353,92 @@ def bound_tail_slope(
     return (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
 
 
-def _figure_delay_aoi_sweep(name: str, event_rate: float, service_kind: str
-                            ) -> Tuple[List[CsvRow], Dict]:
-    spec = SweepSpec(
-        event_rate=event_rate,
-        service_rate=0.25,
-        event_kind="exponential",
-        service_kind=service_kind,
-        epsilon=1e-6,
-        axis="w",
-        grid=tuple(1.0 / (np.asarray(UTILIZATION_GRID) * 0.25)),
-        couple_alpha=True,
-    )
-    all_rows = sweep_rows(spec, name)
-    rows = [r for r in all_rows if r.metric in (Metric.DELAY.value, Metric.PEAK_AOI.value)]
-    summary = _min_summary(rows, axis_label="w")
+# Sweep presets, name -> (event kind, event rate, service kind, axis), all at
+# service rate 0.25 and epsilon 1e-6. A "w" sweep bounds delay and age over
+# the update interval, a "utilization" sweep age and deviation.
+SWEEP_FIGURES = {
+    "fig4a": ("exponential", 0.25, "exponential", "w"),
+    "fig4b": ("exponential", 0.5, "exponential", "w"),
+    "fig4c": ("exponential", 1.0, "exponential", "w"),
+    "fig5": ("exponential", 0.5, "deterministic", "w"),
+    "fig6a": ("deterministic", 0.5, "exponential", "utilization"),
+    "fig6b": ("exponential", 0.5, "exponential", "utilization"),
+    "fig6c": ("exponential", 0.5, "deterministic", "utilization"),
+}
+SWEEP_SERVICE_RATE = 0.25
+INTERVAL_GRID = tuple(1.0 / (np.asarray(UTILIZATION_GRID) * SWEEP_SERVICE_RATE))
+
+
+def _sweep_figure(name: str, samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Dict]:
+    """Bound curves of one SWEEP_FIGURES entry; the budget arguments are unused."""
+    event_kind, event_rate, service_kind, axis = SWEEP_FIGURES[name]
+    if axis == "w":
+        metrics, grid = (Metric.DELAY, Metric.PEAK_AOI), INTERVAL_GRID
+    else:
+        metrics, grid = (Metric.PEAK_AOI, Metric.PEAK_DOI), UTILIZATION_GRID
+    spec = SweepSpec(event_rate, SWEEP_SERVICE_RATE, event_kind, service_kind,
+                     axis=axis, grid=grid)
+    rows = sweep_rows(spec, name, metrics)
+    summary = _interval_summary(rows, spec) if axis == "w" else _utilization_summary(rows)
     return rows, summary
 
 
-def figure_fig4a(samples, seed, workers):
-    """Delay and age bounds vs update interval, event rate 0.25."""
-    return _figure_delay_aoi_sweep("fig4a", 0.25, "exponential")
-
-
-def figure_fig4b(samples, seed, workers):
-    """Delay and age bounds vs update interval, event rate 0.5."""
-    return _figure_delay_aoi_sweep("fig4b", 0.5, "exponential")
-
-
-def figure_fig4c(samples, seed, workers):
-    """Delay and age bounds vs update interval, event rate 1."""
-    return _figure_delay_aoi_sweep("fig4c", 1.0, "exponential")
-
-
-def figure_fig5(samples, seed, workers):
-    """Same sweep as fig4b with deterministic service times (value 4)."""
-    rows, summary = _figure_delay_aoi_sweep("fig5", 0.5, "deterministic")
-    tt_delay = [
-        r for r in rows
-        if r.policy == TIME_TRIGGERED and r.metric == Metric.DELAY.value
-        and r.value is not None and r.axis_value > 4.0
+def _curve(rows: List[CsvRow], policy: str, metric: Metric,
+           min_axis: float = -math.inf) -> List[Tuple[float, float]]:
+    """(axis_value, value) of one policy's valued rows beyond min_axis."""
+    return [
+        (r.axis_value, r.value)
+        for r in rows
+        if r.policy == policy and r.metric == metric.value and r.value is not None
+        and r.axis_value > min_axis
     ]
-    tt_aoi = [
-        r for r in rows
-        if r.policy == TIME_TRIGGERED and r.metric == Metric.PEAK_AOI.value
-        and r.value is not None and r.axis_value > 4.0
-    ]
-    summary["tt_delay_spread"] = [
-        min(r.value for r in tt_delay), max(r.value for r in tt_delay)
-    ]
-    summary["tt_aoi_minus_w_spread"] = [
-        min(r.value - r.axis_value for r in tt_aoi),
-        max(r.value - r.axis_value for r in tt_aoi),
-    ]
-    return rows, summary
 
 
-def _figure_doi_sweep(name: str, event_kind: str, service_kind: str
-                      ) -> Tuple[List[CsvRow], Dict]:
-    spec = SweepSpec(
-        event_rate=0.5,
-        service_rate=0.25,
-        event_kind=event_kind,
-        service_kind=service_kind,
-        epsilon=1e-6,
-        axis="utilization",
-        grid=UTILIZATION_GRID,
-    )
-    all_rows = sweep_rows(spec, name)
-    rows = [r for r in all_rows if r.metric in (Metric.PEAK_AOI.value, Metric.PEAK_DOI.value)]
-    tt_aoi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI.value)
-    tt_doi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_DOI.value)
-    et_doi = _curve(rows, EVENT_TRIGGERED, Metric.PEAK_DOI.value)
-    summary = {
+def _interval_summary(rows: List[CsvRow], spec: SweepSpec) -> Dict:
+    """Minimum and argmin of every curve; with deterministic service also the
+    time-triggered spreads where w exceeds the service time (no queueing)."""
+    summary: Dict = {}
+    for policy in (TIME_TRIGGERED, EVENT_TRIGGERED):
+        for metric in (Metric.DELAY, Metric.PEAK_AOI):
+            curve = _curve(rows, policy, metric)
+            if curve:
+                x, v = min(curve, key=lambda p: p[1])
+                summary["%s_min_%s" % (policy, metric.value)] = v
+                summary["%s_argmin_%s_w" % (policy, metric.value)] = x
+    if spec.service_kind == "deterministic":
+        service_time = 1.0 / spec.service_rate
+        delay = [v for _, v in _curve(rows, TIME_TRIGGERED, Metric.DELAY, service_time)]
+        aoi = [v - x for x, v in _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI, service_time)]
+        summary["tt_delay_spread"] = [min(delay), max(delay)]
+        summary["tt_aoi_minus_w_spread"] = [min(aoi), max(aoi)]
+    return summary
+
+
+def _utilization_summary(rows: List[CsvRow]) -> Dict:
+    """Time-triggered age and deviation minima, and the event-triggered one."""
+    tt_aoi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI)
+    tt_doi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_DOI)
+    et_doi = _curve(rows, EVENT_TRIGGERED, Metric.PEAK_DOI)
+    return {
         "min_aoi_bound": min(v for _, v in tt_aoi),
         "argmin_utilization": min(tt_aoi, key=lambda p: p[1])[0],
         "min_doi_bound": min(v for _, v in tt_doi),
         "argmin_utilization_doi": min(tt_doi, key=lambda p: p[1])[0],
         "et_min_doi_bound": min(v for _, v in et_doi) if et_doi else None,
     }
-    return rows, summary
-
-
-def _curve(rows, policy, metric):
-    return [
-        (r.axis_value, r.value)
-        for r in rows
-        if r.policy == policy and r.metric == metric and r.value is not None
-    ]
-
-
-def figure_fig6a(samples, seed, workers):
-    """Age and deviation bounds vs utilization: deterministic events."""
-    return _figure_doi_sweep("fig6a", "deterministic", "exponential")
-
-
-def figure_fig6b(samples, seed, workers):
-    """Age and deviation bounds vs utilization: exponential events."""
-    return _figure_doi_sweep("fig6b", "exponential", "exponential")
-
-
-def figure_fig6c(samples, seed, workers):
-    """Age and deviation bounds vs utilization: deterministic service."""
-    return _figure_doi_sweep("fig6c", "exponential", "deterministic")
-
-
-def _fig7_scenarios() -> Tuple[Scenario, Scenario]:
-    event_model = Exponential(rate=0.5)
-    service_model = Exponential(rate=0.25)
-    tt = Scenario(event_model, service_model, TimeTriggered(interval=13.0), 1e-6)
-    et = Scenario(event_model, service_model, EventTriggered(threshold=8), 1e-6)
-    return tt, et
 
 
 def figure_fig7(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Dict]:
     """Tail decay of age and deviation at the deviation-optimal parameters
     (interval 13 and threshold 8), bounds plus simulation."""
-    tt, et = _fig7_scenarios()
-    metrics = (Metric.PEAK_AOI, Metric.PEAK_DOI)
-    rows = _bound_curve_over_eps("fig7", tt.policy, tt.event_model, tt.service_model,
-                                 metrics, EPS_GRID)
-    rows += _bound_curve_over_eps("fig7", et.policy, et.event_model, et.service_model,
-                                  metrics, EPS_GRID)
+    tt = Scenario(Exponential(rate=0.5), Exponential(rate=0.25), TimeTriggered(interval=13.0), 1e-6)
+    et = replace(tt, policy=EventTriggered(threshold=8))
+    rows: List[CsvRow] = []
     tails = {}
     for label, scenario in (("tt", tt), ("et", et)):
-        t = _simulate(scenario, samples, seed, workers)
-        tails[label] = t
-        rows += simulation_rows("fig7", scenario, "epsilon", 0.0, t, SIM_EPS_WIDE)
+        rows += _eps_curve("fig7", scenario, (Metric.PEAK_AOI, Metric.PEAK_DOI))
+        tails[label] = _simulate(scenario, samples, seed, workers)
+        rows += simulation_rows("fig7", scenario, "epsilon", 0.0, tails[label], SIM_EPS_WIDE)
     summary = {
         "et_min_doi_sample": tails["et"].peak_doi.quantile(1.0),
         "et_threshold": 8,
@@ -512,24 +449,30 @@ def figure_fig7(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     return rows, summary
 
 
+def _argmin_doi(event_model, service_model, epsilon: float, params: Iterable,
+                make_policy: Callable[..., TriggerPolicy], failure: str) -> Tuple:
+    """(param, bound) of the first parameter whose policy gives the smallest
+    deviation bound; raises NoFeasibleTheta(failure) when none is stable."""
+    best = (None, math.inf)
+    for p in params:
+        try:
+            scenario = Scenario(event_model, service_model, make_policy(p), epsilon)
+            res = optimize_theta(scenario, Metric.PEAK_DOI)
+        except NoFeasibleTheta:
+            continue
+        if res.value < best[1]:
+            best = (p, res.value)
+    if best[0] is None:
+        raise NoFeasibleTheta(failure)
+    return best
+
+
 def best_event_threshold(
     event_model, service_model, epsilon: float, search_upto: int = 40
 ) -> Tuple[int, float]:
     """Integer event threshold minimizing the deviation bound."""
-    best = (None, math.inf)
-    for a in range(1, search_upto + 1):
-        try:
-            res = optimize_theta(
-                Scenario(event_model, service_model, EventTriggered(threshold=a), epsilon),
-                Metric.PEAK_DOI,
-            )
-        except NoFeasibleTheta:
-            continue
-        if res.value < best[1]:
-            best = (a, res.value)
-    if best[0] is None:
-        raise NoFeasibleTheta("no stable threshold up to %d" % search_upto)
-    return best
+    return _argmin_doi(event_model, service_model, epsilon, range(1, search_upto + 1),
+                       EventTriggered, "no stable threshold up to %d" % search_upto)
 
 
 def best_update_interval(
@@ -537,69 +480,29 @@ def best_update_interval(
     grid: Sequence[float] = tuple(np.linspace(4.5, 40.0, 356)),
 ) -> Tuple[float, float]:
     """Update interval minimizing the deviation bound over a fine grid."""
-    best = (None, math.inf)
-    for w in grid:
-        try:
-            res = optimize_theta(
-                Scenario(event_model, service_model, TimeTriggered(interval=w), epsilon),
-                Metric.PEAK_DOI,
-            )
-        except NoFeasibleTheta:
-            continue
-        if res.value < best[1]:
-            best = (w, res.value)
-    if best[0] is None:
-        raise NoFeasibleTheta("no stable interval in grid")
-    return best
+    return _argmin_doi(event_model, service_model, epsilon, grid,
+                       TimeTriggered, "no stable interval in grid")
 
 
 def figure_fig8(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Dict]:
     """Empirical age and deviation tails around the optimal parameters:
     intervals 7/13/19 and thresholds 4/8/12."""
-    event_model = Exponential(rate=0.5)
-    service_model = Exponential(rate=0.25)
+    runs = [("w%g" % w, "w=%g" % w, TimeTriggered(interval=w)) for w in (7.0, 13.0, 19.0)]
+    runs += [("a%d" % a, "alpha=%d" % a, EventTriggered(threshold=a)) for a in (4, 8, 12)]
     rows: List[CsvRow] = []
     summary: Dict = {"aoi_at_1e-4": {}, "doi_at_1e-4": {}}
-    for w in (7.0, 13.0, 19.0):
-        scenario = Scenario(event_model, service_model, TimeTriggered(interval=w), 1e-6)
+    for suffix, label, policy in runs:
+        scenario = Scenario(Exponential(rate=0.5), Exponential(rate=0.25), policy, 1e-6)
         tails = _simulate(scenario, samples, seed, workers)
-        rows += simulation_rows("fig8-w%g" % w, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
-        _summarize_fig8(summary, "w=%g" % w, tails)
-    for a in (4, 8, 12):
-        scenario = Scenario(event_model, service_model, EventTriggered(threshold=a), 1e-6)
-        tails = _simulate(scenario, samples, seed, workers)
-        rows += simulation_rows("fig8-a%d" % a, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
-        _summarize_fig8(summary, "alpha=%d" % a, tails)
+        rows += simulation_rows("fig8-" + suffix, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
+        for key, tail in (("aoi_at_1e-4", tails.peak_aoi), ("doi_at_1e-4", tails.peak_doi)):
+            summary[key][label] = _summary_quantile(tail, 1e-4, summary[key])
     return rows, summary
 
 
-def _summarize_fig8(summary: Dict, label: str, tails: MetricTails) -> None:
-    for key, tail in (("aoi_at_1e-4", tails.peak_aoi), ("doi_at_1e-4", tails.peak_doi)):
-        summary[key][label] = _summary_quantile(tail, 1e-4, summary[key])
-
-
-FIGURES = {
+FIGURES: Dict[str, Callable[[int, int, int], Tuple[List[CsvRow], Dict]]] = {
     "fig3": figure_fig3,
-    "fig4a": figure_fig4a,
-    "fig4b": figure_fig4b,
-    "fig4c": figure_fig4c,
-    "fig5": figure_fig5,
-    "fig6a": figure_fig6a,
-    "fig6b": figure_fig6b,
-    "fig6c": figure_fig6c,
     "fig7": figure_fig7,
     "fig8": figure_fig8,
+    **{name: partial(_sweep_figure, name) for name in SWEEP_FIGURES},
 }
-
-
-def _min_summary(rows: List[CsvRow], axis_label: str) -> Dict:
-    summary: Dict = {}
-    for policy in (TIME_TRIGGERED, EVENT_TRIGGERED):
-        for metric in (Metric.DELAY.value, Metric.PEAK_AOI.value):
-            curve = _curve(rows, policy, metric)
-            if not curve:
-                continue
-            x, v = min(curve, key=lambda p: p[1])
-            summary["%s_min_%s" % (policy, metric)] = v
-            summary["%s_argmin_%s_%s" % (policy, metric, axis_label)] = x
-    return summary

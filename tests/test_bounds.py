@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -30,8 +31,8 @@ def delay_mgf_bound(env):
     return math.exp(log_delay_mgf_bound(env))
 
 
-def aoi_mgf_bound(env, rho_arrival_upper=None):
-    return math.exp(log_aoi_mgf_bound(env, rho_arrival_upper))
+def aoi_mgf_bound(env):
+    return math.exp(log_aoi_mgf_bound(env))
 
 
 def _tt_env(theta=0.25, w=2.0, mu=1.0):
@@ -95,24 +96,35 @@ class TestAoiMgfBound:
 
     def test_explicit_upper_rate_argument(self):
         env = _tt_env()
-        widened = aoi_mgf_bound(env, rho_arrival_upper=3.0)
+        widened = aoi_mgf_bound(dataclasses.replace(env, rho_arrival_upper=3.0))
         assert widened > aoi_mgf_bound(env)
-        assert aoi_mgf_bound(env, rho_arrival_upper=env.rho_arrival_upper) == aoi_mgf_bound(env)
+        same = dataclasses.replace(env, rho_arrival_upper=env.rho_arrival_upper)
+        assert aoi_mgf_bound(same) == aoi_mgf_bound(env)
 
 
 class TestInversion:
     def test_examples(self):
-        assert invert_to_quantile(1.0, 0.5, math.exp(-1.0)) == pytest.approx(2.0)
+        assert invert_to_quantile(0.0, 0.5, math.exp(-1.0)) == pytest.approx(2.0)
         expected = (math.log(11.49) - math.log(1e-6)) / 0.25
-        assert invert_to_quantile(11.49, 0.25, 1e-6) == pytest.approx(expected, rel=1e-12)
-        assert invert_to_quantile(11.49, 0.25, 1e-6) == pytest.approx(65.03, abs=0.01)
-        assert invert_to_quantile(1.0, 0.7, 1.0) == 0.0
+        assert invert_to_quantile(math.log(11.49), 0.25, 1e-6) == pytest.approx(expected, rel=1e-12)
+        assert invert_to_quantile(math.log(11.49), 0.25, 1e-6) == pytest.approx(65.03, abs=0.01)
+        assert invert_to_quantile(0.0, 0.7, 1.0) == 0.0
+
+    def test_log_bound_beyond_float_range(self):
+        # the log age bound at theta=800 is 7200, whose exponential overflows
+        # a float; the inversion still gives (7200 - ln 1e-6)/800
+        env = envelope_set(TimeTriggered(5.0), Deterministic(2.0), Deterministic(4.0), 800.0)
+        log_bound = log_aoi_mgf_bound(env)
+        with pytest.raises(OverflowError):
+            math.exp(log_bound)
+        assert invert_to_quantile(log_bound, 800.0, 1e-6) == pytest.approx(9.0173, abs=1e-4)
 
     @given(eps1=st.floats(min_value=1e-9, max_value=0.5),
            eps2=st.floats(min_value=1e-9, max_value=0.5))
     def test_nonincreasing_in_epsilon(self, eps1, eps2):
         lo, hi = sorted((eps1, eps2))
-        assert invert_to_quantile(5.0, 0.3, lo) >= invert_to_quantile(5.0, 0.3, hi)
+        log_m = math.log(5.0)
+        assert invert_to_quantile(log_m, 0.3, lo) >= invert_to_quantile(log_m, 0.3, hi)
 
 
 class TestStability:
@@ -221,7 +233,7 @@ class TestDoiEpsilonBound:
         for theta in (0.01, 0.05, 0.1, 0.2):
             env = envelope_set(scenario.policy, scenario.event_model,
                                scenario.service_model, theta)
-            aoi_eps = invert_to_quantile(aoi_mgf_bound(env), theta, 1e-6)
+            aoi_eps = invert_to_quantile(log_aoi_mgf_bound(env), theta, 1e-6)
             got = doi_epsilon_bound(scenario, theta)
             assert got.real == pytest.approx(lam * aoi_eps, rel=1e-12)
             assert got.integer == math.ceil(got.real)

@@ -6,7 +6,19 @@ import pytest
 
 from agecalc import SweepSpec, params_for_utilization, round_threshold, sweep_rows
 from agecalc.cli import CSV_HEADER, main, parse_config
-from agecalc.sweeps import EVENT_TRIGGERED, TIME_TRIGGERED
+from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, TIME_TRIGGERED
+
+
+# (source, metric) pairs of each figure preset: bound rows (and fig3's exact
+# rows) of the preset's own metrics, simulation rows of all three
+SIMULATED = {("simulation", m) for m in ("delay", "peak_aoi", "peak_doi")}
+FIGURE_ROWS = {
+    "fig3": {("bound", "delay"), ("exact", "delay")} | SIMULATED,
+    **{n: {("bound", "delay"), ("bound", "peak_aoi")} for n in ("fig4a", "fig4b", "fig4c", "fig5")},
+    **{n: {("bound", "peak_aoi"), ("bound", "peak_doi")} for n in ("fig6a", "fig6b", "fig6c")},
+    "fig7": {("bound", "peak_aoi"), ("bound", "peak_doi")} | SIMULATED,
+    "fig8": SIMULATED,
+}
 
 
 def _write(tmp_path, name, text):
@@ -227,6 +239,17 @@ class TestCli:
         for key in ("aoi_at_1e-4", "doi_at_1e-4"):
             assert summary[key].pop("insufficient_samples") is True
             assert len(summary[key]) == 6
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_figure_preset_rows(self, name, tmp_path, capsys):
+        out = tmp_path / (name + ".csv")
+        assert main(["figure", name, "--out", str(out), "--samples", "30000",
+                     "--workers", "1"]) == 0
+        assert isinstance(json.loads(capsys.readouterr().out), dict)
+        header, *lines = out.read_text().splitlines()
+        assert header == CSV_HEADER
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert {(r["source"], r["metric"]) for r in rows} == FIGURE_ROWS[name]
 
     def test_module_entry_point(self, tmp_path):
         cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
