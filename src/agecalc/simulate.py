@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -219,9 +219,11 @@ class EmpiricalTail:
         # the last bin (overflow) open above
         self._lower = np.concatenate(([-math.inf], self._edges[1:], [math.inf]))
         self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
-        for chunk in self._chunks:
-            self._bin(chunk)
-        self._chunks = []
+        # free each raw chunk once binned, so that replications arriving
+        # meanwhile reuse its memory instead of raising the peak
+        chunks, self._chunks = self._chunks, []
+        while chunks:
+            self._bin(chunks.pop(0))
 
     def _bin(self, samples: np.ndarray) -> None:
         # Same bins as searchsorted(edges, x, side="left") - 1 clipped to
@@ -393,12 +395,31 @@ def run_replications(
     )
     workers = min(workers, n_reps)
     if workers > 1:
+        # Replication `switch` takes the tails past raw_limit, and merging it
+        # bins every raw sample so far. The replications after it are
+        # submitted once its result is in, so none of theirs lands in the
+        # parent during that binning and the peak memory does not depend on
+        # timing. (Peak age and deviation have one sample fewer than delay
+        # per replication, so they switch last.)
+        switch = min(raw_limit // (n_updates - burn_in - 1), n_reps - 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = deque(
-                pool.submit(_simulate_one, scenario, n_updates, base_seed, r, burn_in)
-                for r in range(n_reps)
-            )
-            _merge_in_order(tails, (pending.popleft().result() for _ in range(n_reps)))
+
+            def submit(reps: range) -> List[Future]:
+                return [
+                    pool.submit(_simulate_one, scenario, n_updates, base_seed, r, burn_in)
+                    for r in reps
+                ]
+
+            pending = deque(submit(range(switch + 1)))
+
+            def results() -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                for r in range(n_reps):
+                    if r == switch:
+                        wait([pending[0]])
+                        pending.extend(submit(range(switch + 1, n_reps)))
+                    yield pending.popleft().result()
+
+            _merge_in_order(tails, results())
     else:
         _merge_in_order(
             tails,

@@ -329,6 +329,50 @@ class TestRunReplications:
         assert sizes == [2]
         assert pooled.delay.quantile(0.01) == serial.delay.quantile(0.01)
 
+    def test_replications_after_the_switch_wait_for_it(self, monkeypatch):
+        # raw limit 30,000 and 19,000 samples per replication: merging the
+        # second switches the tails to histograms; the third and fourth are
+        # submitted once its result is taken and before it is merged
+        log = []
+
+        class LoggedFuture(Future):
+            def result(self, timeout=None):
+                log.append(("result", self.rep))
+                return super().result(timeout)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                log.append(("submit", args[3]))
+                future = LoggedFuture()
+                future.rep = args[3]
+                future.set_result(fn(*args))
+                return future
+
+        to_histogram = simulate.EmpiricalTail._to_histogram
+
+        def logged_to_histogram(tail):
+            log.append("switch")
+            to_histogram(tail)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", logged_to_histogram)
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        run_replications(scenario, 20_000, 4, 3, burn_in=1_000, workers=2, raw_limit=30_000)
+        assert log == [
+            ("submit", 0), ("submit", 1), ("result", 0),
+            ("submit", 2), ("submit", 3), ("result", 1), "switch", "switch", "switch",
+            ("result", 2), ("result", 3),
+        ]
+
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         for workers in (0, -3):
