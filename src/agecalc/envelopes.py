@@ -107,7 +107,11 @@ class EventTriggered:
             )
 
     def arrivals(self, events, first: int, m: int) -> np.ndarray:
-        """Arrival times of the next m updates: every threshold-th event taken."""
+        """Arrival times of the next m updates: every threshold-th event taken.
+
+        The copy is needed: `take` returns a view into the event store that
+        the stream's next call may overwrite.
+        """
         alpha = int(self.threshold)
         return events.take(alpha * m)[alpha - 1::alpha].astype(np.float64, copy=True)
 

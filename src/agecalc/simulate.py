@@ -67,6 +67,13 @@ class EventStream:
     before each time of a nondecreasing array, and `discard_through(t)`
     releases memory for events that no future query will look at. With
     `max_events` set, queries beyond the cap raise EventStreamExhausted.
+
+    Events live in one store, written once where they are generated: the
+    live window `_store[_lo:_hi]` holds the events from global 1-based index
+    `_first` on. Discarded events leave the window; when new events do not
+    fit after it, the window moves to the front of the store if that copy
+    is no larger than the discarded prefix, and otherwise into a new store
+    with a quarter of headroom.
     """
 
     def __init__(
@@ -81,50 +88,48 @@ class EventStream:
         else:
             self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self.max_events = max_events
-        self._buf = np.empty(0)
-        self._first = 1  # global 1-based index of _buf[0]
+        self._store = np.empty(0)
+        self._lo = self._hi = 0
+        self._first = 1  # global 1-based index of _store[_lo]
         self._generated = 0
         self._last_time = 0.0
         self._taken = 0  # events already consumed by take()
 
-    def _grow(self, k: int) -> np.ndarray:
+    def _grow(self, k: int) -> None:
         if self.max_events is not None:
             k = min(k, self.max_events - self._generated)
             if k <= 0:
                 raise EventStreamExhausted(
                     "event stream capped at %d events" % self.max_events
                 )
+        live = self._hi - self._lo
+        if self._hi + k > len(self._store):
+            if live <= self._lo and live + k <= len(self._store):
+                store = self._store
+            else:
+                store = np.empty((live + k) * 5 // 4)
+            store[:live] = self._store[self._lo:self._hi]
+            self._store, self._lo, self._hi = store, 0, live
+        # cumsum, then += _last_time: the operands of _last_time + cumsum(draws),
+        # so the same bits, written straight into the store
         draws = sample(self.model, self.rng, k)
-        block = self._last_time + np.cumsum(draws)
+        block = np.cumsum(draws, out=self._store[self._hi:self._hi + k])
+        block += self._last_time
         self._last_time = float(block[-1])
+        self._hi += k
         self._generated += k
-        return block
-
-    def _extend_to_time(self, t: float) -> None:
-        parts = [self._buf]
-        try:
-            while self._last_time <= t:
-                parts.append(self._grow(_BLOCK))
-        finally:
-            if len(parts) > 1:
-                self._buf = np.concatenate(parts)
-
-    def _extend_to_index(self, n: int) -> None:
-        parts = [self._buf]
-        try:
-            while self._generated < n:
-                parts.append(self._grow(max(n - self._generated, _BLOCK)))
-        finally:
-            if len(parts) > 1:
-                self._buf = np.concatenate(parts)
 
     def take(self, k: int) -> np.ndarray:
-        """Next k event times, consuming them from the take cursor."""
-        self._extend_to_index(self._taken + k)
-        i0 = self._taken - (self._first - 1)
-        out = self._buf[i0:i0 + k]
+        """Next k event times, consuming them from the take cursor.
+
+        The result is a view into the store, valid until the next call on
+        the stream; copy it to keep it longer.
+        """
+        while self._generated < self._taken + k:
+            self._grow(max(self._taken + k - self._generated, _BLOCK))
+        i0 = self._lo + self._taken - (self._first - 1)
         self._taken += k
-        return out
+        return self._store[i0:i0 + k]
 
     def count_upto(self, times: np.ndarray) -> np.ndarray:
         """Event counts at each time of a nondecreasing array; ties count.
@@ -133,16 +138,23 @@ class EventStream:
         """
         times = np.asarray(times, dtype=np.float64)
         if len(times):
-            self._extend_to_time(float(times[-1]))
-        return (self._first - 1) + np.searchsorted(self._buf, times, side="right")
+            t = float(times[-1])
+            while self._last_time <= t:
+                self._grow(_BLOCK)
+        counts = np.searchsorted(self._store[self._lo:self._hi], times, side="right")
+        counts += self._first - 1
+        return counts
 
     def discard_through(self, t: float) -> None:
-        """Forget events at or before t; only call when no future query needs them."""
-        k = int(np.searchsorted(self._buf, t, side="right"))
+        """Forget events at or before t; only call when no future query needs them.
+
+        Once take() has been called, events not yet taken are kept.
+        """
+        k = int(np.searchsorted(self._store[self._lo:self._hi], t, side="right"))
         if self._taken:
             k = min(k, self._taken - (self._first - 1))
         if k > 0:
-            self._buf = self._buf[k:]
+            self._lo += k
             self._first += k
 
 
@@ -154,12 +166,15 @@ def _fifo_chunk(
 ) -> Tuple[np.ndarray, float, float]:
     # D(n) = S(n) + max_{v<=n} (A(v) - S(v) + L(v)) with S the running service
     # total; run_max carries the maximum across chunk boundaries.
-    s = service_sum + np.cumsum(service)
-    g = arrivals - s + service
+    s = np.cumsum(service)
+    s += service_sum
+    service_sum = float(s[-1])
+    g = arrivals - s
+    g += service
     np.maximum.accumulate(g, out=g)
     np.maximum(g, run_max, out=g)
-    dep = s + g
-    return dep, float(s[-1]), float(g[-1])
+    s += g  # the departures
+    return s, service_sum, float(g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +261,11 @@ class EmpiricalTail:
 
     def _sorted_samples(self) -> np.ndarray:
         if self._sorted is None:
-            pooled = np.concatenate(self._chunks) if self._chunks else np.empty(0)
-            self._sorted = np.sort(pooled)
+            if len(self._chunks) == 1:
+                self._sorted = np.sort(self._chunks[0])  # a copy: it may be the caller's array
+            else:
+                self._sorted = np.concatenate(self._chunks or [np.empty(0)])
+                self._sorted.sort()
         return self._sorted
 
     def quantile(self, epsilon: float) -> float:
@@ -338,21 +356,22 @@ def _simulate_one(
     while done < n_updates:
         m = min(chunk, n_updates - done)
         first = done + 1  # 1-based index of the chunk's first update
+        # no later query looks at or before the previous chunk's last arrival
+        events.discard_through(arr_last)
         arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
 
-        t_out[done:done + m] = dep - arr
+        np.subtract(dep, arr, out=t_out[done:done + m])
 
-        events.discard_through(float(arr[0]))
         ca = policy.sampled_counts(events, arr, first)
         cd = events.count_upto(dep)
 
         if done > 0:
             a_out[done - 1] = dep[0] - arr_last
             f_out[done - 1] = cd[0] - count_last
-        a_out[done:done + m - 1] = dep[1:] - arr[:-1]
-        f_out[done:done + m - 1] = cd[1:] - ca[:-1]
+        np.subtract(dep[1:], arr[:-1], out=a_out[done:done + m - 1])
+        np.subtract(cd[1:], ca[:-1], out=f_out[done:done + m - 1])
         arr_last = float(arr[-1])
         count_last = int(ca[-1])
         done += m

@@ -89,6 +89,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ("w", "utilization"):
             raise ValueError("axis must be 'w' or 'utilization', got %r" % (self.axis,))
+        for g in self.grid:
+            if not 0 < g < math.inf:
+                raise ValueError("grid values must be finite and positive, got %r" % (g,))
 
 
 def make_model(kind: str, rate: float) -> DistributionModel:
@@ -232,11 +235,7 @@ def sweep_rows(
             w, alpha = params_for_utilization(x, spec.event_rate, spec.service_rate)
         else:
             w, alpha = x, spec.event_rate * x
-        policies: List[TriggerPolicy] = []
-        try:
-            policies.append(TimeTriggered(interval=w))
-        except ValueError:
-            pass
+        policies: List[TriggerPolicy] = [TimeTriggered(interval=w)]
         if spec.axis == "utilization" or spec.couple_alpha:
             try:
                 policies.append(EventTriggered(threshold=alpha))

@@ -137,6 +137,17 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text() == CSV_HEADER + "\n"
 
+    def test_sweep_grid_values_must_be_positive_exit_2(self, tmp_path, capsys):
+        # a zero utilization has no update interval, and a negative interval
+        # no time-triggered system: both are config errors, not empty rows
+        for axis, grid in (("utilization", "0, 0.5"), ("w", "-3, 13"), ("w", "13, inf")):
+            cfg = _write(
+                tmp_path, "grid.cfg",
+                "lambda = 0.5\nmu = 0.25\nsweep_axis = %s\ngrid = %s\n" % (axis, grid),
+            )
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 2
+            assert "grid values must be finite and positive" in capsys.readouterr().err
+
     def test_config_errors_exit_2(self, tmp_path):
         bad = _write(tmp_path, "bad.cfg", "unknown_key = 3\n")
         assert main(["bound", "--config", bad]) == 2

@@ -22,7 +22,7 @@ from agecalc import (
     run_replications,
 )
 from agecalc import simulate
-from agecalc.simulate import STREAM_EVENTS, STREAM_SERVICE, _fifo_chunk, _simulate_one
+from agecalc.simulate import _BLOCK, STREAM_EVENTS, STREAM_SERVICE, _fifo_chunk, _simulate_one
 
 
 class TestGenerateArrivals:
@@ -262,8 +262,181 @@ class TestEventStream:
         after = stream.count_upto(np.array([20.0]))
         assert after[0] == before[1]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.one_of(st.none(), st.integers(1, 3 * _BLOCK)),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("take"), st.integers(0, 3 * _BLOCK // 2)),
+                st.tuples(st.just("count"), st.lists(
+                    st.floats(0, 2e5) | st.integers(0, 400_000).map(lambda i: i / 2),
+                    max_size=8,
+                )),
+                st.tuples(st.just("discard"), st.floats(0, 2e5)),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_interleaved_queries_match_searchsorted(self, model, seed, cap, ops):
+        # half-integer times tie with the deterministic events, whose sums
+        # are exact; exponential event times are summed per block, so the
+        # reference agrees with the stream to rounding and only exact ties
+        # with them could count differently
+        n_ref = cap or sum(k for op, k in ops if op == "take") + 3 * int(2e5 / model.mean)
+        full = EventStream(model, seed).take(n_ref).copy()
+        stream = EventStream(model, seed, max_events=cap)
+        taken, floor, discarded = 0, 0.0, False
+        for op, arg in ops:
+            if op == "take":
+                if discarded and not taken:
+                    continue  # a stream read by take() takes before it discards
+                if cap is not None and taken + arg > cap:
+                    with pytest.raises(EventStreamExhausted):
+                        stream.take(arg)
+                    continue
+                got = stream.take(arg)
+                assert np.allclose(got, full[taken:taken + arg], rtol=1e-12, atol=0)
+                taken += arg
+            elif op == "count":
+                times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
+                if cap is not None and len(times) and full[cap - 1] <= times[-1]:
+                    with pytest.raises(EventStreamExhausted):
+                        stream.count_upto(times)
+                    continue
+                assert cap is not None or full[-1] > times.max(initial=0.0)
+                expected = np.searchsorted(full, times, side="right")
+                assert np.array_equal(stream.count_upto(times), expected)
+            else:
+                stream.discard_through(arg)
+                floor, discarded = max(floor, arg), True
+
+    def test_take_view_lives_until_the_next_call(self):
+        stream = EventStream(Exponential(1.0), 8)
+        first = stream.take(_BLOCK - 10)
+        kept = first.copy()
+        assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(_BLOCK - 10))
+        # the next block lands where the discarded events were: a view kept
+        # across calls changes, which is why EventTriggered.arrivals copies
+        stream.discard_through(float(first[-1]))
+        second = stream.take(_BLOCK)
+        assert np.shares_memory(first, second)
+        assert not np.array_equal(first, kept)
+        arrivals = EventTriggered(2).arrivals(stream, 1, 10)
+        assert not np.shares_memory(arrivals, stream._store)
+
+
+class _ConcatStream:
+    """The event stream before the in-place store: each block is summed into
+    a new array and joined to the buffer by concatenation."""
+
+    def __init__(self, model, rng):
+        self.model, self.rng = model, rng
+        self._buf = np.empty(0)
+        self._first = 1
+        self._generated = 0
+        self._last_time = 0.0
+        self._taken = 0
+
+    def _grow(self, k):
+        block = self._last_time + np.cumsum(self.model.sample(self.rng, k))
+        self._last_time = float(block[-1])
+        self._generated += k
+        return block
+
+    def take(self, k):
+        parts = [self._buf]
+        while self._generated < self._taken + k:
+            parts.append(self._grow(max(self._taken + k - self._generated, _BLOCK)))
+        self._buf = np.concatenate(parts)
+        i0 = self._taken - (self._first - 1)
+        self._taken += k
+        return self._buf[i0:i0 + k]
+
+    def count_upto(self, times):
+        parts = [self._buf]
+        while self._last_time <= times[-1]:
+            parts.append(self._grow(_BLOCK))
+        self._buf = np.concatenate(parts)
+        return (self._first - 1) + np.searchsorted(self._buf, times, side="right")
+
+    def discard_through(self, t):
+        k = int(np.searchsorted(self._buf, t, side="right"))
+        if self._taken:
+            k = min(k, self._taken - (self._first - 1))
+        if k > 0:
+            self._buf = self._buf[k:]
+            self._first += k
+
+
+def _concat_simulate(scenario, n, seed, replication, chunk):
+    """_simulate_one as it was before the in-place store, without burn-in:
+    the concatenating stream, a discard after the arrivals and the FIFO
+    expression s = service_sum + cumsum, g = arrivals - s + service."""
+    policy = scenario.policy
+    events = _ConcatStream(scenario.event_model, derive_rng(seed, replication, STREAM_EVENTS))
+    rng_service = derive_rng(seed, replication, STREAM_SERVICE)
+    t_out, a_out, f_out = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    service_sum, run_max, arr_last, count_last, done = 0.0, -math.inf, 0.0, 0, 0
+    while done < n:
+        m = min(chunk, n - done)
+        arr = policy.arrivals(events, done + 1, m)
+        service = scenario.service_model.sample(rng_service, m)
+        s = service_sum + np.cumsum(service)
+        g = arr - s + service
+        np.maximum.accumulate(g, out=g)
+        np.maximum(g, run_max, out=g)
+        dep = s + g
+        service_sum, run_max = float(s[-1]), float(g[-1])
+        t_out[done:done + m] = dep - arr
+        events.discard_through(float(arr[0]))
+        ca = policy.sampled_counts(events, arr, done + 1)
+        cd = events.count_upto(dep)
+        if done > 0:
+            a_out[done - 1] = dep[0] - arr_last
+            f_out[done - 1] = cd[0] - count_last
+        a_out[done:done + m - 1] = dep[1:] - arr[:-1]
+        f_out[done:done + m - 1] = cd[1:] - ca[:-1]
+        arr_last, count_last = float(arr[-1]), int(ca[-1])
+        done += m
+    return t_out, a_out, f_out
+
 
 class TestRunReplications:
+    def test_matches_concatenating_stream_exactly(self, monkeypatch):
+        # the in-place store must write the same bits as the concatenating
+        # stream it replaced, whichever way it makes room for a block
+        moves = set()
+
+        class SpyStream(EventStream):
+            def _grow(self, k):
+                store, lo = self._store, self._lo
+                super()._grow(k)
+                if self._store is not store and len(store):
+                    moves.add("reallocate")
+                elif lo and not self._lo:
+                    moves.add("compact")
+
+        monkeypatch.setattr(simulate, "EventStream", SpyStream)
+        n = 30_000
+        cases = [
+            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 1_000),
+            (Deterministic(2.0), TimeTriggered(2.0), Deterministic(1.5), 7_000),
+            (Deterministic(0.3), TimeTriggered(3.7), Exponential(0.5), 2_500),
+            (Exponential(0.5), EventTriggered(3), Exponential(0.25), 3_000),
+            (Deterministic(0.3), EventTriggered(3), Deterministic(0.8), 20_000),
+            # each take of 16 * 5_000 events is larger than one block
+            (Exponential(0.5), EventTriggered(16), Exponential(0.05), 5_000),
+            (Deterministic(2.0), EventTriggered(16), Exponential(0.04), 1_024),
+        ]
+        for events, policy, service, chunk in cases:
+            scenario = Scenario(events, service, policy, 1e-3)
+            got = _simulate_one(scenario, n, 99, 2, burn_in=0, chunk=chunk)
+            ref = _concat_simulate(scenario, n, 99, 2, chunk)
+            for x, y in zip(got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert moves == {"reallocate", "compact"}
     def test_deterministic_given_seed(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), EventTriggered(1), 1e-3)
         a = run_replications(scenario, 30_000, 2, 7, burn_in=1_000)
