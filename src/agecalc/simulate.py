@@ -261,11 +261,10 @@ class EmpiricalTail:
 
     def _sorted_samples(self) -> np.ndarray:
         if self._sorted is None:
-            if len(self._chunks) == 1:
-                self._sorted = np.sort(self._chunks[0])  # a copy: it may be the caller's array
-            else:
-                self._sorted = np.concatenate(self._chunks or [np.empty(0)])
-                self._sorted.sort()
+            # concatenate always copies, so the in-place sort never touches
+            # a caller's array
+            self._sorted = np.concatenate(self._chunks or [np.empty(0)])
+            self._sorted.sort()
         return self._sorted
 
     def quantile(self, epsilon: float) -> float:
