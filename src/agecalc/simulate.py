@@ -21,12 +21,14 @@ counted with a forward cursor, so memory stays bounded at any sample count.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import warnings
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +40,7 @@ STREAM_SERVICE = 1
 
 _BLOCK = 1 << 16
 _CHUNK = 1 << 18
+_BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
 DEFAULT_BURN_IN = 10_000
 
 
@@ -123,8 +126,12 @@ class EventStream:
         """Next k event times, consuming them from the take cursor.
 
         The result is a view into the store, valid until the next call on
-        the stream; copy it to keep it longer.
+        the stream; copy it to keep it longer. Raises RuntimeError once
+        discard_through() has dropped events that take() never returned,
+        which only a discard before the first take() can do.
         """
+        if self._taken < self._first - 1:
+            raise RuntimeError("take() after discard_through() dropped untaken events")
         while self._generated < self._taken + k:
             self._grow(max(self._taken + k - self._generated, _BLOCK))
         i0 = self._lo + self._taken - (self._first - 1)
@@ -148,7 +155,8 @@ class EventStream:
     def discard_through(self, t: float) -> None:
         """Forget events at or before t; only call when no future query needs them.
 
-        Once take() has been called, events not yet taken are kept.
+        Once take() has returned events, those not yet taken are kept;
+        before that, a discard drops them, and take() then raises.
         """
         k = int(np.searchsorted(self._store[self._lo:self._hi], t, side="right"))
         if self._taken:
@@ -181,6 +189,54 @@ def _fifo_chunk(
 # Empirical tails
 
 
+def _histogram_edges(hi: float, bins: int) -> np.ndarray:
+    """Bin edges of a tail whose pooled maximum is hi when it crosses its raw limit."""
+    return np.linspace(0.0, 2.0 * (hi if hi > 0 else 1.0), bins + 1)
+
+
+def _bin(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Samples per bin of the linspace `edges`, plus a last, overflow bin.
+
+    Same bins as searchsorted(edges, x, side="left") - 1 clipped to
+    [0, bins], in constant time per sample: guess ceil(x / width) - 1, then
+    one step against the true linspace edges corrects the rounding of both
+    (exact while the width is a normal float, as edges[k] is k * width
+    rounded). The quotient is clipped before the integer cast so that +inf
+    and huge values land in the overflow bin. Each sample is binned on its
+    own, so doing it in blocks of _BIN_BLOCK changes no count.
+    """
+    bins = len(edges) - 1
+    # bin j holds lower[j] < x <= lower[j + 1]; bin 0 is open below and the
+    # last bin (overflow) open above
+    lower = np.concatenate(([-math.inf], edges[1:], [math.inf]))
+    upper = lower[1:]
+    counts = np.zeros(bins + 1, dtype=np.int64)
+    m = min(len(samples), _BIN_BLOCK)
+    q_buf, idx_buf, step_buf = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool)
+    for i in range(0, len(samples), _BIN_BLOCK):
+        x = samples[i:i + _BIN_BLOCK]
+        q, idx, step = q_buf[:len(x)], idx_buf[:len(x)], step_buf[:len(x)]
+        with np.errstate(over="ignore"):
+            np.divide(x, edges[1], out=q)
+        np.ceil(q, out=q)
+        np.clip(q, 1.0, bins + 1.0, out=q)
+        np.copyto(idx, q, casting="unsafe")
+        idx -= 1
+        idx += np.greater(x, np.take(upper, idx, out=q), out=step)
+        idx -= np.less_equal(x, np.take(lower, idx, out=q), out=step)
+        np.maximum(idx, 0, out=idx)  # only -inf steps below bin 0
+        counts += np.bincount(idx, minlength=bins + 1)
+    return counts
+
+
+Binned = Tuple[int, float, float, np.ndarray]
+
+
+def _binned(samples: np.ndarray, edges: np.ndarray) -> Binned:
+    """(count, min, max, per-bin counts) of a nonempty sample array."""
+    return len(samples), float(samples.min()), float(samples.max()), _bin(samples, edges)
+
+
 class EmpiricalTail:
     """Empirical complementary CDF of metric samples.
 
@@ -198,7 +254,6 @@ class EmpiricalTail:
         self._min = math.inf
         self._max = -math.inf
         self._edges: Optional[np.ndarray] = None
-        self._lower: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
 
     @property
@@ -216,48 +271,40 @@ class EmpiricalTail:
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             return
+        if self._edges is not None:
+            self._merge(*_binned(samples, self._edges))
+            return
         self._n += len(samples)
         self._min = min(self._min, float(samples.min()))
         self._max = max(self._max, float(samples.max()))
         self._sorted = None
-        if self._edges is not None:
-            self._bin(samples)
-            return
         self._chunks.append(samples)
         if self._n > self.raw_limit:
             self._to_histogram()
 
+    def _merge(self, n: int, lo: float, hi: float, counts: np.ndarray) -> None:
+        """Fold in samples binned against this tail's edges."""
+        self._n += n
+        self._min = min(self._min, lo)
+        self._max = max(self._max, hi)
+        self._counts += counts
+
+    def _edges_after(self, samples: np.ndarray) -> np.ndarray:
+        """The edges this tail bins against once `samples` are added, which
+        must take it past raw_limit if it is not past it yet."""
+        if self._edges is not None:
+            return self._edges
+        assert self._n + len(samples) > self.raw_limit
+        return _histogram_edges(max(self._max, float(samples.max())), self.bins)
+
     def _to_histogram(self) -> None:
-        hi = self._max if self._max > 0 else 1.0
-        self._edges = np.linspace(0.0, 2.0 * hi, self.bins + 1)
-        # bin j holds lower[j] < x <= lower[j + 1]; bin 0 is open below and
-        # the last bin (overflow) open above
-        self._lower = np.concatenate(([-math.inf], self._edges[1:], [math.inf]))
+        self._edges = _histogram_edges(self._max, self.bins)
         self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
         # free each raw chunk once binned, so that replications arriving
         # meanwhile reuse its memory instead of raising the peak
         chunks, self._chunks = self._chunks, []
         while chunks:
-            self._bin(chunks.pop(0))
-
-    def _bin(self, samples: np.ndarray) -> None:
-        # Same bins as searchsorted(edges, x, side="left") - 1 clipped to
-        # [0, bins], in constant time per sample: guess ceil(x / width) - 1,
-        # then one step against the true linspace edges corrects the rounding
-        # of both (exact while the width is a normal float, as edges[k] is
-        # k * width rounded). The quotient is clipped before the integer cast
-        # so that +inf and huge values land in the overflow bin.
-        bins, lower = self.bins, self._lower
-        with np.errstate(over="ignore"):
-            q = samples / self._edges[1]
-        np.ceil(q, out=q)
-        np.clip(q, 1.0, bins + 1.0, out=q)
-        idx = q.astype(np.intp)
-        idx -= 1
-        idx += samples > lower[1:][idx]
-        idx -= samples <= lower[idx]
-        np.maximum(idx, 0, out=idx)  # only -inf steps below bin 0
-        self._counts += np.bincount(idx, minlength=bins + 1)
+            self._counts += _bin(chunks.pop(0), self._edges)
 
     def _sorted_samples(self) -> np.ndarray:
         if self._sorted is None:
@@ -378,6 +425,20 @@ def _simulate_one(
     return t_out[burn_in:], a_out[burn_in:], f_out[burn_in:]
 
 
+def _simulate_binned(
+    scenario: Scenario,
+    n_updates: int,
+    base_seed: int,
+    replication: int,
+    burn_in: int,
+    edges: Sequence[np.ndarray],
+) -> List[Binned]:
+    """One replication binned against each metric's edges, in the order of
+    _simulate_one's arrays: no sample array leaves the worker."""
+    samples = _simulate_one(scenario, n_updates, base_seed, replication, burn_in)
+    return [_binned(x, e) for x, e in zip(samples, edges)]
+
+
 def run_replications(
     scenario: Scenario,
     n_updates: int,
@@ -406,57 +467,48 @@ def run_replications(
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)
 
-    tails = MetricTails(
-        delay=EmpiricalTail(raw_limit=raw_limit),
-        peak_aoi=EmpiricalTail(raw_limit=raw_limit),
-        peak_doi=EmpiricalTail(raw_limit=raw_limit),
+    tails = (
+        EmpiricalTail(raw_limit=raw_limit),
+        EmpiricalTail(raw_limit=raw_limit),
+        EmpiricalTail(raw_limit=raw_limit),
     )
+    # Replication `switch` takes every tail past raw_limit (peak age and
+    # deviation have one sample fewer than delay per replication, so they
+    # cross last), and the histogram edges depend on the pooled maximum at
+    # each tail's crossing. So the replications up to it return their
+    # samples and are added raw, in index order; once its result is in, the
+    # edges are known, and the later replications are submitted to be binned
+    # where they run and are merged as counts. They are submitted before the
+    # switch is merged, so the workers simulate while the parent bins its
+    # raw samples, and none of their samples lands in the parent.
+    switch = min(raw_limit // (n_updates - burn_in - 1), n_reps - 1)
     workers = min(workers, n_reps)
-    if workers > 1:
-        # Replication `switch` takes the tails past raw_limit, and merging it
-        # bins every raw sample so far. The replications after it are
-        # submitted once its result is in, so none of theirs lands in the
-        # parent during that binning and the peak memory does not depend on
-        # timing. (Peak age and deviation have one sample fewer than delay
-        # per replication, so they switch last.)
-        switch = min(raw_limit // (n_updates - burn_in - 1), n_reps - 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    with contextlib.ExitStack() as stack:
+        # submit(fn, *args) returns a call that gives fn(*args); serially,
+        # that call runs the replication when its turn comes
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 
-            def submit(reps: range) -> List[Future]:
-                return [
-                    pool.submit(_simulate_one, scenario, n_updates, base_seed, r, burn_in)
-                    for r in reps
-                ]
+            def submit(fn, *args):
+                return pool.submit(fn, *args).result
+        else:
+            submit = functools.partial
 
-            pending = deque(submit(range(switch + 1)))
-
-            def results() -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-                for r in range(n_reps):
-                    if r == switch:
-                        wait([pending[0]])
-                        pending.extend(submit(range(switch + 1, n_reps)))
-                    yield pending.popleft().result()
-
-            _merge_in_order(tails, results())
-    else:
-        _merge_in_order(
-            tails,
-            (_simulate_one(scenario, n_updates, base_seed, r, burn_in) for r in range(n_reps)),
-        )
-    return tails
-
-
-def _merge_in_order(
-    tails: MetricTails, results: Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> None:
-    """Add each replication's samples to the tails as the iterator yields them.
-
-    The order matters: histogram edges depend on the pooled maximum at the
-    moment the raw limit is crossed.
-    """
-    for t, a, f in results:
-        tails.delay.add(t)
-        tails.peak_aoi.add(a)
-        tails.peak_doi.add(f)
-        # drop this replication before waiting for the next one
-        del t, a, f
+        args = (scenario, n_updates, base_seed)
+        pending = deque(submit(_simulate_one, *args, r, burn_in) for r in range(switch + 1))
+        for r in range(switch + 1):
+            samples = pending.popleft()()
+            if r == switch and switch < n_reps - 1:
+                edges = [tail._edges_after(x) for tail, x in zip(tails, samples)]
+                pending.extend(
+                    submit(_simulate_binned, *args, q, burn_in, edges)
+                    for q in range(switch + 1, n_reps)
+                )
+            for tail, x in zip(tails, samples):
+                tail.add(x)
+            # drop this replication before waiting for the next one
+            del samples, x
+        while pending:
+            for tail, binned in zip(tails, pending.popleft()()):
+                tail._merge(*binned)
+    return MetricTails(*tails)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from concurrent.futures import Future
 
@@ -22,7 +23,15 @@ from agecalc import (
     run_replications,
 )
 from agecalc import simulate
-from agecalc.simulate import _BLOCK, STREAM_EVENTS, STREAM_SERVICE, _fifo_chunk, _simulate_one
+from agecalc.simulate import (
+    _BIN_BLOCK,
+    _BLOCK,
+    STREAM_EVENTS,
+    STREAM_SERVICE,
+    _bin,
+    _fifo_chunk,
+    _simulate_one,
+)
 
 
 class TestGenerateArrivals:
@@ -229,6 +238,37 @@ class TestEmpiricalTail:
         tail.add(np.array([math.inf]))
         assert tail._counts[-1] - before[-1] == np.count_nonzero(ref == bins) + 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hi=st.floats(1e-300, 1e300),
+        bins=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        on_edges=st.lists(
+            st.tuples(st.integers(0, 20_000), st.sampled_from((-1, 0, 1))), max_size=8
+        ),
+        gap=st.integers(0, 5),
+    )
+    def test_block_boundaries_keep_the_bins(self, hi, bins, seed, on_edges, gap):
+        # more than two blocks of samples, with edge values, their 1-ulp
+        # neighbours, infinities and values above 2 * max on both sides of
+        # every block boundary
+        edges = simulate._histogram_edges(hi, bins)
+        top = edges[-1]
+        nudge = {-1: -math.inf, 0: None, 1: math.inf}
+        with np.errstate(over="ignore"):
+            values = [math.inf, -math.inf, -0.0, np.nextafter(top, math.inf), 1.5 * top, 1e300]
+        values += [
+            edges[k % (bins + 1)] if d == 0 else np.nextafter(edges[k % (bins + 1)], nudge[d])
+            for k, d in on_edges
+        ]
+        x = np.random.default_rng(seed).uniform(-0.1 * top, 1.1 * top, 2 * _BIN_BLOCK + 1_000)
+        for boundary in (_BIN_BLOCK, 2 * _BIN_BLOCK):
+            for i, v in enumerate(values):
+                x[boundary - 1 - gap - i] = v
+                x[boundary + gap + i] = v
+        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
+        assert np.array_equal(_bin(x, edges), np.bincount(ref, minlength=bins + 1))
+
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
         tail = EmpiricalTail.from_samples(rng.exponential(1.0, 10_000))
@@ -262,6 +302,14 @@ class TestEventStream:
         after = stream.count_upto(np.array([20.0]))
         assert after[0] == before[1]
 
+    def test_take_after_discarding_untaken_events_raises(self):
+        stream = EventStream(Exponential(1.0), 5)
+        stream.count_upto(np.array([60_000.0]))
+        stream.discard_through(50_000.0)
+        stream.count_upto(np.array([130_000.0]))
+        with pytest.raises(RuntimeError, match="discard"):
+            stream.take(3)
+
     @settings(max_examples=150, deadline=None)
     @given(
         model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
@@ -287,20 +335,26 @@ class TestEventStream:
         n_ref = cap or sum(k for op, k in ops if op == "take") + 3 * int(2e5 / model.mean)
         full = EventStream(model, seed).take(n_ref).copy()
         stream = EventStream(model, seed, max_events=cap)
-        taken, floor, discarded = 0, 0.0, False
+        # generated: the stream holds events (a count or a take has grown
+        # it); behind: a discard before any event was taken dropped some
+        taken, floor, generated, behind = 0, 0.0, False, False
         for op, arg in ops:
             if op == "take":
-                if discarded and not taken:
-                    continue  # a stream read by take() takes before it discards
+                if behind:
+                    with pytest.raises(RuntimeError, match="discard"):
+                        stream.take(arg)
+                    continue
                 if cap is not None and taken + arg > cap:
                     with pytest.raises(EventStreamExhausted):
                         stream.take(arg)
+                    generated = True
                     continue
                 got = stream.take(arg)
                 assert np.allclose(got, full[taken:taken + arg], rtol=1e-12, atol=0)
                 taken += arg
             elif op == "count":
                 times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
+                generated = generated or len(times) > 0
                 if cap is not None and len(times) and full[cap - 1] <= times[-1]:
                     with pytest.raises(EventStreamExhausted):
                         stream.count_upto(times)
@@ -310,7 +364,8 @@ class TestEventStream:
                 assert np.array_equal(stream.count_upto(times), expected)
             else:
                 stream.discard_through(arg)
-                floor, discarded = max(floor, arg), True
+                floor = max(floor, arg)
+                behind = behind or (taken == 0 and generated and full[0] <= arg)
 
     def test_take_view_lives_until_the_next_call(self):
         stream = EventStream(Exponential(1.0), 8)
@@ -505,7 +560,8 @@ class TestRunReplications:
     def test_replications_after_the_switch_wait_for_it(self, monkeypatch):
         # raw limit 30,000 and 19,000 samples per replication: merging the
         # second switches the tails to histograms; the third and fourth are
-        # submitted once its result is taken and before it is merged
+        # submitted once its result is taken (its maximum sets the edges
+        # they are binned against) and before it is merged
         log = []
 
         class LoggedFuture(Future):
@@ -541,10 +597,71 @@ class TestRunReplications:
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         run_replications(scenario, 20_000, 4, 3, burn_in=1_000, workers=2, raw_limit=30_000)
         assert log == [
-            ("submit", 0), ("submit", 1), ("result", 0),
-            ("submit", 2), ("submit", 3), ("result", 1), "switch", "switch", "switch",
+            ("submit", 0), ("submit", 1), ("result", 0), ("result", 1),
+            ("submit", 2), ("submit", 3), "switch", "switch", "switch",
             ("result", 2), ("result", 3),
         ]
+
+    def test_tails_switching_apart_match_raw_adds(self):
+        # 2,000 delay and 1,999 peak samples per replication against a raw
+        # limit of 3,999: delay switches to a histogram at replication 1, the
+        # peak metrics at replication 2, and 3 and 4 are binned where they run.
+        # With seed 11, replication 2 holds every metric's largest sample so
+        # far, so edges that missed it, or delay edges set anew at
+        # replication 2, would differ from the reference.
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        n, burn_in, reps, limit, seed = 2_001, 1, 5, 3_999, 11
+        ref = [EmpiricalTail(raw_limit=limit) for _ in range(3)]
+        for r in range(reps):
+            for tail, x in zip(ref, _simulate_one(scenario, n, seed, r, burn_in)):
+                if r == 2:
+                    assert x.max() > tail._max
+                tail.add(x)
+        for workers in (1, 2):
+            got = run_replications(
+                scenario, n, reps, seed, burn_in=burn_in, workers=workers, raw_limit=limit
+            ).by_name().values()
+            for a, b in zip(got, ref):
+                assert b.bin_width > 0
+                assert np.array_equal(a._counts, b._counts)
+                assert (a.n_samples, a._min, a._max, a.bin_width) == (
+                    b.n_samples, b._min, b._max, b.bin_width
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", InsufficientSamples)
+                    for eps in (1e-1, 1e-2, 1e-3):
+                        assert a.quantile(eps) == b.quantile(eps)
+
+    def test_results_after_the_switch_are_counts(self, monkeypatch):
+        # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
+        # second replication switches, the third returns bin counts
+        sizes = {}
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                sizes[args[3]] = len(pickle.dumps(future.result()))
+                return future
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        tails = run_replications(
+            scenario, 150_000, 4, 3, burn_in=1_000, workers=2, raw_limit=200_000
+        )
+        assert tails.delay.bin_width > 0
+        assert sorted(sizes) == [0, 1, 2, 3]
+        assert min(sizes[0], sizes[1]) > 3 * 1_000_000
+        assert max(sizes[2], sizes[3]) < 1_000_000
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
