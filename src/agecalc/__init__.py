@@ -10,7 +10,6 @@ built-in discrete-event simulator.
 from .models import (
     Deterministic,
     DistributionModel,
-    DomainError,
     Erlang,
     Exponential,
     sample,
@@ -21,13 +20,10 @@ from .envelopes import (
     TimeTriggered,
     TriggerPolicy,
     envelope_set,
-    service_envelope,
 )
 from .bounds import (
     BoundResult,
     DoiBound,
-    InfiniteDoI,
-    InstabilityError,
     Metric,
     NoFeasibleTheta,
     Scenario,

@@ -3,12 +3,13 @@
 The delay and age bounds come from a geometric-series estimate of the
 moment generating function of the sojourn time at a max-plus server:
 
-  M_delay(theta) <= exp(theta*(sigma+rho_s)) / (1 - exp(-theta*(rho_a - rho_s)))
-  M_age(theta)   <= exp(theta*(sigma+2*rho_s)) / (1 - exp(-theta*(rho_a - rho_s)))
-                    + exp(theta*(sigma+rho_s+rho_a_upper))
+  M_delay(theta) <= exp(theta*rho_s) / (1 - exp(-theta*(rho_a - rho_s)))
+  M_age(theta)   <= exp(theta*2*rho_s) / (1 - exp(-theta*(rho_a - rho_s)))
+                    + exp(theta*(rho_s+rho_a_upper))
 
 with rho_a the arrival lower envelope rate, valid whenever
-rho_a > rho_s (stability). Chernoff inversion turns an MGF bound M into the
+rho_a > rho_s (stability); the service envelope's sigma is 0 for iid
+service times. Chernoff inversion turns an MGF bound M into the
 epsilon-quantile bound (ln M - ln eps)/theta; the free parameter theta is
 optimized numerically. Deviation (event-count) bounds multiply the MGF bound
 by a geometric factor in the event-count domain and invert the same way.
@@ -16,7 +17,10 @@ by a geometric factor in the event-count domain and invert the same way.
 The MGF bounds are computed and returned in log space
 (`log_delay_mgf_bound`, `log_aoi_mgf_bound`), and `invert_to_quantile`
 takes ln M, so that near-boundary or large theta values do not overflow;
-stability at a theta is `EnvelopeSet.stable`.
+stability at a theta is `EnvelopeSet.stable`. Every bound takes a float or
+an array of theta and is +inf where it is vacuous: where the system is
+unstable, where a needed MGF diverges, and, for the deviation bound, where
+ln M_I(-theta) = 0.
 """
 
 from __future__ import annotations
@@ -29,19 +33,11 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .envelopes import EnvelopeSet, TimeTriggered, TriggerPolicy, envelope_set
-from .models import DistributionModel, DomainError
-
-
-class InstabilityError(ValueError):
-    """Arrival lower rate does not exceed the service rate at this theta."""
+from .models import DistributionModel, Theta
 
 
 class NoFeasibleTheta(RuntimeError):
     """No theta satisfies stability; utilization is too high for the calculus."""
-
-
-class InfiniteDoI(RuntimeError):
-    """Degenerate event model with log M(-theta) = 0; no finite deviation bound."""
 
 
 class Metric(str, Enum):
@@ -91,50 +87,38 @@ class BoundResult:
 # MGF bounds, in log space
 
 
-def _log_geometric_term(theta: float, gap: float) -> float:
-    # -ln(1 - exp(-theta*gap)) for theta, gap > 0
-    return -math.log(-math.expm1(-theta * gap))
+def _log_geometric_term(theta: Theta, gap: Theta) -> Theta:
+    # -ln(1 - exp(-theta*gap)), +inf where gap <= 0 (no geometric convergence)
+    converges = gap > 0
+    with np.errstate(divide="ignore"):
+        term = -np.log(-np.expm1(-theta * np.where(converges, gap, np.inf)))
+    return np.where(converges, term, np.inf)[()]
 
 
-def log_delay_mgf_bound(env: EnvelopeSet) -> float:
+def log_delay_mgf_bound(env: EnvelopeSet) -> Theta:
     """Upper bound of ln E[exp(theta*T)] at env.theta for the steady stream
-    of updates; raises InstabilityError."""
+    of updates; +inf where the system is unstable."""
     gap = env.rho_arrival_lower - env.rho_service
-    if gap <= 0:
-        raise InstabilityError(
-            "rho_arrival_lower=%g <= rho_service=%g at theta=%g"
-            % (env.rho_arrival_lower, env.rho_service, env.theta)
-        )
-    head = env.theta * (env.sigma_service + env.rho_service)
-    return head + _log_geometric_term(env.theta, gap)
+    return env.theta * env.rho_service + _log_geometric_term(env.theta, gap)
 
 
-def log_aoi_mgf_bound(env: EnvelopeSet) -> float:
+def log_aoi_mgf_bound(env: EnvelopeSet) -> Theta:
     """Upper bound of ln E[exp(theta*peak_age)] at env.theta; strictly above
     log_delay_mgf_bound.
 
-    Needs the arrival upper envelope rate; raises DomainError when it is
-    infinite (event-model MGF diverges at theta).
+    +inf where the system is unstable and, through the idle term, where the
+    arrival upper envelope rate is infinite (event-model MGF diverges).
     """
-    if not math.isfinite(env.rho_arrival_upper):
-        raise DomainError("arrival upper envelope diverges at theta=%g" % env.theta)
     gap = env.rho_arrival_lower - env.rho_service
-    if gap <= 0:
-        raise InstabilityError(
-            "rho_arrival_lower=%g <= rho_service=%g at theta=%g"
-            % (env.rho_arrival_lower, env.rho_service, env.theta)
-        )
-    queue_term = env.theta * (env.sigma_service + 2.0 * env.rho_service) + _log_geometric_term(
-        env.theta, gap
-    )
-    idle_term = env.theta * (env.sigma_service + env.rho_service + env.rho_arrival_upper)
-    return float(np.logaddexp(queue_term, idle_term))
+    queue_term = env.theta * (2.0 * env.rho_service) + _log_geometric_term(env.theta, gap)
+    idle_term = env.theta * (env.rho_service + env.rho_arrival_upper)
+    return np.logaddexp(queue_term, idle_term)
 
 
-def invert_to_quantile(log_mgf_bound: float, theta: float, epsilon: float) -> float:
+def invert_to_quantile(log_mgf_bound: Theta, theta: Theta, epsilon: float) -> Theta:
     """Chernoff inversion of a log MGF bound ln M: the epsilon-quantile bound
     (ln M - ln eps)/theta."""
-    if not theta > 0:
+    if not np.all(theta > 0):
         raise ValueError("theta must be positive, got %r" % (theta,))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive, got %r" % (epsilon,))
@@ -157,22 +141,15 @@ def exact_mm1_tail(arrival_rate: float, service_rate: float, epsilon: float) -> 
 
 
 class DoiBound(NamedTuple):
-    real: float
-    integer: int
+    real: Theta
+    integer: Theta  # integer-valued floats; +inf where real is
 
 
-def _scenario_env(scenario: Scenario, theta: float) -> EnvelopeSet:
+def _scenario_env(scenario: Scenario, theta: Theta) -> EnvelopeSet:
     return envelope_set(scenario.policy, scenario.event_model, scenario.service_model, theta)
 
 
-def _log_event_mgf_neg(scenario: Scenario, theta: float) -> float:
-    v = scenario.event_model.log_mgf(-theta)
-    if v == 0.0:
-        raise InfiniteDoI("event model has log M(-theta) = 0 at theta=%g" % theta)
-    return v
-
-
-def _doi_terms(scenario: Scenario, theta: float) -> Tuple[float, float, float, int]:
+def _doi_terms(scenario: Scenario, theta: Theta) -> Tuple[Theta, Theta, float, int]:
     """Terms of the policy's deviation tail bound at theta,
 
       P[peak deviation > phi] <= exp(log_m + log_residual) * M_I(-theta)**(phi - alpha + one),
@@ -190,19 +167,16 @@ def _doi_terms(scenario: Scenario, theta: float) -> Tuple[float, float, float, i
     return log_delay_mgf_bound(env), 0.0, policy.threshold, 1
 
 
-def _exp_or_inf(v: float) -> float:
-    return math.inf if v > 709.0 else math.exp(v)
-
-
-def doi_tail_probability(scenario: Scenario, theta: float, phi: float) -> float:
-    """Bound of P[peak deviation > phi] at one theta.
+def doi_tail_probability(scenario: Scenario, theta: Theta, phi: float) -> Theta:
+    """Bound of P[peak deviation > phi] at theta, a float or an array.
 
     Time-triggered: age MGF bound times the residual-time factor times the
     geometric factor M_I(-theta)**phi. Event-triggered: delay MGF bound times
     M_I(-theta)**(phi - threshold + 1), defined for phi >= threshold - 1.
-    The value may exceed 1 (vacuous) and is reported as-is.
+    The value may exceed 1 (vacuous) and is reported as-is, +inf where the
+    MGF bound is.
     """
-    if not theta > 0:
+    if not np.all(theta > 0):
         raise ValueError("theta must be positive, got %r" % (theta,))
     if phi < 0 or int(phi) != phi:
         raise ValueError("phi must be a nonnegative integer, got %r" % (phi,))
@@ -213,22 +187,28 @@ def doi_tail_probability(scenario: Scenario, theta: float, phi: float) -> float:
             "phi must be >= threshold - 1 for event-triggered systems, got %r" % (phi,)
         )
     log_mi = scenario.event_model.log_mgf(-theta)
-    return _exp_or_inf(log_m + log_residual + k * log_mi)
+    with np.errstate(over="ignore"):
+        return np.exp(log_m + log_residual + k * log_mi)
 
 
-def doi_epsilon_bound(scenario: Scenario, theta: float) -> DoiBound:
-    """Solve the deviation tail bound for the epsilon-quantile at one theta.
+def doi_epsilon_bound(scenario: Scenario, theta: Theta) -> DoiBound:
+    """Solve the deviation tail bound for the epsilon-quantile at theta, a
+    float or an array.
 
     Returns both the real-valued solution (used for plotting sweep curves)
     and the ceiled integer bound, at least threshold - 1 for event-triggered
     systems. For non-memoryless event models the residual-time factor is
     estimated by 1, which keeps the bound valid at the cost of a slight
-    slack for the time-triggered system.
+    slack for the time-triggered system. Both are +inf where the MGF bound
+    is, and where ln M_I(-theta) = 0 (no event-count decay).
     """
     log_m, log_residual, alpha, one = _doi_terms(scenario, theta)
-    log_mi = _log_event_mgf_neg(scenario, theta)
-    real = (math.log(scenario.epsilon) - log_m - log_residual) / log_mi + alpha - one
-    return DoiBound(real=real, integer=max(math.ceil(real), math.ceil(alpha) - one))
+    log_mi = scenario.event_model.log_mgf(-theta)
+    decays = log_mi != 0.0
+    with np.errstate(over="ignore"):  # a subnormal ln M_I(-theta) overflows to +inf
+        real = (math.log(scenario.epsilon) - log_m - log_residual) / np.where(decays, log_mi, -1.0)
+    real = np.where(decays, real + alpha - one, np.inf)[()]
+    return DoiBound(real=real, integer=np.maximum(np.ceil(real), math.ceil(alpha) - one))
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +231,16 @@ def _theta_limit(scenario: Scenario, metric: Metric) -> float:
     return limit - 2.0 * 1e-9
 
 
-def _objective(scenario: Scenario, metric: Metric, theta: float) -> float:
-    """Bound value at one theta; +inf outside the feasible set."""
-    try:
-        if metric is Metric.PEAK_DOI:
-            return doi_epsilon_bound(scenario, theta).real
-        env = _scenario_env(scenario, theta)
-        if metric is Metric.DELAY:
-            log_m = log_delay_mgf_bound(env)
-        else:
-            log_m = log_aoi_mgf_bound(env)
-        return invert_to_quantile(log_m, theta, scenario.epsilon)
-    except (DomainError, InstabilityError, InfiniteDoI, OverflowError):
-        return math.inf
+def _objective(scenario: Scenario, metric: Metric, theta: Theta) -> Theta:
+    """Bound value at theta, a float or an array; +inf outside the feasible set."""
+    if metric is Metric.PEAK_DOI:
+        return doi_epsilon_bound(scenario, theta).real
+    env = _scenario_env(scenario, theta)
+    log_m = log_delay_mgf_bound(env) if metric is Metric.DELAY else log_aoi_mgf_bound(env)
+    return invert_to_quantile(log_m, theta, scenario.epsilon)
 
 
-def optimize_theta(
-    scenario: Scenario,
-    metric: Metric,
-    grid_points: int = _GRID_POINTS,
-    refine_rtol: float = _REFINE_RTOL,
-) -> BoundResult:
+def optimize_theta(scenario: Scenario, metric: Metric) -> BoundResult:
     """Minimize the bound over theta: coarse log grid, then golden-section.
 
     Every probed theta yields a valid bound, so the result is sound even if
@@ -280,8 +249,8 @@ def optimize_theta(
     """
     metric = Metric(metric)
     theta_hi = _theta_limit(scenario, metric)
-    grid = np.geomspace(theta_hi * 1e-9, theta_hi, grid_points)
-    values = np.array([_objective(scenario, metric, th) for th in grid])
+    grid = np.geomspace(theta_hi * 1e-9, theta_hi, _GRID_POINTS)
+    values = _objective(scenario, metric, grid)
     i = int(np.argmin(values))
     if not math.isfinite(values[i]):
         raise NoFeasibleTheta(
@@ -295,7 +264,7 @@ def optimize_theta(
     d = a + _INVPHI * (b - a)
     fc = _objective(scenario, metric, c)
     fd = _objective(scenario, metric, d)
-    while (b - a) > refine_rtol * 0.5 * (a + b):
+    while (b - a) > _REFINE_RTOL * 0.5 * (a + b):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -306,12 +275,12 @@ def optimize_theta(
             fd = _objective(scenario, metric, d)
         for th, fv in ((c, fc), (d, fd)):
             if fv < best_value:
-                best_theta, best_value = th, fv
+                best_theta, best_value = th, float(fv)
 
     value_int = None
     vacuous = scenario.epsilon >= 1.0 or best_value < 0.0
     if metric is Metric.PEAK_DOI:
-        value_int = doi_epsilon_bound(scenario, best_theta).integer
+        value_int = int(doi_epsilon_bound(scenario, best_theta).integer)
     return BoundResult(
         metric=metric,
         epsilon=scenario.epsilon,

@@ -156,8 +156,8 @@ def _config_policy(cfg: Dict, integer_alpha: bool) -> Tuple:
 def _config_epsilons(cfg: Dict, allow_vacuous: bool) -> List[float]:
     eps_list = cfg.get("epsilon", [1e-6])
     for eps in eps_list:
-        if not eps > 0:
-            raise ConfigError("epsilon must be positive, got %r" % (eps,))
+        if not 0 < eps < math.inf:
+            raise ConfigError("epsilon must be positive and finite, got %r" % (eps,))
         if eps >= 1 and not allow_vacuous:
             raise ConfigError(
                 "epsilon %g >= 1 yields a vacuous bound; pass --allow-vacuous" % eps

@@ -7,23 +7,24 @@ theta > 0 by envelope rates:
   arrival lower envelope: E[exp(-theta*A(v,n))] <= exp(-theta*rho_lower*(n-v))
   arrival upper envelope: E[exp(theta*A(v,n))]  <= exp(theta*rho_upper*(n-v))
 
-For iid increments the envelopes are tight and follow directly from the
-per-increment log-MGF. Each policy class computes its own arrival rates
-(`lower_rate`, `upper_rate`), its mean update `spacing`, and the arrivals
-and sampled event counts of a simulated run (`arrivals`, `sampled_counts`).
-All quantities are evaluated on demand at a given theta; nothing is
-tabulated.
+For iid increments the envelopes are tight, sigma is 0, and the rates
+follow directly from the per-increment log-MGF. Each policy class computes
+its own arrival rates (`lower_rate`, `upper_rate`), its mean update
+`spacing`, and the arrivals and sampled event counts of a simulated run
+(`arrivals`, `sampled_counts`).
+All quantities are evaluated on demand at a given theta, a float or an
+array of theta values; nothing is tabulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .models import DistributionModel, DomainError
+from .models import DistributionModel, Theta
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,13 @@ class TimeTriggered:
     interval: float
 
     def __post_init__(self) -> None:
-        if not self.interval > 0:
-            raise ValueError("interval must be positive, got %r" % (self.interval,))
+        if not 0 < self.interval < math.inf:
+            raise ValueError("interval must be positive and finite, got %r" % (self.interval,))
 
-    def lower_rate(self, event_model: DistributionModel, theta: float) -> float:
+    def lower_rate(self, event_model: DistributionModel, theta: Theta) -> float:
         return self.interval
 
-    def upper_rate(self, event_model: DistributionModel, theta: float) -> float:
+    def upper_rate(self, event_model: DistributionModel, theta: Theta) -> float:
         return self.interval
 
     def upper_rate_limit(self, event_model: DistributionModel) -> float:
@@ -77,19 +78,16 @@ class EventTriggered:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not self.threshold >= 1:
-            raise ValueError("threshold must be >= 1, got %r" % (self.threshold,))
+        if not 1 <= self.threshold < math.inf:
+            raise ValueError("threshold must be >= 1 and finite, got %r" % (self.threshold,))
 
-    def lower_rate(self, event_model: DistributionModel, theta: float) -> float:
+    def lower_rate(self, event_model: DistributionModel, theta: Theta) -> Theta:
         """-(threshold/theta) * ln M_I(-theta); defined for every theta > 0."""
         return -(self.threshold / theta) * event_model.log_mgf(-theta)
 
-    def upper_rate(self, event_model: DistributionModel, theta: float) -> float:
+    def upper_rate(self, event_model: DistributionModel, theta: Theta) -> Theta:
         """(threshold/theta) * ln M_I(theta); +inf where the event MGF diverges."""
-        try:
-            return (self.threshold / theta) * event_model.log_mgf(theta)
-        except DomainError:
-            return math.inf
+        return (self.threshold / theta) * event_model.log_mgf(theta)
 
     def upper_rate_limit(self, event_model: DistributionModel) -> float:
         """Supremum of the theta at which upper_rate is finite."""
@@ -126,48 +124,37 @@ TriggerPolicy = Union[TimeTriggered, EventTriggered]
 
 @dataclass(frozen=True)
 class EnvelopeSet:
-    """Envelope rates of one scenario evaluated at a single theta.
+    """Envelope rates of one scenario at theta, a float or an array.
 
-    rho_arrival_upper is +inf when the event-model MGF diverges at theta;
-    operations that need the upper envelope reject that case. `stable` is
-    the geometric-convergence condition rho_arrival_lower > rho_service.
+    The service envelope is sigma = 0 plus rho_service per update, the
+    log-MGF rate of iid service times; rho_service is +inf where the service
+    MGF diverges, rho_arrival_upper where the event-model MGF does. `stable`
+    is the geometric-convergence condition rho_arrival_lower > rho_service.
+    A rate that does not depend on theta (a time-triggered interval, a
+    deterministic service time) stays a float; the other fields, and
+    `stable` where they enter it, have the shape of theta.
     """
 
-    theta: float
-    sigma_service: float
-    rho_service: float
-    rho_arrival_lower: float
-    rho_arrival_upper: float
-    stable: bool
-
-
-def service_envelope(service: DistributionModel, theta: float) -> Tuple[float, float]:
-    """Envelope (sigma, rho) of an iid service process at theta > 0.
-
-    sigma is 0 for iid service times; rho is log(M(theta))/theta, which is
-    exactly the service time for a Deterministic model.
-    """
-    if not theta > 0:
-        raise ValueError("theta must be positive, got %r" % (theta,))
-    return 0.0, service.envelope_rate(theta)
+    theta: Theta
+    rho_service: Theta
+    rho_arrival_lower: Theta
+    rho_arrival_upper: Theta
+    stable: Union[bool, np.ndarray]
 
 
 def envelope_set(
     policy: TriggerPolicy,
     event_model: DistributionModel,
     service_model: DistributionModel,
-    theta: float,
+    theta: Theta,
 ) -> EnvelopeSet:
-    """Evaluate all envelope rates of a scenario at one theta.
-
-    Raises DomainError if the service MGF diverges at theta; a diverging
-    event-model MGF only makes rho_arrival_upper infinite.
-    """
-    sigma_s, rho_s = service_envelope(service_model, theta)
+    """Evaluate all envelope rates of a scenario at theta > 0."""
+    if not np.all(theta > 0):
+        raise ValueError("theta must be positive, got %r" % (theta,))
+    rho_s = service_model.envelope_rate(theta)
     lower = policy.lower_rate(event_model, theta)
     return EnvelopeSet(
         theta=theta,
-        sigma_service=sigma_s,
         rho_service=rho_s,
         rho_arrival_lower=lower,
         rho_arrival_upper=policy.upper_rate(event_model, theta),
@@ -180,7 +167,5 @@ __all__ = [
     "EventTriggered",
     "TriggerPolicy",
     "EnvelopeSet",
-    "service_envelope",
     "envelope_set",
-    "DomainError",
 ]

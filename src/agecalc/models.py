@@ -6,7 +6,8 @@ works for light-tailed models, so each model class answers everything the
 calculus and the simulator ask of a distribution: `log_mgf(theta)`, its
 validity limit `mgf_limit`, the `mean`, the log-MGF `envelope_rate(theta)`
 per unit of theta, the residual-time term `log_residual_mgf(theta)` and
-`sample(rng, size)`.
+`sample(rng, size)`. The theta-valued methods take a float or an array of
+theta and return +inf where the MGF diverges.
 """
 
 from __future__ import annotations
@@ -17,22 +18,24 @@ from typing import Union
 
 import numpy as np
 
-# Reject theta this close to an MGF singularity. The bound optimizer probes
-# near the boundary, where exp() would overflow.
+# Treat theta this close to an MGF singularity as beyond it. The bound
+# optimizer probes near the boundary, where exp() would overflow.
 MGF_GUARD = 1e-9
 
+# A theta argument: one float, or an array evaluated element-wise.
+Theta = Union[float, np.ndarray]
 
-class DomainError(ValueError):
-    """MGF requested at or beyond its singularity; restrict the theta range."""
+
+def _positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
 
 
-def _log_exponential_mgf(model, theta: float) -> float:
-    # -ln(1 - theta/rate), guarded below the singularity at theta = rate
-    if theta > model.rate - MGF_GUARD:
-        raise DomainError(
-            "MGF of %r diverges at theta=%g (singularity %g)" % (model, theta, model.rate)
-        )
-    return -math.log1p(-theta / model.rate)
+def _log_exponential_mgf(model, theta: Theta) -> Theta:
+    # -ln(1 - theta/rate), +inf within MGF_GUARD of the singularity at theta = rate
+    edge = model.rate - MGF_GUARD
+    inside = -np.log1p(-np.minimum(theta, edge) / model.rate)
+    return np.where(theta > edge, np.inf, inside)[()]
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ValueError("rate must be positive, got %r" % (self.rate,))
+        _positive_finite("rate", self.rate)
 
     @property
     def mean(self) -> float:
@@ -54,15 +56,15 @@ class Exponential:
         """Supremum of the theta values for which the MGF is finite."""
         return self.rate
 
-    def log_mgf(self, theta: float) -> float:
-        """ln M(theta) = -ln(1 - theta/rate); DomainError within MGF_GUARD of rate."""
+    def log_mgf(self, theta: Theta) -> Theta:
+        """ln M(theta) = -ln(1 - theta/rate); +inf within MGF_GUARD of rate."""
         return _log_exponential_mgf(self, theta)
 
-    def envelope_rate(self, theta: float) -> float:
+    def envelope_rate(self, theta: Theta) -> Theta:
         """ln M(theta)/theta, the envelope rate of iid increments at theta > 0."""
         return self.log_mgf(theta) / theta
 
-    def log_residual_mgf(self, theta: float) -> float:
+    def log_residual_mgf(self, theta: Theta) -> Theta:
         """ln of the residual inter-event time's MGF at -theta: memoryless, so
         the residual is an ordinary inter-event time."""
         return self.log_mgf(-theta)
@@ -78,8 +80,7 @@ class Deterministic:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ValueError("value must be positive, got %r" % (self.value,))
+        _positive_finite("value", self.value)
 
     @property
     def mean(self) -> float:
@@ -89,15 +90,15 @@ class Deterministic:
     def mgf_limit(self) -> float:
         return math.inf
 
-    def log_mgf(self, theta: float) -> float:
+    def log_mgf(self, theta: Theta) -> Theta:
         """ln M(theta) = theta*value, finite at every theta."""
         return theta * self.value
 
-    def envelope_rate(self, theta: float) -> float:
+    def envelope_rate(self, theta: Theta) -> float:
         """The value itself, without the round trip through log M(theta)/theta."""
         return self.value
 
-    def log_residual_mgf(self, theta: float) -> float:
+    def log_residual_mgf(self, theta: Theta) -> float:
         """0: the residual-time factor is estimated by 1, always an upper bound."""
         return 0.0
 
@@ -113,10 +114,9 @@ class Erlang:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shape < 1 or int(self.shape) != self.shape:
+        if not 1 <= self.shape < math.inf or int(self.shape) != self.shape:
             raise ValueError("shape must be a positive integer, got %r" % (self.shape,))
-        if not self.rate > 0:
-            raise ValueError("rate must be positive, got %r" % (self.rate,))
+        _positive_finite("rate", self.rate)
 
     @property
     def mean(self) -> float:
@@ -126,14 +126,14 @@ class Erlang:
     def mgf_limit(self) -> float:
         return self.rate
 
-    def log_mgf(self, theta: float) -> float:
-        """ln M(theta) = -shape*ln(1 - theta/rate); DomainError within MGF_GUARD of rate."""
+    def log_mgf(self, theta: Theta) -> Theta:
+        """ln M(theta) = -shape*ln(1 - theta/rate); +inf within MGF_GUARD of rate."""
         return self.shape * _log_exponential_mgf(self, theta)
 
-    def envelope_rate(self, theta: float) -> float:
+    def envelope_rate(self, theta: Theta) -> Theta:
         return self.log_mgf(theta) / theta
 
-    def log_residual_mgf(self, theta: float) -> float:
+    def log_residual_mgf(self, theta: Theta) -> float:
         """0: the residual-time factor is estimated by 1, always an upper bound."""
         return 0.0
 

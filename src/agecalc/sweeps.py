@@ -89,6 +89,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ("w", "utilization"):
             raise ValueError("axis must be 'w' or 'utilization', got %r" % (self.axis,))
+        make_model(self.event_kind, self.event_rate)
+        make_model(self.service_kind, self.service_rate)
         for g in self.grid:
             if not 0 < g < math.inf:
                 raise ValueError("grid values must be finite and positive, got %r" % (g,))
@@ -97,6 +99,8 @@ class SweepSpec:
 def make_model(kind: str, rate: float) -> DistributionModel:
     """Build a distribution from its mean rate: exponential(rate) or the
     deterministic value 1/rate."""
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite, got %r" % (rate,))
     if kind == "exponential":
         return Exponential(rate=rate)
     if kind == "deterministic":
@@ -112,6 +116,8 @@ def params_for_utilization(u: float, event_rate: float, service_rate: float) -> 
 
 def round_threshold(alpha: float) -> int:
     """Nearest integer threshold the simulator accepts, at least 1."""
+    if not math.isfinite(alpha):
+        raise ValueError("threshold must be finite, got %r" % (alpha,))
     return max(1, int(math.floor(alpha + 0.5)))
 
 

@@ -97,7 +97,40 @@ burn_in = 2000
 """
 
 
+# (command, config) pairs that must be rejected as config errors, even with
+# --allow-vacuous
+INVALID_INPUTS = {
+    "sweep-lambda-0": ("sweep", "lambda = 0\nmu = 0.25\n"),
+    "sweep-mu-negative": ("sweep", "lambda = 0.5\nmu = -1\n"),
+    "sweep-mu-inf": ("sweep", "lambda = 0.5\nmu = inf\n"),
+    "sweep-lambda-inf-deterministic": (
+        "sweep", "lambda = inf\nmu = 0.25\nevent_kind = deterministic\n"),
+    "sweep-unknown-kind": ("sweep", "lambda = 0.5\nmu = 0.25\nservice_kind = pareto\n"),
+    "sweep-epsilon-inf": ("sweep", "lambda = 0.5\nmu = 0.25\nepsilon = inf\n"),
+    "bound-epsilon-inf": ("bound", BASE_CONFIG.replace("epsilon = 1e-6", "epsilon = 1e-3,inf")),
+    "bound-lambda-0-deterministic": ("bound", BASE_CONFIG.replace("lambda = 0.5", "lambda = 0")),
+    "bound-lambda-inf": ("bound", SIM_CONFIG.replace("lambda = 0.5", "lambda = inf")),
+    "bound-mu-inf": ("bound", SIM_CONFIG.replace("mu = 1.0", "mu = inf")),
+    "bound-w-inf": ("bound", BASE_CONFIG.replace("w = 5", "w = inf")),
+    "bound-alpha-inf": ("bound", SIM_CONFIG.replace("alpha = 1", "alpha = inf")),
+    "simulate-alpha-inf": ("simulate", SIM_CONFIG.replace("alpha = 1", "alpha = inf")),
+    "simulate-mu-inf": ("simulate", SIM_CONFIG.replace("mu = 1.0", "mu = inf")),
+    "simulate-w-nan": ("simulate", BASE_CONFIG.replace("w = 5", "w = nan")),
+    "simulate-epsilon-inf": ("simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = inf")),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+    def test_invalid_input_exit_2(self, case, tmp_path, capsys):
+        command, text = INVALID_INPUTS[case]
+        cfg = _write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "bad.csv"
+        argv = [command, "--config", cfg, "--out", str(out), "--allow-vacuous", "--workers", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_bound_command_deterministic_values(self, tmp_path, capsys):
         cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
         out = tmp_path / "out.csv"

@@ -7,44 +7,44 @@ from hypothesis import strategies as st
 
 from agecalc import (
     Deterministic,
-    DomainError,
     Erlang,
     EventTriggered,
     Exponential,
     TimeTriggered,
     envelope_set,
-    service_envelope,
 )
 
 
 class TestServiceEnvelope:
+    # the service envelope is sigma = 0 plus the model's envelope_rate per update
+
     def test_deterministic_exact(self):
-        assert service_envelope(Deterministic(4.0), 0.1) == (0.0, 4.0)
+        assert Deterministic(4.0).envelope_rate(0.1) == 4.0
         # exact at any theta, not just small ones
-        assert service_envelope(Deterministic(4.0), 250.0)[1] == 4.0
+        assert Deterministic(4.0).envelope_rate(250.0) == 4.0
 
     def test_exponential_value(self):
         # independent arithmetic: (1/theta) * ln(mu/(mu-theta))
-        sigma, rho = service_envelope(Exponential(1.0), 0.25)
-        assert sigma == 0.0
+        rho = Exponential(1.0).envelope_rate(0.25)
         assert rho == pytest.approx(4.0 * math.log(4.0 / 3.0), rel=1e-12)
         assert rho == pytest.approx(1.150728, abs=1e-6)
 
     def test_small_theta_limit_is_mean(self):
-        _, rho = service_envelope(Exponential(1.0), 1e-9)
+        rho = Exponential(1.0).envelope_rate(1e-9)
         assert rho == pytest.approx(1.0, rel=1e-6)
 
     def test_domain_error_propagates(self):
-        with pytest.raises(DomainError):
-            service_envelope(Exponential(1.0), 1.5)
+        # beyond the MGF's singularity the rate is +inf, and so unstable
+        assert Exponential(1.0).envelope_rate(1.5) == math.inf
+        env = envelope_set(TimeTriggered(2.0), Exponential(0.5), Exponential(1.0), 1.5)
+        assert env.rho_service == math.inf and not env.stable
 
     @given(theta=st.floats(min_value=1e-4, max_value=0.95))
     def test_rate_at_least_mean(self, theta):
         for model in (Exponential(1.0), Erlang(2, 2.0)):
-            _, rho = service_envelope(model, theta * model.rate)
+            rho = model.envelope_rate(theta * model.rate)
             assert rho > model.mean
-        _, rho = service_envelope(Deterministic(2.5), theta)
-        assert rho == 2.5
+        assert Deterministic(2.5).envelope_rate(theta) == 2.5
 
 
 class TestArrivalEnvelopes:
@@ -132,7 +132,6 @@ class TestResidualMgf:
 class TestEnvelopeSet:
     def test_stable_flag_and_fields(self):
         env = envelope_set(TimeTriggered(2.0), Exponential(0.5), Exponential(1.0), 0.25)
-        assert env.sigma_service == 0.0
         assert env.rho_service > 0
         assert env.rho_arrival_lower == 2.0
         assert env.rho_arrival_upper == 2.0
@@ -149,6 +148,23 @@ class TestEnvelopeSet:
         for policy in (TimeTriggered(3.0), EventTriggered(2)):
             env = envelope_set(policy, Exponential(0.5), Exponential(0.25), theta)
             assert env.rho_arrival_lower <= env.rho_arrival_upper
+
+    def test_theta_must_be_positive(self):
+        for theta in (0.0, -0.1, math.nan, np.array([0.1, 0.0])):
+            with pytest.raises(ValueError):
+                envelope_set(TimeTriggered(2.0), Exponential(0.5), Exponential(1.0), theta)
+
+    def test_array_theta_gives_array_fields(self):
+        theta = np.array([0.25, 0.9, 1.5])  # stable, unstable, beyond the service MGF
+        env = envelope_set(EventTriggered(2), Exponential(0.5), Exponential(1.0), theta)
+        assert env.stable.tolist() == [True, False, False]
+        assert env.rho_service[2] == math.inf
+        assert np.isinf(env.rho_arrival_upper).tolist() == [False, True, True]
+        for i, th in enumerate(theta):
+            single = envelope_set(EventTriggered(2), Exponential(0.5), Exponential(1.0), th)
+            assert single.rho_service == env.rho_service[i]
+            assert single.rho_arrival_lower == env.rho_arrival_lower[i]
+            assert single.stable == env.stable[i]
 
     def test_mean_update_spacing(self):
         assert TimeTriggered(7.0).spacing(Exponential(9.0)) == 7.0
