@@ -38,7 +38,6 @@ from .bounds import (
 from .simulate import (
     EmpiricalTail,
     EventStream,
-    EventStreamExhausted,
     InsufficientSamples,
     MetricTails,
     derive_rng,

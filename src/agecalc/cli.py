@@ -188,6 +188,8 @@ def cmd_simulate(args) -> Tuple[List[CsvRow], Optional[Dict]]:
     eps_list = _config_epsilons(cfg, args.allow_vacuous)
     if not eps_list:
         return [], None
+    if max(eps_list) > 1:
+        raise ConfigError("simulate needs epsilon <= 1, got %g" % max(eps_list))
     samples = args.samples or cfg.get("samples", DEFAULT_SAMPLES)
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     burn_in = cfg.get("burn_in", DEFAULT_BURN_IN)
@@ -311,10 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario config file")
+    bound = sub.add_parser("bound", help="optimized tail bounds")
+    simulate = sub.add_parser("simulate", help="empirical quantiles")
+    sweep = sub.add_parser("sweep", help="bound curves over a parameter grid")
+    figure = sub.add_parser("figure", help="preset experiment reproduction")
+    figure.add_argument("name", help="figure name (%s)" % ", ".join(sorted(FIGURES)))
+    # each command registers only the flags it reads
+    for p in (bound, simulate, sweep):
+        p.add_argument("--config", required=True, help="scenario config file")
+        p.add_argument(
+            "--allow-vacuous", action="store_true",
+            help="accept epsilon >= 1 (simulate: epsilon = 1) and flag vacuous rows",
+        )
+    for p in (bound, simulate, sweep, figure):
         p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    for p in (simulate, figure):
         p.add_argument("--seed", type=_nonnegative_int, default=None, help="base seed override")
         p.add_argument(
             "--samples", type=_positive_int, default=None,
@@ -324,17 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=_positive_int, default=os.cpu_count() or 1,
             help="worker processes for replications",
         )
-        p.add_argument(
-            "--allow-vacuous", action="store_true",
-            help="accept epsilon >= 1 and emit vacuous rows flagged",
-        )
-
-    common(sub.add_parser("bound", help="optimized tail bounds"), True)
-    common(sub.add_parser("simulate", help="empirical quantiles"), True)
-    common(sub.add_parser("sweep", help="bound curves over a parameter grid"), True)
-    fig = sub.add_parser("figure", help="preset experiment reproduction")
-    fig.add_argument("name", help="figure name (%s)" % ", ".join(sorted(FIGURES)))
-    common(fig, False)
     return parser
 
 

@@ -105,13 +105,15 @@ class EventTriggered:
             )
 
     def arrivals(self, events, first: int, m: int) -> np.ndarray:
-        """Arrival times of the next m updates: every threshold-th event taken.
+        """Arrival times of the m updates from 1-based index `first` on:
+        update n arrives with event n*threshold.
 
         The copy is needed: `take` returns a view into the event store that
         the stream's next call may overwrite.
         """
         alpha = int(self.threshold)
-        return events.take(alpha * m)[alpha - 1::alpha].astype(np.float64, copy=True)
+        times = events.take(alpha * (first - 1), alpha * m)
+        return times[alpha - 1::alpha].astype(np.float64, copy=True)
 
     def sampled_counts(self, events, arrivals: np.ndarray, first: int) -> np.ndarray:
         """Events sampled by updates first, first+1, ...: exactly n*threshold."""

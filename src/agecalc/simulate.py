@@ -16,7 +16,8 @@ Everything is deterministic given a base seed: replication r draws its event
 and service streams from Philox generators keyed by
 SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
 events and 1 for service. Event times are generated lazily in blocks and
-counted with a forward cursor, so memory stays bounded at any sample count.
+discarded once no later update reads them, so memory stays bounded at any
+sample count.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ _BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
 DEFAULT_BURN_IN = 10_000
 
 
-class EventStreamExhausted(RuntimeError):
-    """A capped event stream cannot cover the requested time or index."""
-
-
 class InsufficientSamples(UserWarning):
     """Fewer than 10/epsilon samples back the requested quantile."""
 
@@ -65,11 +62,11 @@ def derive_rng(base_seed: int, replication: int, stream_id: int) -> np.random.Ge
 class EventStream:
     """Lazily generated, nondecreasing sensor event times starting after 0.
 
-    Supports three streaming queries: `take(k)` returns the next k event
-    times in order, `count_upto(ts)` returns the number of events at or
-    before each time of a nondecreasing array, and `discard_through(t)`
-    releases memory for events that no future query will look at. With
-    `max_events` set, queries beyond the cap raise EventStreamExhausted.
+    Events are addressed by their global 1-based index, and every query is
+    positional: `take(start, k)` returns the times of events start+1 ...
+    start+k, `count_upto(ts)` returns the number of events at or before each
+    time of a nondecreasing array, and `discard(count)` releases events
+    1 ... count, which no later query may read.
 
     Events live in one store, written once where they are generated: the
     live window `_store[_lo:_hi]` holds the events from global 1-based index
@@ -79,32 +76,19 @@ class EventStream:
     with a quarter of headroom.
     """
 
-    def __init__(
-        self,
-        model: DistributionModel,
-        seed: Union[int, np.random.Generator],
-        max_events: Optional[int] = None,
-    ):
+    def __init__(self, model: DistributionModel, seed: Union[int, np.random.Generator]):
         self.model = model
         if isinstance(seed, np.random.Generator):
             self.rng = seed
         else:
             self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.max_events = max_events
         self._store = np.empty(0)
         self._lo = self._hi = 0
         self._first = 1  # global 1-based index of _store[_lo]
         self._generated = 0
         self._last_time = 0.0
-        self._taken = 0  # events already consumed by take()
 
     def _grow(self, k: int) -> None:
-        if self.max_events is not None:
-            k = min(k, self.max_events - self._generated)
-            if k <= 0:
-                raise EventStreamExhausted(
-                    "event stream capped at %d events" % self.max_events
-                )
         live = self._hi - self._lo
         if self._hi + k > len(self._store):
             if live <= self._lo and live + k <= len(self._store):
@@ -122,26 +106,24 @@ class EventStream:
         self._hi += k
         self._generated += k
 
-    def take(self, k: int) -> np.ndarray:
-        """Next k event times, consuming them from the take cursor.
+    def take(self, start: int, k: int) -> np.ndarray:
+        """Times of events start+1 ... start+k.
 
         The result is a view into the store, valid until the next call on
-        the stream; copy it to keep it longer. Raises RuntimeError once
-        discard_through() has dropped events that take() never returned,
-        which only a discard before the first take() can do.
+        the stream; copy it to keep it longer. Raises ValueError if any of
+        these events has been discarded.
         """
-        if self._taken < self._first - 1:
-            raise RuntimeError("take() after discard_through() dropped untaken events")
-        while self._generated < self._taken + k:
-            self._grow(max(self._taken + k - self._generated, _BLOCK))
-        i0 = self._lo + self._taken - (self._first - 1)
-        self._taken += k
+        if start < self._first - 1:
+            raise ValueError("take(%d, ...) reads discarded events" % start)
+        while self._generated < start + k:
+            self._grow(max(start + k - self._generated, _BLOCK))
+        i0 = self._lo + start - (self._first - 1)
         return self._store[i0:i0 + k]
 
     def count_upto(self, times: np.ndarray) -> np.ndarray:
         """Event counts at each time of a nondecreasing array; ties count.
 
-        Times must not precede a previous discard_through() point.
+        Times must not precede the last discarded event.
         """
         times = np.asarray(times, dtype=np.float64)
         if len(times):
@@ -152,15 +134,11 @@ class EventStream:
         counts += self._first - 1
         return counts
 
-    def discard_through(self, t: float) -> None:
-        """Forget events at or before t; only call when no future query needs them.
-
-        Once take() has returned events, those not yet taken are kept;
-        before that, a discard drops them, and take() then raises.
-        """
-        k = int(np.searchsorted(self._store[self._lo:self._hi], t, side="right"))
-        if self._taken:
-            k = min(k, self._taken - (self._first - 1))
+    def discard(self, count: int) -> None:
+        """Forget events 1 ... count, which must all have been generated."""
+        if count > self._generated:
+            raise ValueError("discard(%d) past the %d events generated" % (count, self._generated))
+        k = count - (self._first - 1)
         if k > 0:
             self._lo += k
             self._first += k
@@ -353,8 +331,8 @@ class EmpiricalTail:
         return float(self._counts[j:].sum()) / self._n
 
     @classmethod
-    def from_samples(cls, samples, **kwargs) -> "EmpiricalTail":
-        tail = cls(**kwargs)
+    def from_samples(cls, samples) -> "EmpiricalTail":
+        tail = cls()
         tail.add(np.asarray(samples))
         return tail
 
@@ -402,8 +380,8 @@ def _simulate_one(
     while done < n_updates:
         m = min(chunk, n_updates - done)
         first = done + 1  # 1-based index of the chunk's first update
-        # no later query looks at or before the previous chunk's last arrival
-        events.discard_through(arr_last)
+        # no later query reads the events the previous chunk's last update sampled
+        events.discard(count_last)
         arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)

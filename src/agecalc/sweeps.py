@@ -349,12 +349,11 @@ def bound_tail_slope(
     policy,
     eps_lo: float = 1e-9,
     eps_hi: float = 1e-8,
-    metric: Metric = Metric.DELAY,
 ) -> float:
-    """Decay rate d(ln eps)/d(bound) of the optimized bound curve, estimated
+    """Decay rate d(ln eps)/d(bound) of the optimized delay bound curve, estimated
     at the deep end of the tail where the curve approaches its asymptote."""
-    b_lo = optimize_theta(Scenario(event_model, service_model, policy, eps_lo), metric).value
-    b_hi = optimize_theta(Scenario(event_model, service_model, policy, eps_hi), metric).value
+    b_lo = optimize_theta(Scenario(event_model, service_model, policy, eps_lo), Metric.DELAY).value
+    b_hi = optimize_theta(Scenario(event_model, service_model, policy, eps_hi), Metric.DELAY).value
     return (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
 
 
@@ -472,20 +471,19 @@ def _argmin_doi(event_model, service_model, epsilon: float, params: Iterable,
     return best
 
 
-def best_event_threshold(
-    event_model, service_model, epsilon: float, search_upto: int = 40
-) -> Tuple[int, float]:
-    """Integer event threshold minimizing the deviation bound."""
-    return _argmin_doi(event_model, service_model, epsilon, range(1, search_upto + 1),
-                       EventTriggered, "no stable threshold up to %d" % search_upto)
+MAX_THRESHOLD = 40
+INTERVAL_SEARCH_GRID = tuple(np.linspace(4.5, 40.0, 356))
 
 
-def best_update_interval(
-    event_model, service_model, epsilon: float,
-    grid: Sequence[float] = tuple(np.linspace(4.5, 40.0, 356)),
-) -> Tuple[float, float]:
-    """Update interval minimizing the deviation bound over a fine grid."""
-    return _argmin_doi(event_model, service_model, epsilon, grid,
+def best_event_threshold(event_model, service_model, epsilon: float) -> Tuple[int, float]:
+    """Integer event threshold up to MAX_THRESHOLD minimizing the deviation bound."""
+    return _argmin_doi(event_model, service_model, epsilon, range(1, MAX_THRESHOLD + 1),
+                       EventTriggered, "no stable threshold up to %d" % MAX_THRESHOLD)
+
+
+def best_update_interval(event_model, service_model, epsilon: float) -> Tuple[float, float]:
+    """Update interval minimizing the deviation bound over INTERVAL_SEARCH_GRID."""
+    return _argmin_doi(event_model, service_model, epsilon, INTERVAL_SEARCH_GRID,
                        TimeTriggered, "no stable interval in grid")
 
 

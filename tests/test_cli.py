@@ -117,7 +117,16 @@ INVALID_INPUTS = {
     "simulate-mu-inf": ("simulate", SIM_CONFIG.replace("mu = 1.0", "mu = inf")),
     "simulate-w-nan": ("simulate", BASE_CONFIG.replace("w = 5", "w = nan")),
     "simulate-epsilon-inf": ("simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = inf")),
+    "simulate-epsilon-above-1": (
+        "simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = 1e-2,2")),
 }
+
+# (command, flag) pairs of flags a command does not read, which it rejects
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in ("bound", "sweep")
+    for flag in (["--samples", "10"], ["--seed", "1"], ["--workers", "1"])
+] + [("figure", ["--allow-vacuous"])]
 
 
 class TestCli:
@@ -126,10 +135,22 @@ class TestCli:
         command, text = INVALID_INPUTS[case]
         cfg = _write(tmp_path, "bad.cfg", text)
         out = tmp_path / "bad.csv"
-        argv = [command, "--config", cfg, "--out", str(out), "--allow-vacuous", "--workers", "1"]
+        argv = [command, "--config", cfg, "--out", str(out), "--allow-vacuous"]
+        if command == "simulate":
+            argv += ["--workers", "1"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                             ids=["%s %s" % (c, f[0]) for c, f in UNREAD_FLAGS])
+    def test_unread_flag_exit_2(self, command, flag, tmp_path, capsys):
+        cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
+        argv = [command, "fig3"] if command == "figure" else [command, "--config", cfg]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % flag[0] in capsys.readouterr().err
 
     def test_bound_command_deterministic_values(self, tmp_path, capsys):
         cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)

@@ -12,7 +12,6 @@ from agecalc import (
     Deterministic,
     EmpiricalTail,
     EventStream,
-    EventStreamExhausted,
     EventTriggered,
     Exponential,
     InsufficientSamples,
@@ -59,19 +58,8 @@ class TestGenerateArrivals:
         events = EventStream(Exponential(1.0), 6)
         arrivals = policy.arrivals(events, 1, 8)
         counts = policy.sampled_counts(events, arrivals, 1)
-        times = EventStream(Exponential(1.0), 6).take(1000)
+        times = EventStream(Exponential(1.0), 6).take(0, 1000)
         assert np.array_equal(counts, [np.count_nonzero(times <= a) for a in arrivals])
-
-    def test_event_triggered_needs_enough_events(self):
-        # two events cannot form even the first update of threshold 3
-        events = EventStream(Exponential(1.0), 5, max_events=2)
-        with pytest.raises(EventStreamExhausted):
-            EventTriggered(3).arrivals(events, 1, 1)
-
-    def test_capped_stream_raises(self):
-        events = EventStream(Exponential(1.0), 5, max_events=10)
-        with pytest.raises(EventStreamExhausted):
-            EventTriggered(4).arrivals(events, 1, 3)
 
 
 def _serve(arrivals, service):
@@ -280,7 +268,7 @@ class TestEventStream:
     def test_mean_inter_event_sanity(self):
         for model in (Exponential(0.5), Deterministic(2.0)):
             stream = EventStream(model, 33)
-            times = stream.take(200_000)
+            times = stream.take(0, 200_000)
             gaps = np.diff(np.concatenate([[0.0], times]))
             se = gaps.std() / math.sqrt(len(gaps)) + 1e-12
             assert abs(gaps.mean() - model.mean) <= 3 * se
@@ -291,94 +279,97 @@ class TestEventStream:
         counts = stream.count_upto(ts)
         # reference: regenerate the same stream and count directly
         ref = EventStream(Exponential(1.0), 4)
-        times = ref.take(1000)
+        times = ref.take(0, 1000)
         expected = np.searchsorted(times, ts, side="right")
         assert np.array_equal(counts, expected)
 
     def test_discard_preserves_counts(self):
         stream = EventStream(Exponential(1.0), 4)
         before = stream.count_upto(np.array([10.0, 20.0]))
-        stream.discard_through(10.0)
+        stream.discard(int(before[0]))
         after = stream.count_upto(np.array([20.0]))
         assert after[0] == before[1]
 
     def test_take_after_discarding_untaken_events_raises(self):
         stream = EventStream(Exponential(1.0), 5)
-        stream.count_upto(np.array([60_000.0]))
-        stream.discard_through(50_000.0)
-        stream.count_upto(np.array([130_000.0]))
-        with pytest.raises(RuntimeError, match="discard"):
-            stream.take(3)
+        n = int(stream.count_upto(np.array([60_000.0]))[0])
+        stream.discard(n)
+        with pytest.raises(ValueError, match="discarded"):
+            stream.take(0, 3)
+        with pytest.raises(ValueError, match="discarded"):
+            stream.take(n - 1, 3)
+        # the first event past the discard is still there
+        expected = EventStream(Exponential(1.0), 5).take(n, 3).copy()
+        assert np.array_equal(stream.take(n, 3), expected)
+
+    def test_discard_past_generated_events_raises(self):
+        stream = EventStream(Exponential(1.0), 5)
+        stream.take(0, 10)
+        generated = _BLOCK  # a take of fewer events grows the stream by one block
+        stream.discard(generated)
+        with pytest.raises(ValueError, match="generated"):
+            stream.discard(generated + 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
         model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
         seed=st.integers(0, 2**32 - 1),
-        cap=st.one_of(st.none(), st.integers(1, 3 * _BLOCK)),
         ops=st.lists(
             st.one_of(
-                st.tuples(st.just("take"), st.integers(0, 3 * _BLOCK // 2)),
+                st.tuples(st.just("take"), st.tuples(
+                    st.integers(0, _BLOCK), st.integers(0, 3 * _BLOCK // 2))),
                 st.tuples(st.just("count"), st.lists(
                     st.floats(0, 2e5) | st.integers(0, 400_000).map(lambda i: i / 2),
                     max_size=8,
                 )),
-                st.tuples(st.just("discard"), st.floats(0, 2e5)),
+                st.tuples(st.just("discard"), st.integers(0, 3 * _BLOCK)),
             ),
             max_size=20,
         ),
     )
-    def test_interleaved_queries_match_searchsorted(self, model, seed, cap, ops):
+    def test_interleaved_queries_match_searchsorted(self, model, seed, ops):
         # half-integer times tie with the deterministic events, whose sums
         # are exact; exponential event times are summed per block, so the
         # reference agrees with the stream to rounding and only exact ties
         # with them could count differently
-        n_ref = cap or sum(k for op, k in ops if op == "take") + 3 * int(2e5 / model.mean)
-        full = EventStream(model, seed).take(n_ref).copy()
-        stream = EventStream(model, seed, max_events=cap)
-        # generated: the stream holds events (a count or a take has grown
-        # it); behind: a discard before any event was taken dropped some
-        taken, floor, generated, behind = 0, 0.0, False, False
+        n_ref = sum(sum(arg) for op, arg in ops if op == "take") + 3 * int(2e5 / model.mean)
+        full = EventStream(model, seed).take(0, n_ref).copy()
+        stream = EventStream(model, seed)
+        # discarded: events 1 ... discarded are gone; known: events up to
+        # this index have been generated (taken or counted)
+        discarded, known = 0, 0
         for op, arg in ops:
             if op == "take":
-                if behind:
-                    with pytest.raises(RuntimeError, match="discard"):
-                        stream.take(arg)
-                    continue
-                if cap is not None and taken + arg > cap:
-                    with pytest.raises(EventStreamExhausted):
-                        stream.take(arg)
-                    generated = True
-                    continue
-                got = stream.take(arg)
-                assert np.allclose(got, full[taken:taken + arg], rtol=1e-12, atol=0)
-                taken += arg
+                offset, k = arg
+                start = discarded + offset
+                got = stream.take(start, k)
+                assert np.allclose(got, full[start:start + k], rtol=1e-12, atol=0)
+                known = max(known, start + k)
             elif op == "count":
+                floor = full[discarded - 1] if discarded else 0.0
                 times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
-                generated = generated or len(times) > 0
-                if cap is not None and len(times) and full[cap - 1] <= times[-1]:
-                    with pytest.raises(EventStreamExhausted):
-                        stream.count_upto(times)
-                    continue
-                assert cap is not None or full[-1] > times.max(initial=0.0)
+                assert full[-1] > times.max(initial=0.0)
                 expected = np.searchsorted(full, times, side="right")
                 assert np.array_equal(stream.count_upto(times), expected)
+                known = max(known, int(expected.max(initial=0)))
             else:
-                stream.discard_through(arg)
-                floor = max(floor, arg)
-                behind = behind or (taken == 0 and generated and full[0] <= arg)
+                count = min(arg, known)
+                stream.discard(count)
+                discarded = max(discarded, count)
 
     def test_take_view_lives_until_the_next_call(self):
         stream = EventStream(Exponential(1.0), 8)
-        first = stream.take(_BLOCK - 10)
+        first = stream.take(0, _BLOCK - 10)
         kept = first.copy()
-        assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(_BLOCK - 10))
+        assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(0, _BLOCK - 10))
         # the next block lands where the discarded events were: a view kept
         # across calls changes, which is why EventTriggered.arrivals copies
-        stream.discard_through(float(first[-1]))
-        second = stream.take(_BLOCK)
+        stream.discard(_BLOCK - 10)
+        second = stream.take(_BLOCK - 10, _BLOCK)
         assert np.shares_memory(first, second)
         assert not np.array_equal(first, kept)
-        arrivals = EventTriggered(2).arrivals(stream, 1, 10)
+        # update _BLOCK // 2 arrives with event _BLOCK, past the discard
+        arrivals = EventTriggered(2).arrivals(stream, _BLOCK // 2, 10)
         assert not np.shares_memory(arrivals, stream._store)
 
 
@@ -400,7 +391,8 @@ class _ConcatStream:
         self._generated += k
         return block
 
-    def take(self, k):
+    def take(self, start, k):
+        assert start == self._taken  # the old stream took from its own cursor
         parts = [self._buf]
         while self._generated < self._taken + k:
             parts.append(self._grow(max(self._taken + k - self._generated, _BLOCK)))
@@ -685,7 +677,7 @@ class TestRunReplications:
             t, a, f = _simulate_one(scenario, n, 99, 0, burn_in=0, chunk=1_024)
 
             times = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS)).take(
-                1 << 16
+                0, 1 << 16
             )
             if isinstance(policy, EventTriggered):
                 arrivals = times[2::3][:n]
