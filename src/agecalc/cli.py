@@ -306,6 +306,15 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (under a cpuset, os.cpu_count() counts the host's CPUs)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agecalc",
@@ -334,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="simulated updates per scenario",
         )
         p.add_argument(
-            "--workers", type=_positive_int, default=os.cpu_count() or 1,
-            help="worker processes for replications",
+            "--workers", type=_positive_int, default=_usable_cpus(),
+            help="worker processes for replications (default: the usable CPUs)",
         )
     return parser
 

@@ -6,15 +6,15 @@ works for light-tailed models, so each model class answers everything the
 calculus and the simulator ask of a distribution: `log_mgf(theta)`, its
 validity limit `mgf_limit`, the `mean`, the log-MGF `envelope_rate(theta)`
 per unit of theta, the residual-time term `log_residual_mgf(theta)` and
-`sample(rng, size)`. The theta-valued methods take a float or an array of
-theta and return +inf where the MGF diverges.
+`sample(rng, size, out=None)`. The theta-valued methods take a float or an
+array of theta and return +inf where the MGF diverges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -69,8 +69,14 @@ class Exponential:
         the residual is an ordinary inter-event time."""
         return self.log_mgf(-theta)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, size)
+    def sample(
+        self, rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The bits of rng.exponential(1/rate, size), which scales the same
+        standard draws by the same factor."""
+        x = rng.standard_exponential(size, out=out)
+        x *= 1.0 / self.rate
+        return x
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,12 @@ class Deterministic:
         """0: the residual-time factor is estimated by 1, always an upper bound."""
         return 0.0
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value)
+    def sample(
+        self, rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        x = np.empty(size) if out is None else out
+        x.fill(self.value)
+        return x
 
 
 @dataclass(frozen=True)
@@ -137,13 +147,25 @@ class Erlang:
         """0: the residual-time factor is estimated by 1, always an upper bound."""
         return 0.0
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.gamma(self.shape, 1.0 / self.rate, size)
+    def sample(
+        self, rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The bits of rng.gamma(shape, 1/rate, size), which scales the same
+        standard draws by the same factor."""
+        x = rng.standard_gamma(self.shape, size, out=out)
+        x *= 1.0 / self.rate
+        return x
 
 
 DistributionModel = Union[Exponential, Deterministic, Erlang]
 
 
-def sample(model: DistributionModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw iid samples as a float array of the given size."""
-    return model.sample(rng, size)
+def sample(
+    model: DistributionModel,
+    rng: np.random.Generator,
+    size: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Draw `size` iid samples as a float array, written into `out` (a float64
+    array of that length) when given; returns the array written."""
+    return model.sample(rng, size, out)

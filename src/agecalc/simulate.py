@@ -42,6 +42,7 @@ STREAM_SERVICE = 1
 _BLOCK = 1 << 16
 _CHUNK = 1 << 18
 _BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
+_COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000
 
 
@@ -97,10 +98,11 @@ class EventStream:
                 store = np.empty((live + k) * 5 // 4)
             store[:live] = self._store[self._lo:self._hi]
             self._store, self._lo, self._hi = store, 0, live
-        # cumsum, then += _last_time: the operands of _last_time + cumsum(draws),
-        # so the same bits, written straight into the store
-        draws = sample(self.model, self.rng, k)
-        block = np.cumsum(draws, out=self._store[self._hi:self._hi + k])
+        # draw into the store, cumsum in place, then += _last_time: the
+        # operands of _last_time + cumsum(draws), so the same bits, with no
+        # array besides the store
+        block = sample(self.model, self.rng, k, out=self._store[self._hi:self._hi + k])
+        np.cumsum(block, out=block)
         block += self._last_time
         self._last_time = float(block[-1])
         self._hi += k
@@ -126,12 +128,25 @@ class EventStream:
         Times must not precede the last discarded event.
         """
         times = np.asarray(times, dtype=np.float64)
-        if len(times):
-            t = float(times[-1])
-            while self._last_time <= t:
-                self._grow(_BLOCK)
-        counts = np.searchsorted(self._store[self._lo:self._hi], times, side="right")
-        counts += self._first - 1
+        n = len(times)
+        counts = np.empty(n, dtype=np.intp)
+        if n == 0:
+            return counts
+        t = float(times[-1])
+        while self._last_time <= t:
+            self._grow(_BLOCK)
+        live = self._store[self._lo:self._hi]
+        # anchors: the counts at every _COUNT_BLOCK-th time and at the last
+        # one. The counts of the times from one anchor to the next lie
+        # between theirs, so each block searches only the events in between,
+        # a slice that stays in L2, and the counts are exactly those of a
+        # search of the whole window.
+        anchors = np.searchsorted(live, times[np.r_[0:n:_COUNT_BLOCK, n - 1]], side="right")
+        anchors = anchors.tolist()
+        for b, i in enumerate(range(0, n, _COUNT_BLOCK)):
+            lo, hi = anchors[b], anchors[b + 1]
+            found = np.searchsorted(live[lo:hi], times[i:i + _COUNT_BLOCK], side="right")
+            np.add(found, lo + self._first - 1, out=counts[i:i + _COUNT_BLOCK])
         return counts
 
     def discard(self, count: int) -> None:
@@ -287,9 +302,12 @@ class EmpiricalTail:
     def _sorted_samples(self) -> np.ndarray:
         if self._sorted is None:
             # concatenate always copies, so the in-place sort never touches
-            # a caller's array
+            # a caller's array. The sorted copy holds the same samples as the
+            # chunks, so it becomes the only chunk and the arrays the tail
+            # held are released.
             self._sorted = np.concatenate(self._chunks or [np.empty(0)])
             self._sorted.sort()
+            self._chunks = [self._sorted]
         return self._sorted
 
     def quantile(self, epsilon: float) -> float:

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from agecalc import SweepSpec, params_for_utilization, round_threshold, sweep_rows
-from agecalc.cli import CSV_HEADER, main, parse_config
+from agecalc.cli import CSV_HEADER, build_parser, main, parse_config
 from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, TIME_TRIGGERED
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # (source, metric) pairs of each figure preset: bound rows (and fig3's exact
@@ -318,12 +322,23 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
+        # the child imports agecalc from src, as plain pytest's pythonpath does
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "agecalc", "bound", "--config", cfg],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+        # under a cpuset the affinity mask is smaller than the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert build_parser().parse_args(["simulate", "--config", "x.cfg"]).workers == 2
+        assert build_parser().parse_args(["figure", "fig3"]).workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().parse_args(["figure", "fig3"]).workers == 64
 
     def test_parse_config_types(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "t.cfg", SIM_CONFIG))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agecalc import Deterministic, Erlang, Exponential, sample
+from agecalc import Deterministic, Erlang, Exponential, derive_rng, sample
 
 rates = st.floats(min_value=0.05, max_value=20.0)
 
@@ -82,6 +82,33 @@ def test_means_match_monte_carlo():
         draws = sample(model, rng, n)
         se = draws.std() / math.sqrt(n)
         assert abs(draws.mean() - model.mean) <= 3 * se + 1e-12
+
+
+# the generator calls each model's draws must reproduce bit for bit
+SEED_CONTRACT = {
+    Exponential: lambda m, rng, n: rng.exponential(1.0 / m.rate, n),
+    Erlang: lambda m, rng, n: rng.gamma(m.shape, 1.0 / m.rate, n),
+    Deterministic: lambda m, rng, n: np.full(n, m.value),
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Exponential(0.05), Exponential(0.5), Exponential(3.7), Erlang(1, 0.5), Erlang(3, 0.25),
+     Erlang(7, 2.0), Erlang(16, 1.0), Deterministic(0.3)],
+)
+def test_sample_keeps_the_seed_contract(model):
+    n = 100_000
+    expected = SEED_CONTRACT[type(model)](model, derive_rng(11, 0, 0), n)
+    plain = sample(model, derive_rng(11, 0, 0), n)
+    # into a view inside a larger array, as the event stream's store passes it
+    store = np.zeros(n + 10)
+    out = store[5:n + 5]
+    written = sample(model, derive_rng(11, 0, 0), n, out=out)
+    assert written is out and not store[:5].any() and not store[n + 5:].any()
+    for x in (plain, out):
+        assert x.dtype == np.float64
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import math
 import pickle
+import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from agecalc import (
     Deterministic,
     EmpiricalTail,
+    Erlang,
     EventStream,
     EventTriggered,
     Exponential,
@@ -25,6 +28,7 @@ from agecalc import simulate
 from agecalc.simulate import (
     _BIN_BLOCK,
     _BLOCK,
+    _COUNT_BLOCK,
     STREAM_EVENTS,
     STREAM_SERVICE,
     _bin,
@@ -257,6 +261,29 @@ class TestEmpiricalTail:
         ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
         assert np.array_equal(_bin(x, edges), np.bincount(ref, minlength=bins + 1))
 
+    def test_raw_tail_keeps_one_sorted_copy(self):
+        # the first query sorts a copy that replaces the caller's arrays;
+        # the samples are the same, so no later answer changes
+        rng = np.random.default_rng(31)
+        first, second = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
+        fresh = EmpiricalTail(raw_limit=150_000)
+        fresh.add(first.copy())
+        fresh.add(second.copy())
+        tail = EmpiricalTail(raw_limit=150_000)
+        tail.add(first.copy())
+        given = weakref.ref(tail._chunks[0])
+        ordered = np.sort(first)
+        for eps in (1e-1, 1e-2, 1e-3):
+            assert tail.quantile(eps) == ordered[len(ordered) - 1 - round(eps * len(ordered))]
+        assert given() is None
+        assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
+        tail.add(second.copy())  # crosses raw_limit: the sorted copy is binned
+        assert tail.bin_width == fresh.bin_width > 0
+        assert np.array_equal(tail._counts, fresh._counts)
+        for eps in (1e-1, 1e-2, 1e-3):
+            assert tail.quantile(eps) == fresh.quantile(eps)
+        assert tail.exceed_fraction(2.0) == fresh.exceed_fraction(2.0)
+
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
         tail = EmpiricalTail.from_samples(rng.exponential(1.0, 10_000))
@@ -356,6 +383,45 @@ class TestEventStream:
                 count = min(arg, known)
                 stream.discard(count)
                 discarded = max(discarded, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
+        seed=st.integers(0, 2**32 - 1),
+        discard=st.integers(0, 2 * _BLOCK),
+        n=st.integers(0, 3 * _COUNT_BLOCK + 1),
+        step=st.sampled_from((0.0, 0.5, 2.0, 40.0)),
+        halves=st.booleans(),
+    )
+    def test_blocked_counts_match_searchsorted(self, model, seed, discard, n, step, halves):
+        # up to three blocks of times and one more, starting at the discard
+        # floor, with runs of equal times and, on multiples of 0.5, ties
+        # with the deterministic events (whose sums are exact); stream and
+        # reference grow in the same block, so their events are the same bits
+        full = EventStream(model, seed).take(0, 8 * _BLOCK).copy()
+        stream = EventStream(model, seed)
+        stream.take(0, len(full))
+        stream.discard(discard)
+        gaps = np.random.default_rng(seed).exponential(step, n)
+        if halves:
+            gaps = np.round(2.0 * gaps) / 2.0
+        gaps[:1] = 0.0
+        times = (full[discard - 1] if discard else 0.0) + np.cumsum(gaps)
+        assert full[-1] > times.max(initial=0.0)
+        expected = np.searchsorted(full, times, side="right")
+        got = stream.count_upto(times)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_take_writes_each_event_once(self):
+        # the draws land in the store: no temporary array of the block
+        stream = EventStream(Exponential(0.5), 1)
+        tracemalloc.start()
+        try:
+            stream.take(0, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stream._store.nbytes + 1_000_000
 
     def test_take_view_lives_until_the_next_call(self):
         stream = EventStream(Exponential(1.0), 8)
@@ -476,6 +542,9 @@ class TestRunReplications:
             # each take of 16 * 5_000 events is larger than one block
             (Exponential(0.5), EventTriggered(16), Exponential(0.05), 5_000),
             (Deterministic(2.0), EventTriggered(16), Exponential(0.04), 1_024),
+            # gamma draws: a chunk's counts span two blocks; takes of 16 * 5_000
+            (Erlang(3, 1.5), TimeTriggered(13.0), Exponential(0.25), 20_000),
+            (Erlang(3, 1.5), EventTriggered(16), Exponential(0.05), 5_000),
         ]
         for events, policy, service, chunk in cases:
             scenario = Scenario(events, service, policy, 1e-3)
