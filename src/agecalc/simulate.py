@@ -18,6 +18,16 @@ SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
 events and 1 for service. Event times are generated lazily in blocks and
 discarded once no later update reads them, so memory stays bounded at any
 sample count.
+
+With a process pool, the replications up to the one that takes the tails
+past their raw limit hand their samples to the parent through a file: the
+worker writes its three arrays with `ndarray.tofile` into a temporary
+directory (under TMPDIR), and the parent maps the file read-only and
+unlinks it at once, so no sample array is pickled. The mapped pages stay
+on disk until the tails bin them or sort them into arrays of their own: at
+most the first raw_limit // (samples per replication) + 1 replications at
+24 bytes per update, about 290 MB with the default raw limit and 2M-update
+replications. Later replications return bin counts.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
+import tempfile
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -435,6 +447,37 @@ def _simulate_binned(
     return [_binned(x, e) for x, e in zip(samples, edges)]
 
 
+def _write_samples(path: str, samples: Sequence[np.ndarray]) -> None:
+    # write(), not a writable mapping, so that a full disk raises OSError
+    # here instead of killing the worker with SIGBUS on a page fault
+    with open(path, "wb") as f:
+        for x in samples:
+            x.tofile(f)
+
+
+def _simulate_to_file(
+    scenario: Scenario,
+    n_updates: int,
+    base_seed: int,
+    replication: int,
+    burn_in: int,
+    path: str,
+) -> Tuple[str, List[int]]:
+    """One replication written to `path`, its arrays back to back in the
+    order of _simulate_one's: only the path and the lengths are pickled."""
+    samples = _simulate_one(scenario, n_updates, base_seed, replication, burn_in)
+    _write_samples(path, samples)
+    return path, [len(x) for x in samples]
+
+
+def _mapped(path: str, lengths: Sequence[int]) -> List[np.ndarray]:
+    """The arrays _simulate_to_file wrote, as read-only views of one mapping
+    of the file. The file is unlinked at once; the mapping keeps its pages."""
+    data = np.memmap(path, dtype=np.float64, mode="r")
+    os.unlink(path)
+    return np.split(data, np.cumsum(lengths)[:-1])
+
+
 def run_replications(
     scenario: Scenario,
     n_updates: int,
@@ -449,7 +492,9 @@ def run_replications(
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
     replications are merged in index order as they arrive. The pool has
-    min(workers, n_reps) processes.
+    min(workers, n_reps) processes; the files through which they hand over
+    raw samples live in a directory under TMPDIR that is removed when the
+    call returns or raises.
     """
     scenario.policy.check_simulable()
     if burn_in < 0:
@@ -471,27 +516,38 @@ def run_replications(
     # Replication `switch` takes every tail past raw_limit (peak age and
     # deviation have one sample fewer than delay per replication, so they
     # cross last), and the histogram edges depend on the pooled maximum at
-    # each tail's crossing. So the replications up to it return their
-    # samples and are added raw, in index order; once its result is in, the
-    # edges are known, and the later replications are submitted to be binned
-    # where they run and are merged as counts. They are submitted before the
-    # switch is merged, so the workers simulate while the parent bins its
-    # raw samples, and none of their samples lands in the parent.
+    # each tail's crossing. So the replications up to it hand over their
+    # samples (in a pool, through a file the parent maps) and are added raw,
+    # in index order; once its result is in, the edges are known, and the
+    # later replications are submitted to be binned where they run and are
+    # merged as counts. They are submitted before the switch is merged, so
+    # the workers simulate while the parent bins its raw samples, and none
+    # of their samples lands in the parent.
     switch = min(raw_limit // (n_updates - burn_in - 1), n_reps - 1)
     workers = min(workers, n_reps)
     with contextlib.ExitStack() as stack:
-        # submit(fn, *args) returns a call that gives fn(*args); serially,
-        # that call runs the replication when its turn comes
+        # submit(fn, *args) returns a call that gives fn(*args), and
+        # submit_raw(r) one that gives replication r's sample arrays;
+        # serially, these calls run the replication when its turn comes
+        args = (scenario, n_updates, base_seed)
         if workers > 1:
+            # entered before the pool, so it is removed after the workers stop
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 
             def submit(fn, *args):
                 return pool.submit(fn, *args).result
+
+            def submit_raw(r):
+                written = submit(_simulate_to_file, *args, r, burn_in, os.path.join(tmp, str(r)))
+                return lambda: _mapped(*written())
         else:
             submit = functools.partial
 
-        args = (scenario, n_updates, base_seed)
-        pending = deque(submit(_simulate_one, *args, r, burn_in) for r in range(switch + 1))
+            def submit_raw(r):
+                return submit(_simulate_one, *args, r, burn_in)
+
+        pending = deque(submit_raw(r) for r in range(switch + 1))
         for r in range(switch + 1):
             samples = pending.popleft()()
             if r == switch and switch < n_reps - 1:

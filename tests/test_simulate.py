@@ -1,5 +1,8 @@
+import errno
 import math
+import os
 import pickle
+import tempfile
 import tracemalloc
 import warnings
 import weakref
@@ -33,8 +36,19 @@ from agecalc.simulate import (
     STREAM_SERVICE,
     _bin,
     _fifo_chunk,
+    _mapped,
     _simulate_one,
 )
+
+
+def _file_backed(x):
+    """Whether x is a view of a read-only file mapping."""
+    writeable = x.flags.writeable
+    while isinstance(x, np.ndarray):
+        if isinstance(x, np.memmap):
+            return not writeable and x.mode == "r"
+        x = x.base
+    return False
 
 
 class TestGenerateArrivals:
@@ -261,9 +275,10 @@ class TestEmpiricalTail:
         ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
         assert np.array_equal(_bin(x, edges), np.bincount(ref, minlength=bins + 1))
 
-    def test_raw_tail_keeps_one_sorted_copy(self):
-        # the first query sorts a copy that replaces the caller's arrays;
-        # the samples are the same, so no later answer changes
+    def test_raw_tail_keeps_one_sorted_copy(self, tmp_path):
+        # the first query sorts a copy that replaces the caller's arrays,
+        # an array of its own or views of a file mapping alike; the samples
+        # are the same, so no later answer changes
         rng = np.random.default_rng(31)
         first, second = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
         fresh = EmpiricalTail(raw_limit=150_000)
@@ -272,10 +287,21 @@ class TestEmpiricalTail:
         tail = EmpiricalTail(raw_limit=150_000)
         tail.add(first.copy())
         given = weakref.ref(tail._chunks[0])
+        path = str(tmp_path / "first")
+        simulate._write_samples(path, [first[:40_000], first[40_000:]])
+        mapped = EmpiricalTail(raw_limit=150_000)
+        for x in _mapped(path, [40_000, 60_000]):
+            assert _file_backed(x)
+            mapped.add(x)
+        mapping = weakref.ref(mapped._chunks[0].base.base)
+        assert isinstance(mapping(), np.memmap) and not os.listdir(tmp_path)
+        del x
         ordered = np.sort(first)
         for eps in (1e-1, 1e-2, 1e-3):
-            assert tail.quantile(eps) == ordered[len(ordered) - 1 - round(eps * len(ordered))]
-        assert given() is None
+            expected = ordered[len(ordered) - 1 - round(eps * len(ordered))]
+            assert tail.quantile(eps) == mapped.quantile(eps) == expected
+        assert given() is None and mapping() is None
+        assert np.array_equal(mapped._chunks[0], ordered) and mapped._chunks[0].flags.owndata
         assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
         tail.add(second.copy())  # crosses raw_limit: the sorted copy is binned
         assert tail.bin_width == fresh.bin_width > 0
@@ -695,8 +721,12 @@ class TestRunReplications:
 
     def test_results_after_the_switch_are_counts(self, monkeypatch):
         # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
-        # second replication switches, the third returns bin counts
-        sizes = {}
+        # second replication switches, the third returns bin counts. No
+        # result carries a sample array: the first two hand theirs over as
+        # files, which the tails hold as read-only mappings until the switch
+        # bins them, and the later ones are 10,001 counts per metric (80 KB)
+        # plus under 64 KB
+        sizes, counts, switched = {}, {}, []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -712,17 +742,70 @@ class TestRunReplications:
                 future = Future()
                 future.set_result(fn(*args))
                 sizes[args[3]] = len(pickle.dumps(future.result()))
+                if fn is simulate._simulate_binned:
+                    counts[args[3]] = sum(c.nbytes for *_, c in future.result())
                 return future
 
+        to_histogram = simulate.EmpiricalTail._to_histogram
+
+        def checked_to_histogram(tail):
+            switched.append([_file_backed(x) for x in tail._chunks])
+            to_histogram(tail)
+
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", checked_to_histogram)
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         tails = run_replications(
             scenario, 150_000, 4, 3, burn_in=1_000, workers=2, raw_limit=200_000
         )
         assert tails.delay.bin_width > 0
-        assert sorted(sizes) == [0, 1, 2, 3]
-        assert min(sizes[0], sizes[1]) > 3 * 1_000_000
-        assert max(sizes[2], sizes[3]) < 1_000_000
+        assert sorted(sizes) == [0, 1, 2, 3] and sorted(counts) == [2, 3]
+        assert switched == [[True, True]] * 3
+        assert max(sizes[0], sizes[1]) < 64 * 1024
+        assert max(sizes[r] - counts[r] for r in (2, 3)) < 64 * 1024
+
+    def test_pooled_raw_tails_match_serial(self):
+        # 3 x 19,000 samples per metric stay below the raw limit: the pooled
+        # tails hold the mapped files until the first query sorts them into
+        # an array of their own
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
+        pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
+        for name, tail in pooled.by_name().items():
+            ref = serial.by_name()[name]
+            mapped = list(tail._chunks)
+            assert len(mapped) == 3 and all(_file_backed(x) for x in mapped)
+            assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
+            for eps in (1e-1, 1e-2, 1e-3):
+                assert tail.quantile(eps) == ref.quantile(eps)
+            assert len(tail._chunks) == 1 and tail._chunks[0].flags.owndata
+            assert not any(np.shares_memory(tail._chunks[0], x) for x in mapped)
+            assert np.array_equal(tail._sorted_samples(), ref._sorted_samples())
+            for x in (2.0, 10.0, float(np.median(mapped[0]))):
+                assert tail.exceed_fraction(x) == ref.exceed_fraction(x)
+
+    def test_no_file_outlives_a_run(self, monkeypatch, tmp_path):
+        # the writer is looked up in the module when a worker runs, so a
+        # patch made before the pool forks reaches the workers
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
+        assert list(tmp_path.iterdir()) == []
+
+        write = simulate._write_samples
+
+        def full_disk_at_1(path, samples):
+            if os.path.basename(path) == "1":
+                with open(path, "wb") as f:
+                    samples[0][:100].tofile(f)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            write(path, samples)
+
+        monkeypatch.setattr(simulate, "_write_samples", full_disk_at_1)
+        with pytest.raises(OSError) as raised:
+            run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
+        assert raised.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
