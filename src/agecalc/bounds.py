@@ -217,7 +217,6 @@ def doi_epsilon_bound(scenario: Scenario, theta: Theta) -> DoiBound:
 _GRID_POINTS = 200
 _REFINE_RTOL = 1e-6
 _THETA_CAP = 1e3
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _theta_limit(scenario: Scenario, metric: Metric) -> float:
@@ -241,41 +240,32 @@ def _objective(scenario: Scenario, metric: Metric, theta: Theta) -> Theta:
 
 
 def optimize_theta(scenario: Scenario, metric: Metric) -> BoundResult:
-    """Minimize the bound over theta: coarse log grid, then golden-section.
+    """Minimize the bound over theta: a log grid up to the usable limit,
+    then linear grids between the best probe's two neighbours until they lie
+    within _REFINE_RTOL of each other; each grid is one array evaluation.
 
-    Every probed theta yields a valid bound, so the result is sound even if
-    the true minimizer lies between probes. Raises NoFeasibleTheta when no
-    probe satisfies the stability condition.
+    Every probed theta yields a valid bound, so the minimum over all probes
+    is sound even if the true minimizer lies between them. Raises
+    NoFeasibleTheta when no probe of the log grid satisfies the stability
+    condition.
     """
     metric = Metric(metric)
     theta_hi = _theta_limit(scenario, metric)
-    grid = np.geomspace(theta_hi * 1e-9, theta_hi, _GRID_POINTS)
-    values = _objective(scenario, metric, grid)
-    i = int(np.argmin(values))
-    if not math.isfinite(values[i]):
-        raise NoFeasibleTheta(
-            "no stable theta found (utilization %.4f)" % scenario.utilization
-        )
-    best_theta, best_value = float(grid[i]), float(values[i])
-
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(len(grid) - 1, i + 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _objective(scenario, metric, c)
-    fd = _objective(scenario, metric, d)
-    while (b - a) > _REFINE_RTOL * 0.5 * (a + b):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _objective(scenario, metric, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _objective(scenario, metric, d)
-        for th, fv in ((c, fc), (d, fd)):
-            if fv < best_value:
-                best_theta, best_value = th, float(fv)
+    probes = np.geomspace(theta_hi * 1e-9, theta_hi, _GRID_POINTS)
+    best_theta, best_value = math.nan, math.inf
+    while True:
+        values = _objective(scenario, metric, probes)
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_theta, best_value = float(probes[i]), float(values[i])
+        if not math.isfinite(best_value):
+            raise NoFeasibleTheta(
+                "no stable theta found (utilization %.4f)" % scenario.utilization
+            )
+        a, b = probes[max(0, i - 1)], probes[min(_GRID_POINTS - 1, i + 1)]
+        if b - a <= _REFINE_RTOL * 0.5 * (a + b):
+            break
+        probes = np.linspace(a, b, _GRID_POINTS)
 
     value_int = None
     vacuous = scenario.epsilon >= 1.0 or best_value < 0.0

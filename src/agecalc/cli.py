@@ -39,6 +39,7 @@ from .sweeps import (
     CSV_HEADER,
     DEFAULT_SAMPLES,
     FIGURES,
+    SWEEP_FIGURES,
     CsvRow,
     SampleBudgetError,
     SweepSpec,
@@ -230,6 +231,11 @@ def cmd_figure(args) -> Tuple[List[CsvRow], Optional[Dict]]:
         raise ConfigError(
             "unknown figure %r (choose from %s)" % (args.name, ", ".join(sorted(FIGURES)))
         )
+    if args.name in SWEEP_FIGURES:
+        # --seed and --workers change no byte of a bound-only preset
+        if args.samples is not None:
+            raise ConfigError("figure %s draws no samples; --samples does not apply" % args.name)
+        return FIGURES[args.name]()
     samples = args.samples or DEFAULT_SAMPLES
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     try:

@@ -533,7 +533,9 @@ def run_replications(
         if workers > 1:
             # entered before the pool, so it is removed after the workers stop
             tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # on an error, the replications no worker has taken yet are cancelled
+            stack.callback(pool.shutdown, cancel_futures=True)
 
             def submit(fn, *args):
                 return pool.submit(fn, *args).result

@@ -343,15 +343,14 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     return rows, summary
 
 
-def bound_tail_slope(
-    event_model,
-    service_model,
-    policy,
-    eps_lo: float = 1e-9,
-    eps_hi: float = 1e-8,
-) -> float:
-    """Decay rate d(ln eps)/d(bound) of the optimized delay bound curve, estimated
-    at the deep end of the tail where the curve approaches its asymptote."""
+SLOPE_EPS = (1e-9, 1e-8)
+
+
+def bound_tail_slope(event_model, service_model, policy) -> float:
+    """Decay rate d(ln eps)/d(bound) of the optimized delay bound curve between
+    the two SLOPE_EPS, at the deep end of the tail where the curve approaches
+    its asymptote."""
+    eps_lo, eps_hi = SLOPE_EPS
     b_lo = optimize_theta(Scenario(event_model, service_model, policy, eps_lo), Metric.DELAY).value
     b_hi = optimize_theta(Scenario(event_model, service_model, policy, eps_hi), Metric.DELAY).value
     return (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
@@ -373,8 +372,8 @@ SWEEP_SERVICE_RATE = 0.25
 INTERVAL_GRID = tuple(1.0 / (np.asarray(UTILIZATION_GRID) * SWEEP_SERVICE_RATE))
 
 
-def _sweep_figure(name: str, samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Dict]:
-    """Bound curves of one SWEEP_FIGURES entry; the budget arguments are unused."""
+def _sweep_figure(name: str) -> Tuple[List[CsvRow], Dict]:
+    """Bound curves of one SWEEP_FIGURES entry; draws no samples."""
     event_kind, event_rate, service_kind, axis = SWEEP_FIGURES[name]
     if axis == "w":
         metrics, grid = (Metric.DELAY, Metric.PEAK_AOI), INTERVAL_GRID
@@ -503,7 +502,9 @@ def figure_fig8(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     return rows, summary
 
 
-FIGURES: Dict[str, Callable[[int, int, int], Tuple[List[CsvRow], Dict]]] = {
+# name -> preset; the SWEEP_FIGURES presets take no arguments, the others
+# the simulation budget (samples, seed, workers)
+FIGURES: Dict[str, Callable[..., Tuple[List[CsvRow], Dict]]] = {
     "fig3": figure_fig3,
     "fig7": figure_fig7,
     "fig8": figure_fig8,

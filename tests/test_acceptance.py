@@ -69,8 +69,7 @@ def test_criterion_2_tail_decay_and_dominance():
         # decay rate of the optimized bound, measured at the deep end of the
         # examined window eps in [1e-9, 1e-3] where the curve approaches its
         # asymptote; must match the exact rate -(mu - lambda) = -0.5 within 5%
-        slope = bound_tail_slope(events, service, EventTriggered(1),
-                                 eps_lo=1e-9, eps_hi=1e-8)
+        slope = bound_tail_slope(events, service, EventTriggered(1))
         assert abs(slope - (-0.5)) / 0.5 <= 0.05, "slope %.5f" % slope
 
         tt = TimeTriggered(2.0)
@@ -99,7 +98,7 @@ def test_criterion_3_deterministic_queue_exactness():
 
 def test_criterion_4_utilization_sweep_optimum():
     def check():
-        _, summary = FIGURES["fig6a"](0, 0, 1)
+        _, summary = FIGURES["fig6a"]()
         assert summary["min_aoi_bound"] == pytest.approx(88.0, rel=0.05)
         assert summary["min_doi_bound"] == pytest.approx(44.0, rel=0.05)
         assert abs(summary["argmin_utilization"] - 0.30) <= 0.05

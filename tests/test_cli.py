@@ -8,7 +8,7 @@ import pytest
 
 from agecalc import SweepSpec, params_for_utilization, round_threshold, sweep_rows
 from agecalc.cli import CSV_HEADER, build_parser, main, parse_config
-from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, TIME_TRIGGERED
+from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, SWEEP_FIGURES, TIME_TRIGGERED
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -245,6 +245,18 @@ class TestCli:
         assert main(["figure", "fig3", "--samples", "5"]) == 2
         assert "too small for burn_in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIGURES))
+    def test_bound_only_figure_rejects_samples_exit_2(self, name, capsys):
+        assert main(["figure", name, "--samples", "5"]) == 2
+        assert "--samples does not apply" in capsys.readouterr().err
+
+    def test_bound_only_figure_output_ignores_seed_and_workers(self, tmp_path, capsys):
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(["figure", "fig4a", "--out", str(plain)]) == 0
+        assert main(["figure", "fig4a", "--out", str(flagged), "--seed", "3",
+                     "--workers", "2"]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
     def test_unknown_figure_exit_2(self):
         assert main(["figure", "fig99"]) == 2
 
@@ -272,7 +284,7 @@ class TestCli:
         # verified against a dense brute-force theta sweep)
         from agecalc.sweeps import FIGURES
 
-        rows, _ = FIGURES["fig5"](0, 0, 1)
+        rows, _ = FIGURES["fig5"]()
         et_aoi = sorted(
             (r.utilization, r.value)
             for r in rows
@@ -312,8 +324,8 @@ class TestCli:
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_preset_rows(self, name, tmp_path, capsys):
         out = tmp_path / (name + ".csv")
-        assert main(["figure", name, "--out", str(out), "--samples", "30000",
-                     "--workers", "1"]) == 0
+        budget = [] if name in SWEEP_FIGURES else ["--samples", "30000"]
+        assert main(["figure", name, "--out", str(out), "--workers", "1"] + budget) == 0
         assert isinstance(json.loads(capsys.readouterr().out), dict)
         header, *lines = out.read_text().splitlines()
         assert header == CSV_HEADER

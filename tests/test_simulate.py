@@ -623,11 +623,8 @@ class TestRunReplications:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
             def submit(self, fn, *args):
                 future = Future()
@@ -660,11 +657,8 @@ class TestRunReplications:
             def __init__(self, max_workers):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
             def submit(self, fn, *args):
                 log.append(("submit", args[3]))
@@ -732,11 +726,8 @@ class TestRunReplications:
             def __init__(self, max_workers):
                 pass
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
             def submit(self, fn, *args):
                 future = Future()
@@ -787,25 +778,35 @@ class TestRunReplications:
     def test_no_file_outlives_a_run(self, monkeypatch, tmp_path):
         # the writer is looked up in the module when a worker runs, so a
         # patch made before the pool forks reaches the workers
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        tmp, seen = tmp_path / "tmp", tmp_path / "seen"
+        tmp.mkdir()
+        seen.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp.iterdir()) == []
 
         write = simulate._write_samples
 
-        def full_disk_at_1(path, samples):
-            if os.path.basename(path) == "1":
+        def full_disk_at_0(path, samples):
+            (seen / os.path.basename(path)).touch()
+            if os.path.basename(path) == "0":
                 with open(path, "wb") as f:
                     samples[0][:100].tofile(f)
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
             write(path, samples)
 
-        monkeypatch.setattr(simulate, "_write_samples", full_disk_at_1)
+        monkeypatch.setattr(simulate, "_write_samples", full_disk_at_0)
+        n_reps = 40
         with pytest.raises(OSError) as raised:
-            run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
+            run_replications(scenario, 100_000, n_reps, 5, burn_in=1_000, workers=2)
         assert raised.value.errno == errno.ENOSPC
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp.iterdir()) == []
+        # the replications queued behind the failure were cancelled, not
+        # simulated (a few are already handed to the workers when it raises)
+        simulated = {int(p.name) for p in seen.iterdir()}
+        assert 0 in simulated and n_reps - 1 not in simulated
+        assert len(simulated) <= n_reps // 2
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
