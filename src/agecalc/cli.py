@@ -14,8 +14,9 @@ Output is a CSV with the fixed header
 
 written to --out (default stdout) and byte-identical for identical config
 and seed, regardless of worker count. Figure commands also emit a JSON
-summary of their headline quantities: to stdout when the CSV goes to a
-file, to stderr when the CSV goes to stdout.
+summary of their headline quantities, its floats rounded to the CSV's 12
+significant digits: to stdout when the CSV goes to a file, to stderr when
+the CSV goes to stdout.
 
 Exit codes: 0 success (including flagged rows), 2 usage or config error,
 3 internal numerical failure.
@@ -263,6 +264,17 @@ def _fmt(x) -> str:
     return format(x, ".12g")
 
 
+def _rounded(x):
+    """x with every float, in nested dicts and lists too, rounded as `_fmt` prints it."""
+    if isinstance(x, float):
+        return float(format(x, ".12g"))
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rounded(v) for v in x]
+    return x
+
+
 def render_csv(rows: Sequence[CsvRow]) -> str:
     lines = [CSV_HEADER]
     for r in sorted(rows, key=lambda r: r.sort_key()):
@@ -376,7 +388,7 @@ def main(argv=None) -> int:
         return 3
     _write_output(render_csv(rows), args.out)
     if summary is not None:
-        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_rounded(summary), sort_keys=True, indent=2) + "\n"
         if args.out == "-":
             sys.stderr.write(text)
         else:

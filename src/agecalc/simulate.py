@@ -19,21 +19,22 @@ events and 1 for service. Event times are generated lazily in blocks and
 discarded once no later update reads them, so memory stays bounded at any
 sample count.
 
-With a process pool, the replications up to the one that takes the tails
-past their raw limit hand their samples to the parent through a file: the
-worker writes its three arrays with `ndarray.tofile` into a temporary
-directory (under TMPDIR), and the parent maps the file read-only and
-unlinks it at once, so no sample array is pickled. The mapped pages stay
-on disk until the tails bin them or sort them into arrays of their own: at
-most the first raw_limit // (samples per replication) + 1 replications at
-24 bytes per update, about 290 MB with the default raw limit and 2M-update
-replications. Later replications return bin counts.
+With a process pool, every replication hands its samples to the parent
+through a file: the worker writes its three arrays with `ndarray.tofile`
+into a temporary directory (under TMPDIR), and the parent maps the file
+read-only and unlinks it at once, so no sample array is pickled. The parent
+adds the replications to the tails in index order, as a serial run does,
+and keeps at most `workers` of them submitted beyond the one it is adding.
+A file's pages stay on disk until its tail bins them or sorts them into an
+array of its own: at most the replications up to the one that takes the
+tails past their raw limit, plus `workers` in flight, at 24 bytes per
+update (about 384 MB with the default raw limit, 2M-update replications
+and 2 workers).
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import tempfile
@@ -41,7 +42,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -234,20 +235,12 @@ def _bin(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
-Binned = Tuple[int, float, float, np.ndarray]
-
-
-def _binned(samples: np.ndarray, edges: np.ndarray) -> Binned:
-    """(count, min, max, per-bin counts) of a nonempty sample array."""
-    return len(samples), float(samples.min()), float(samples.max()), _bin(samples, edges)
-
-
 class EmpiricalTail:
     """Empirical complementary CDF of metric samples.
 
     Holds raw samples up to `raw_limit` and switches to a fixed-width
-    histogram (plus an overflow bin) beyond it; the histogram makes quantiles
-    conservative by at most one `bin_width`.
+    histogram (plus an overflow bin) beyond it, which bins every later `add`;
+    the histogram makes quantiles conservative by at most one `bin_width`.
     """
 
     def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000):
@@ -276,37 +269,22 @@ class EmpiricalTail:
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             return
-        if self._edges is not None:
-            self._merge(*_binned(samples, self._edges))
-            return
         self._n += len(samples)
         self._min = min(self._min, float(samples.min()))
         self._max = max(self._max, float(samples.max()))
+        if self._edges is not None:
+            self._counts += _bin(samples, self._edges)
+            return
         self._sorted = None
         self._chunks.append(samples)
         if self._n > self.raw_limit:
             self._to_histogram()
 
-    def _merge(self, n: int, lo: float, hi: float, counts: np.ndarray) -> None:
-        """Fold in samples binned against this tail's edges."""
-        self._n += n
-        self._min = min(self._min, lo)
-        self._max = max(self._max, hi)
-        self._counts += counts
-
-    def _edges_after(self, samples: np.ndarray) -> np.ndarray:
-        """The edges this tail bins against once `samples` are added, which
-        must take it past raw_limit if it is not past it yet."""
-        if self._edges is not None:
-            return self._edges
-        assert self._n + len(samples) > self.raw_limit
-        return _histogram_edges(max(self._max, float(samples.max())), self.bins)
-
     def _to_histogram(self) -> None:
         self._edges = _histogram_edges(self._max, self.bins)
         self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
-        # free each raw chunk once binned, so that replications arriving
-        # meanwhile reuse its memory instead of raising the peak
+        # free each raw chunk once binned, so the memory it holds (an array
+        # or a file mapping's pages) falls while the rest are binned
         chunks, self._chunks = self._chunks, []
         while chunks:
             self._counts += _bin(chunks.pop(0), self._edges)
@@ -433,20 +411,6 @@ def _simulate_one(
     return t_out[burn_in:], a_out[burn_in:], f_out[burn_in:]
 
 
-def _simulate_binned(
-    scenario: Scenario,
-    n_updates: int,
-    base_seed: int,
-    replication: int,
-    burn_in: int,
-    edges: Sequence[np.ndarray],
-) -> List[Binned]:
-    """One replication binned against each metric's edges, in the order of
-    _simulate_one's arrays: no sample array leaves the worker."""
-    samples = _simulate_one(scenario, n_updates, base_seed, replication, burn_in)
-    return [_binned(x, e) for x, e in zip(samples, edges)]
-
-
 def _write_samples(path: str, samples: Sequence[np.ndarray]) -> None:
     # write(), not a writable mapping, so that a full disk raises OSError
     # here instead of killing the worker with SIGBUS on a page fault
@@ -478,6 +442,22 @@ def _mapped(path: str, lengths: Sequence[int]) -> List[np.ndarray]:
     return np.split(data, np.cumsum(lengths)[:-1])
 
 
+def _pooled(
+    pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
+) -> Iterator[List[np.ndarray]]:
+    """Replications 0 ... n_reps - 1 in index order, each handed over through
+    a file in `tmp`. At most `workers` replications are submitted beyond the
+    one being yielded, so a failed run stops after at most that many more."""
+    futures = deque()
+    for r in range(n_reps):
+        path = os.path.join(tmp, str(r))
+        futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
+        if len(futures) > workers:
+            yield _mapped(*futures.popleft().result())
+    while futures:
+        yield _mapped(*futures.popleft().result())
+
+
 def run_replications(
     scenario: Scenario,
     n_updates: int,
@@ -491,10 +471,12 @@ def run_replications(
 
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
-    replications are merged in index order as they arrive. The pool has
-    min(workers, n_reps) processes; the files through which they hand over
-    raw samples live in a directory under TMPDIR that is removed when the
-    call returns or raises.
+    every replication's arrays are added to the tails in index order, which
+    bin them once past raw_limit. The pool has min(workers, n_reps)
+    processes and runs at most `workers` replications ahead of the one
+    being added, so a failed run simulates at most that many beyond it. The
+    files through which the workers hand over their samples live in a
+    directory under TMPDIR that is removed when the call returns or raises.
     """
     scenario.policy.check_simulable()
     if burn_in < 0:
@@ -513,56 +495,21 @@ def run_replications(
         EmpiricalTail(raw_limit=raw_limit),
         EmpiricalTail(raw_limit=raw_limit),
     )
-    # Replication `switch` takes every tail past raw_limit (peak age and
-    # deviation have one sample fewer than delay per replication, so they
-    # cross last), and the histogram edges depend on the pooled maximum at
-    # each tail's crossing. So the replications up to it hand over their
-    # samples (in a pool, through a file the parent maps) and are added raw,
-    # in index order; once its result is in, the edges are known, and the
-    # later replications are submitted to be binned where they run and are
-    # merged as counts. They are submitted before the switch is merged, so
-    # the workers simulate while the parent bins its raw samples, and none
-    # of their samples lands in the parent.
-    switch = min(raw_limit // (n_updates - burn_in - 1), n_reps - 1)
     workers = min(workers, n_reps)
+    args = (scenario, n_updates, base_seed)
     with contextlib.ExitStack() as stack:
-        # submit(fn, *args) returns a call that gives fn(*args), and
-        # submit_raw(r) one that gives replication r's sample arrays;
-        # serially, these calls run the replication when its turn comes
-        args = (scenario, n_updates, base_seed)
         if workers > 1:
             # entered before the pool, so it is removed after the workers stop
             tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
             pool = ProcessPoolExecutor(max_workers=workers)
             # on an error, the replications no worker has taken yet are cancelled
             stack.callback(pool.shutdown, cancel_futures=True)
-
-            def submit(fn, *args):
-                return pool.submit(fn, *args).result
-
-            def submit_raw(r):
-                written = submit(_simulate_to_file, *args, r, burn_in, os.path.join(tmp, str(r)))
-                return lambda: _mapped(*written())
+            replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
         else:
-            submit = functools.partial
-
-            def submit_raw(r):
-                return submit(_simulate_one, *args, r, burn_in)
-
-        pending = deque(submit_raw(r) for r in range(switch + 1))
-        for r in range(switch + 1):
-            samples = pending.popleft()()
-            if r == switch and switch < n_reps - 1:
-                edges = [tail._edges_after(x) for tail, x in zip(tails, samples)]
-                pending.extend(
-                    submit(_simulate_binned, *args, q, burn_in, edges)
-                    for q in range(switch + 1, n_reps)
-                )
+            replications = (_simulate_one(*args, r, burn_in) for r in range(n_reps))
+        for samples in replications:
             for tail, x in zip(tails, samples):
                 tail.add(x)
             # drop this replication before waiting for the next one
             del samples, x
-        while pending:
-            for tail, binned in zip(tails, pending.popleft()()):
-                tail._merge(*binned)
     return MetricTails(*tails)

@@ -277,6 +277,16 @@ class TestCli:
         assert text.startswith(CSV_HEADER)
         assert "peak_doi" in text
 
+    def test_figure_summary_floats_have_the_csv_digits(self, tmp_path, capsys):
+        # summary floats are rounded as the CSV prints its values, so a move
+        # below the 12th significant digit changes no byte of either output
+        assert main(["figure", "fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+        printed = []
+        json.loads(capsys.readouterr().out, parse_float=lambda t: printed.append(t) or 0.0)
+        assert len(printed) == 8
+        for t in printed:
+            assert float(t) == float(format(float(t), ".12g")), t
+
     def test_figure_fig5_event_curve_bends_up(self):
         # with deterministic service the event-triggered age bound bends
         # sharply upward at high utilization: the top of the sweep sits far

@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 import pickle
@@ -641,11 +642,9 @@ class TestRunReplications:
         assert sizes == [2]
         assert pooled.delay.quantile(0.01) == serial.delay.quantile(0.01)
 
-    def test_replications_after_the_switch_wait_for_it(self, monkeypatch):
-        # raw limit 30,000 and 19,000 samples per replication: merging the
-        # second switches the tails to histograms; the third and fourth are
-        # submitted once its result is taken (its maximum sets the edges
-        # they are binned against) and before it is merged
+    def test_submissions_run_at_most_workers_ahead(self, monkeypatch):
+        # at 2 workers, replication r is submitted once the parent has taken
+        # the result of r - 3: besides the one it adds, at most 2 are in flight
         log = []
 
         class LoggedFuture(Future):
@@ -667,20 +666,13 @@ class TestRunReplications:
                 future.set_result(fn(*args))
                 return future
 
-        to_histogram = simulate.EmpiricalTail._to_histogram
-
-        def logged_to_histogram(tail):
-            log.append("switch")
-            to_histogram(tail)
-
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", logged_to_histogram)
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        run_replications(scenario, 20_000, 4, 3, burn_in=1_000, workers=2, raw_limit=30_000)
+        run_replications(scenario, 20_000, 5, 3, burn_in=1_000, workers=2)
         assert log == [
-            ("submit", 0), ("submit", 1), ("result", 0), ("result", 1),
-            ("submit", 2), ("submit", 3), "switch", "switch", "switch",
-            ("result", 2), ("result", 3),
+            ("submit", 0), ("submit", 1), ("submit", 2), ("result", 0),
+            ("submit", 3), ("result", 1), ("submit", 4), ("result", 2),
+            ("result", 3), ("result", 4),
         ]
 
     def test_tails_switching_apart_match_raw_adds(self):
@@ -713,14 +705,18 @@ class TestRunReplications:
                     for eps in (1e-1, 1e-2, 1e-3):
                         assert a.quantile(eps) == b.quantile(eps)
 
-    def test_results_after_the_switch_are_counts(self, monkeypatch):
+    def test_pooled_results_are_small(self, monkeypatch):
         # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
-        # second replication switches, the third returns bin counts. No
-        # result carries a sample array: the first two hand theirs over as
-        # files, which the tails hold as read-only mappings until the switch
-        # bins them, and the later ones are 10,001 counts per metric (80 KB)
-        # plus under 64 KB
-        sizes, counts, switched = {}, {}, []
+        # second replication switches the tails to histograms. No result
+        # carries a sample array: every replication hands its samples over as
+        # a file, which the tails hold as read-only mappings until the switch
+        # bins them, and the parent bins the later ones as a serial run does
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        run = functools.partial(
+            run_replications, scenario, 150_000, 4, 3, burn_in=1_000, raw_limit=200_000
+        )
+        serial = run(workers=1)
+        sizes, switched = {}, []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -733,8 +729,6 @@ class TestRunReplications:
                 future = Future()
                 future.set_result(fn(*args))
                 sizes[args[3]] = len(pickle.dumps(future.result()))
-                if fn is simulate._simulate_binned:
-                    counts[args[3]] = sum(c.nbytes for *_, c in future.result())
                 return future
 
         to_histogram = simulate.EmpiricalTail._to_histogram
@@ -745,15 +739,17 @@ class TestRunReplications:
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", checked_to_histogram)
-        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        tails = run_replications(
-            scenario, 150_000, 4, 3, burn_in=1_000, workers=2, raw_limit=200_000
-        )
-        assert tails.delay.bin_width > 0
-        assert sorted(sizes) == [0, 1, 2, 3] and sorted(counts) == [2, 3]
+        pooled = run(workers=2)
+        assert sorted(sizes) == [0, 1, 2, 3]
+        assert max(sizes.values()) < 64 * 1024
         assert switched == [[True, True]] * 3
-        assert max(sizes[0], sizes[1]) < 64 * 1024
-        assert max(sizes[r] - counts[r] for r in (2, 3)) < 64 * 1024
+        for name, tail in pooled.by_name().items():
+            ref = serial.by_name()[name]
+            assert tail.bin_width > 0
+            assert np.array_equal(tail._counts, ref._counts)
+            assert (tail.n_samples, tail._min, tail._max, tail.bin_width) == (
+                ref.n_samples, ref._min, ref._max, ref.bin_width
+            )
 
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the pooled
@@ -802,11 +798,12 @@ class TestRunReplications:
             run_replications(scenario, 100_000, n_reps, 5, burn_in=1_000, workers=2)
         assert raised.value.errno == errno.ENOSPC
         assert list(tmp.iterdir()) == []
-        # the replications queued behind the failure were cancelled, not
-        # simulated (a few are already handed to the workers when it raises)
+        # replications are submitted at most `workers` ahead of the one the
+        # parent waits for, so only those already submitted when replication
+        # 0 fails can be simulated
         simulated = {int(p.name) for p in seen.iterdir()}
         assert 0 in simulated and n_reps - 1 not in simulated
-        assert len(simulated) <= n_reps // 2
+        assert len(simulated) <= 2 + 1
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
