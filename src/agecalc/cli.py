@@ -18,8 +18,9 @@ summary of their headline quantities, its floats rounded to the CSV's 12
 significant digits: to stdout when the CSV goes to a file, to stderr when
 the CSV goes to stdout.
 
-Exit codes: 0 success (including flagged rows), 2 usage or config error,
-3 internal numerical failure.
+Exit codes: 0 success (including flagged rows), 2 usage or config error
+(an --out that cannot be written is one, rejected before the command runs;
+a write that fails removes the partial file), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -298,12 +299,33 @@ def render_csv(rows: Sequence[CsvRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_error(out: str) -> Optional[str]:
+    """Why --out cannot be written, or None; checked before a command runs,
+    so that a bad path is rejected before the work is done."""
+    if out == "-":
+        return None
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        return "is a directory"
+    if not os.path.isdir(parent):
+        return "no such directory: %s" % parent
+    if not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
 def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        return
+    fh = open(out, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             fh.write(text)
+    except OSError:
+        if os.path.isfile(out):  # no partial CSV, and never a device node
+            os.unlink(out)
+        raise
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -378,6 +400,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _out_error(args.out)
+    if problem is not None:
+        print("usage error: cannot write --out %s: %s" % (args.out, problem), file=sys.stderr)
+        return 2
     try:
         rows, summary = _COMMANDS[args.command](args)
     except ConfigError as exc:
@@ -386,7 +412,12 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 3
-    _write_output(render_csv(rows), args.out)
+    try:
+        _write_output(render_csv(rows), args.out)
+    except OSError as exc:
+        print("usage error: cannot write --out %s: %s" % (args.out, exc.strerror or exc),
+              file=sys.stderr)
+        return 2
     if summary is not None:
         text = json.dumps(_rounded(summary), sort_keys=True, indent=2) + "\n"
         if args.out == "-":

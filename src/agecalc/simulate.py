@@ -21,15 +21,19 @@ sample count.
 
 With a process pool, every replication hands its samples to the parent
 through a file: the worker writes its three arrays with `ndarray.tofile`
-into a temporary directory (under TMPDIR), and the parent maps the file
-read-only and unlinks it at once, so no sample array is pickled. The parent
-adds the replications to the tails in index order, as a serial run does,
-and keeps at most `workers` of them submitted beyond the one it is adding.
-A file's pages stay on disk until its tail bins them or sorts them into an
-array of its own: at most the replications up to the one that takes the
-tails past their raw limit, plus `workers` in flight, at 24 bytes per
-update (about 384 MB with the default raw limit, 2M-update replications
-and 2 workers).
+into a temporary directory (under TMPDIR) and returns each array's length,
+minimum and maximum. The parent maps each array read-only on its own and
+unlinks the file at once, so no sample array is pickled. The parent adds
+the replications to the tails in index order, as a serial run does, and
+keeps at most `workers` of them submitted beyond the one it is adding. The
+tails take the extremes they are given, so an array's pages enter the
+parent's resident memory only while a tail bins them or sorts them, and
+leave it once that array is dropped, whatever the tails still hold of the
+same file. The pages stay on disk until their tail bins them or sorts them
+into an array of its own: at most the replications up to the one that
+takes the tails past their raw limit, plus `workers` in flight, at 24
+bytes per update (about 384 MB with the default raw limit, 2M-update
+replications and 2 workers).
 """
 
 from __future__ import annotations
@@ -241,6 +245,8 @@ class EmpiricalTail:
     Holds raw samples up to `raw_limit` and switches to a fixed-width
     histogram (plus an overflow bin) beyond it, which bins every later `add`;
     the histogram makes quantiles conservative by at most one `bin_width`.
+    An array added with its extremes is not read until it is binned or
+    sorted, so a file mapping's pages stay out of memory until then.
     """
 
     def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000):
@@ -265,13 +271,16 @@ class EmpiricalTail:
             return 0.0
         return float(self._edges[1] - self._edges[0])
 
-    def add(self, samples: np.ndarray) -> None:
+    def add(self, samples: np.ndarray, extremes: Optional[Tuple[float, float]] = None) -> None:
+        """Record samples; `extremes`, their (min, max) when the caller has
+        them, spares a read of an array the tail only stores."""
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             return
+        lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
         self._n += len(samples)
-        self._min = min(self._min, float(samples.min()))
-        self._max = max(self._max, float(samples.max()))
+        self._min = min(self._min, float(lo))
+        self._max = max(self._max, float(hi))
         if self._edges is not None:
             self._counts += _bin(samples, self._edges)
             return
@@ -426,25 +435,33 @@ def _simulate_to_file(
     replication: int,
     burn_in: int,
     path: str,
-) -> Tuple[str, List[int]]:
+) -> Tuple[str, List[Tuple[int, float, float]]]:
     """One replication written to `path`, its arrays back to back in the
-    order of _simulate_one's: only the path and the lengths are pickled."""
+    order of _simulate_one's: only the path and each array's (length, min,
+    max) are pickled, so the parent need not read an array to learn them."""
     samples = _simulate_one(scenario, n_updates, base_seed, replication, burn_in)
     _write_samples(path, samples)
-    return path, [len(x) for x in samples]
+    return path, [(len(x), float(x.min()), float(x.max())) for x in samples]
 
 
-def _mapped(path: str, lengths: Sequence[int]) -> List[np.ndarray]:
-    """The arrays _simulate_to_file wrote, as read-only views of one mapping
-    of the file. The file is unlinked at once; the mapping keeps its pages."""
-    data = np.memmap(path, dtype=np.float64, mode="r")
+def _mapped(
+    path: str, shapes: Sequence[Tuple[int, float, float]]
+) -> List[Tuple[np.ndarray, Tuple[float, float]]]:
+    """The arrays _simulate_to_file wrote, each a read-only mapping of its
+    own part of the file, with its (min, max). The file is unlinked at once.
+    A page enters the parent's resident memory only when it is read, and
+    leaves it when the array that maps it is dropped."""
+    arrays, offset = [], 0
+    for n, lo, hi in shapes:
+        arrays.append((np.memmap(path, np.float64, "r", offset=offset, shape=(n,)), (lo, hi)))
+        offset += 8 * n
     os.unlink(path)
-    return np.split(data, np.cumsum(lengths)[:-1])
+    return arrays
 
 
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
-) -> Iterator[List[np.ndarray]]:
+) -> Iterator[List[Tuple[np.ndarray, Tuple[float, float]]]]:
     """Replications 0 ... n_reps - 1 in index order, each handed over through
     a file in `tmp`. At most `workers` replications are submitted beyond the
     one being yielded, so a failed run stops after at most that many more."""
@@ -506,10 +523,12 @@ def run_replications(
             stack.callback(pool.shutdown, cancel_futures=True)
             replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
         else:
-            replications = (_simulate_one(*args, r, burn_in) for r in range(n_reps))
+            replications = (
+                [(x, None) for x in _simulate_one(*args, r, burn_in)] for r in range(n_reps)
+            )
         for samples in replications:
-            for tail, x in zip(tails, samples):
-                tail.add(x)
-            # drop this replication before waiting for the next one
-            del samples, x
+            # each array is dropped once its tail has it: one that was binned
+            # leaves memory, and a mapping its pages, before the next is read
+            for tail in tails:
+                tail.add(*samples.pop(0))
     return MetricTails(*tails)

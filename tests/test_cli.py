@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from agecalc import SweepSpec, params_for_utilization, round_threshold, sweep_rows
+from agecalc import cli
 from agecalc.cli import CSV_HEADER, build_parser, main, parse_config
 from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, SWEEP_FIGURES, TIME_TRIGGERED
 
@@ -205,6 +207,51 @@ class TestCli:
             )
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "g.csv")]) == 2
             assert "grid values must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_unwritable_out_exit_2_before_the_work(self, command, tmp_path, capsys, monkeypatch):
+        cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG)
+        ran = []
+        monkeypatch.setattr(cli, "bound_rows", lambda *a, **k: ran.append("bound_rows"))
+        monkeypatch.setattr(cli, "_simulate", lambda *a, **k: ran.append("_simulate"))
+        extra = ["--workers", "1"] if command == "simulate" else []
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: cannot write --out %s: " % out)
+            assert err.count("\n") == 1
+        assert ran == [] and sorted(os.listdir(tmp_path)) == ["sim.cfg"]
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_failed_write_exit_2_leaves_no_file(self, command, tmp_path, capsys, monkeypatch):
+        # a disk that fills after the first bytes: the partial CSV is removed
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        cfg = _write(tmp_path, "sim.cfg", SIM_CONFIG)
+        out = tmp_path / "x.csv"
+        def open_on_full_disk(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", open_on_full_disk, raising=False)
+        extra = ["--workers", "1"] if command == "simulate" else []
+        assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == "usage error: cannot write --out %s: %s\n" % (
+            out, os.strerror(errno.ENOSPC))
+        assert not out.exists()
 
     def test_config_errors_exit_2(self, tmp_path):
         bad = _write(tmp_path, "bad.cfg", "unknown_key = 3\n")

@@ -52,6 +52,28 @@ def _file_backed(x):
     return False
 
 
+def _file_resident_bytes():
+    """This process's resident pages of files and of shared memory, in bytes."""
+    with open("/proc/self/status") as f:
+        fields = dict(line.split(":", 1) for line in f)
+    return sum(1024 * int(fields[key].split()[0]) for key in ("RssFile", "RssShmem"))
+
+
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor that runs each job when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestGenerateArrivals:
     def test_time_triggered_synchronized_deterministic(self):
         events = EventStream(Deterministic(2.0), 1)
@@ -289,12 +311,13 @@ class TestEmpiricalTail:
         tail.add(first.copy())
         given = weakref.ref(tail._chunks[0])
         path = str(tmp_path / "first")
-        simulate._write_samples(path, [first[:40_000], first[40_000:]])
+        parts = [first[:40_000], first[40_000:]]
+        simulate._write_samples(path, parts)
         mapped = EmpiricalTail(raw_limit=150_000)
-        for x in _mapped(path, [40_000, 60_000]):
+        for x, extremes in _mapped(path, [(len(p), p.min(), p.max()) for p in parts]):
             assert _file_backed(x)
-            mapped.add(x)
-        mapping = weakref.ref(mapped._chunks[0].base.base)
+            mapped.add(x, extremes)
+        mapping = weakref.ref(mapped._chunks[0].base)
         assert isinstance(mapping(), np.memmap) and not os.listdir(tmp_path)
         del x
         ordered = np.sort(first)
@@ -750,6 +773,63 @@ class TestRunReplications:
             assert (tail.n_samples, tail._min, tail._max, tail.bin_width) == (
                 ref.n_samples, ref._min, ref._max, ref.bin_width
             )
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3),
+            Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(8), 1e-3),
+            # every delay is the service time and most peak ages tie too
+            Scenario(Exponential(0.5), Deterministic(1.0), TimeTriggered(2.0), 1e-3),
+        ],
+        ids=["time", "event-alpha-8", "deterministic-service"],
+    )
+    def test_pooled_extremes_match_serial(self, monkeypatch, scenario):
+        # a pooled tail takes each array's extremes from the worker, not from
+        # the array: they, and the bin edges the switch fixes from them, are
+        # a serial run's bit for bit
+        run = functools.partial(
+            run_replications, scenario, 30_000, 4, 3, burn_in=1_000, raw_limit=50_000
+        )
+        serial = run(workers=1)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        pooled = run(workers=2)
+        for name, tail in pooled.by_name().items():
+            ref = serial.by_name()[name]
+            assert ref.bin_width > 0
+            got = np.array([tail._min, tail._max, tail.bin_width])
+            assert got.tobytes() == np.array([ref._min, ref._max, ref.bin_width]).tobytes()
+            assert np.array_equal(tail._counts, ref._counts)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the kernel's per-process RSS"
+    )
+    def test_parent_reads_no_page_it_only_stores(self, monkeypatch):
+        # 1,000,000 samples (8 MB) per metric and replication; the fourth
+        # replication takes the tails past a raw limit of 3,500,000. Until
+        # then the tails hold the first three as file mappings they have not
+        # read, since the workers report the extremes, so none of those
+        # pages is resident; binning reads each array, then drops its mapping
+        array = 8 * 1_000_000
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        run_replications(scenario, 20_000, 3, 3, burn_in=1_000, workers=2, raw_limit=30_000)
+        to_histogram = simulate.EmpiricalTail._to_histogram
+        rises = []
+
+        def measured_to_histogram(tail):
+            rises.append(_file_resident_bytes() - base)
+            to_histogram(tail)
+
+        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", measured_to_histogram)
+        base = _file_resident_bytes()
+        tails = run_replications(
+            scenario, 1_001_000, 4, 3, burn_in=1_000, workers=2, raw_limit=3_500_000
+        )
+        rises.append(_file_resident_bytes() - base)
+        assert all(t.bin_width > 0 for t in tails.by_name().values())
+        assert len(rises) == 4
+        assert max(rises) < array
 
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the pooled
