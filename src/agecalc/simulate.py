@@ -20,19 +20,21 @@ discarded once no later update reads them, so memory stays bounded at any
 sample count.
 
 With a process pool, every replication hands its samples to the parent
-through a file: the worker writes its three arrays with `ndarray.tofile`
-into a temporary directory (under TMPDIR) and returns each array's length,
-minimum and maximum. The parent maps each array read-only on its own and
-unlinks the file at once, so no sample array is pickled. The parent adds
-the replications to the tails in index order, as a serial run does, and
-keeps at most `workers` of them submitted beyond the one it is adding. The
-tails take the extremes they are given, so an array's pages enter the
-parent's resident memory only while a tail bins them or sorts them, and
-leave it once that array is dropped, whatever the tails still hold of the
-same file. The pages stay on disk until their tail bins them or sorts them
-into an array of its own: at most the replications up to the one that
-takes the tails past their raw limit, plus `workers` in flight, at 24
-bytes per update (about 384 MB with the default raw limit, 2M-update
+through a file in a temporary directory (under TMPDIR): the worker writes
+each chunk of its three arrays at that array's offset, with `os.pwrite`,
+as soon as the chunk is computed, so it holds one chunk per array
+(2^18 updates, 2 MB), never the whole replication, and returns each
+array's length, minimum and maximum. The parent maps each array read-only
+on its own and unlinks the file at once, so no sample array is pickled.
+The parent adds the replications to the tails in index order, as a serial
+run does, and keeps at most `workers` of them submitted beyond the one it
+is adding. The tails take the extremes they are given, so an array's pages
+enter the parent's resident memory only while a tail bins them or sorts
+them, and leave it once that array is dropped, whatever the tails still
+hold of the same file. The pages stay on disk until their tail bins them
+or sorts them into an array of its own: at most the replications up to the
+one that takes the tails past their raw limit, plus `workers` in flight,
+at 24 bytes per update (about 384 MB with the default raw limit, 2M-update
 replications and 2 workers).
 """
 
@@ -46,7 +48,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -370,25 +372,28 @@ class MetricTails:
         return {"delay": self.delay, "peak_aoi": self.peak_aoi, "peak_doi": self.peak_doi}
 
 
-def _simulate_one(
+def _simulate_chunks(
     scenario: Scenario,
     n_updates: int,
     base_seed: int,
     replication: int,
-    burn_in: int,
-    chunk: int = _CHUNK,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replication: burned-in sample arrays (delay, peak_aoi, peak_doi)."""
+    chunk: int,
+    views: Callable[[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """One replication, chunk by chunk, without burn-in.
+
+    For the chunk of updates done ... done + m - 1 (0-based), views(done, m)
+    supplies the three arrays the chunk fills: its m delays, and the peak
+    ages and peak deviations of updates max(done - 1, 0) ... done + m - 2,
+    as a peak needs the next update's departure. Yields done and the three
+    arrays once they are filled; the caller may reuse them for the next chunk.
+    """
     policy = scenario.policy
     policy.check_simulable()
     events = EventStream(
         scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
-
-    t_out = np.empty(n_updates)
-    a_out = np.empty(n_updates - 1)
-    f_out = np.empty(n_updates - 1)
 
     service_sum, run_max = 0.0, -math.inf
     arr_last = 0.0
@@ -402,30 +407,55 @@ def _simulate_one(
         arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
+        filled = t_out, a_out, f_out = views(done, m)
 
-        np.subtract(dep, arr, out=t_out[done:done + m])
+        np.subtract(dep, arr, out=t_out)
 
         ca = policy.sampled_counts(events, arr, first)
         cd = events.count_upto(dep)
 
-        if done > 0:
-            a_out[done - 1] = dep[0] - arr_last
-            f_out[done - 1] = cd[0] - count_last
-        np.subtract(dep[1:], arr[:-1], out=a_out[done:done + m - 1])
-        np.subtract(cd[1:], ca[:-1], out=f_out[done:done + m - 1])
+        carry = 1 if done > 0 else 0
+        if carry:
+            a_out[0] = dep[0] - arr_last
+            f_out[0] = cd[0] - count_last
+        np.subtract(dep[1:], arr[:-1], out=a_out[carry:])
+        np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
         arr_last = float(arr[-1])
         count_last = int(ca[-1])
+        yield done, filled
         done += m
 
+
+def _simulate_one(
+    scenario: Scenario,
+    n_updates: int,
+    base_seed: int,
+    replication: int,
+    burn_in: int,
+    chunk: int = _CHUNK,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One replication: burned-in sample arrays (delay, peak_aoi, peak_doi)."""
+    t_out = np.empty(n_updates)
+    a_out = np.empty(n_updates - 1)
+    f_out = np.empty(n_updates - 1)
+
+    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo = max(done - 1, 0)
+        return t_out[done:done + m], a_out[lo:done + m - 1], f_out[lo:done + m - 1]
+
+    for _ in _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views):
+        pass
     return t_out[burn_in:], a_out[burn_in:], f_out[burn_in:]
 
 
-def _write_samples(path: str, samples: Sequence[np.ndarray]) -> None:
+def _write_at(f: BinaryIO, x: np.ndarray, offset: int) -> None:
     # write(), not a writable mapping, so that a full disk raises OSError
-    # here instead of killing the worker with SIGBUS on a page fault
-    with open(path, "wb") as f:
-        for x in samples:
-            x.tofile(f)
+    # here instead of killing the worker with SIGBUS on a page fault; and
+    # not ndarray.tofile, whose OSError drops the errno
+    data = memoryview(x).cast("B")
+    while data:
+        written = os.pwrite(f.fileno(), data, offset)
+        data, offset = data[written:], offset + written
 
 
 def _simulate_to_file(
@@ -435,13 +465,35 @@ def _simulate_to_file(
     replication: int,
     burn_in: int,
     path: str,
+    chunk: int = _CHUNK,
 ) -> Tuple[str, List[Tuple[int, float, float]]]:
     """One replication written to `path`, its arrays back to back in the
     order of _simulate_one's: only the path and each array's (length, min,
-    max) are pickled, so the parent need not read an array to learn them."""
-    samples = _simulate_one(scenario, n_updates, base_seed, replication, burn_in)
-    _write_samples(path, samples)
-    return path, [(len(x), float(x.min()), float(x.max())) for x in samples]
+    max) are pickled, so the parent need not read an array to learn them.
+
+    Each chunk is written at its offset as soon as it is filled, so the
+    worker holds one chunk per array, never the replication."""
+    lengths = (n_updates - burn_in, n_updates - 1 - burn_in, n_updates - 1 - burn_in)
+    starts = (0, 8 * lengths[0], 8 * (lengths[0] + lengths[1]))
+    extremes = [[math.inf, -math.inf] for _ in lengths]
+    t_buf, a_buf, f_buf = (np.empty(min(chunk, n_updates)) for _ in lengths)
+
+    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        peaks = m if done > 0 else m - 1
+        return t_buf[:m], a_buf[:peaks], f_buf[:peaks]
+
+    with open(path, "wb", buffering=0) as f:
+        chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views)
+        for done, filled in chunks:
+            firsts = (done, max(done - 1, 0), max(done - 1, 0))
+            for x, first, start, ext in zip(filled, firsts, starts, extremes):
+                # the first burn_in values of each array are not written
+                x = x[max(burn_in - first, 0):]
+                if len(x):
+                    _write_at(f, x, start + 8 * (max(first, burn_in) - burn_in))
+                    ext[0] = min(ext[0], float(x.min()))
+                    ext[1] = max(ext[1], float(x.max()))
+    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)]
 
 
 def _mapped(

@@ -179,6 +179,21 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_burn_in_past_a_chunk_same_csv_at_any_workers(self, tmp_path):
+        # two 2M-update replications whose burn-in ends in their second
+        # chunk: the pooled workers skip it across the chunk boundary
+        cfg = _write(
+            tmp_path, "burn.cfg",
+            "lambda = 0.5\nmu = 0.25\npolicy = time\nw = 13\n"
+            "epsilon = 1e-2,1e-3\nseed = 7\nsamples = 4000000\nburn_in = 300000\n",
+        )
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / ("w%s.csv" % workers)
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_simulate_rounds_threshold(self, tmp_path):
         cfg = _write(
             tmp_path, "frac.cfg",

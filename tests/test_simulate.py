@@ -1,8 +1,11 @@
+import collections
 import errno
 import functools
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -32,6 +35,7 @@ from agecalc import simulate
 from agecalc.simulate import (
     _BIN_BLOCK,
     _BLOCK,
+    _CHUNK,
     _COUNT_BLOCK,
     STREAM_EVENTS,
     STREAM_SERVICE,
@@ -39,6 +43,7 @@ from agecalc.simulate import (
     _fifo_chunk,
     _mapped,
     _simulate_one,
+    _simulate_to_file,
 )
 
 
@@ -312,7 +317,9 @@ class TestEmpiricalTail:
         given = weakref.ref(tail._chunks[0])
         path = str(tmp_path / "first")
         parts = [first[:40_000], first[40_000:]]
-        simulate._write_samples(path, parts)
+        with open(path, "wb") as f:
+            for p in parts:
+                p.tofile(f)
         mapped = EmpiricalTail(raw_limit=150_000)
         for x, extremes in _mapped(path, [(len(p), p.min(), p.max()) for p in parts]):
             assert _file_backed(x)
@@ -852,8 +859,8 @@ class TestRunReplications:
                 assert tail.exceed_fraction(x) == ref.exceed_fraction(x)
 
     def test_no_file_outlives_a_run(self, monkeypatch, tmp_path):
-        # the writer is looked up in the module when a worker runs, so a
-        # patch made before the pool forks reaches the workers
+        # the chunk writer is looked up in the module when a worker runs, so
+        # a patch made before the pool forks reaches the workers
         tmp, seen = tmp_path / "tmp", tmp_path / "seen"
         tmp.mkdir()
         seen.mkdir()
@@ -862,20 +869,24 @@ class TestRunReplications:
         run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
         assert list(tmp.iterdir()) == []
 
-        write = simulate._write_samples
+        write, writes = simulate._write_at, collections.Counter()
 
-        def full_disk_at_0(path, samples):
-            (seen / os.path.basename(path)).touch()
-            if os.path.basename(path) == "0":
-                with open(path, "wb") as f:
-                    samples[0][:100].tofile(f)
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
-            write(path, samples)
+        def full_disk_in_0(f, x, offset):
+            # each process counts the writes of the replications it runs;
+            # the fourth write to replication 0 is its second chunk's first
+            name = os.path.basename(f.name)
+            (seen / name).touch()
+            writes[name] += 1
+            if name == "0" and writes[name] > 3:
+                assert os.path.getsize(f.name) > 0  # the first chunk is on disk
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), f.name)
+            write(f, x, offset)
 
-        monkeypatch.setattr(simulate, "_write_samples", full_disk_at_0)
+        monkeypatch.setattr(simulate, "_write_at", full_disk_in_0)
         n_reps = 40
         with pytest.raises(OSError) as raised:
-            run_replications(scenario, 100_000, n_reps, 5, burn_in=1_000, workers=2)
+            # two chunks per replication
+            run_replications(scenario, _CHUNK + 40_000, n_reps, 5, burn_in=1_000, workers=2)
         assert raised.value.errno == errno.ENOSPC
         assert list(tmp.iterdir()) == []
         # replications are submitted at most `workers` ahead of the one the
@@ -884,6 +895,86 @@ class TestRunReplications:
         simulated = {int(p.name) for p in seen.iterdir()}
         assert 0 in simulated and n_reps - 1 not in simulated
         assert len(simulated) <= 2 + 1
+
+    @pytest.mark.parametrize(
+        "policy", [TimeTriggered(2.0), EventTriggered(3)], ids=["time", "event"]
+    )
+    @pytest.mark.parametrize(
+        "n, burn_in",
+        [
+            (5_000, 0),
+            (5_000, 1),
+            (5_000, 1_023),  # one less than a chunk
+            (5_000, 1_024),  # exactly a chunk
+            (5_000, 1_025),
+            (5_000, 3_500),  # several chunks
+            (4_096, 1_000),  # n a multiple of the chunk
+            (1_026, 1_024),  # n = burn_in + 2, across a chunk boundary
+            (2, 0),
+        ],
+    )
+    def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
+        # chunks of 1,024: the file, written chunk by chunk at each array's
+        # offset, holds _simulate_one's arrays bit for bit, and the reported
+        # extremes are theirs
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
+        ref = _simulate_one(scenario, n, 99, 1, burn_in, chunk=1_024)
+        path = str(tmp_path / "1")
+        got_path, shapes = _simulate_to_file(scenario, n, 99, 1, burn_in, path, chunk=1_024)
+        assert got_path == path
+        with open(path, "rb") as f:
+            assert f.read() == b"".join(x.tobytes() for x in ref)
+        expected = [(len(x), x.min(), x.max()) for x in ref]
+        assert np.array(shapes).tobytes() == np.array(expected).tobytes()
+        lengths = [length for length, _, _ in shapes]
+        assert lengths == [n - burn_in, n - 1 - burn_in, n - 1 - burn_in]
+
+    def test_file_path_holds_one_chunk_per_array(self, tmp_path):
+        # the worker writes each chunk as it is computed: its peak is below
+        # _simulate_one's by the three full-length arrays less three chunks
+        scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
+        n = 1_000_000
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: _simulate_one(scenario, n, 3, 0, 1_000))
+        chunked = peak(lambda: _simulate_to_file(scenario, n, 3, 0, 1_000, str(tmp_path / "0")))
+        assert whole - chunked >= 8 * (3 * n - 2) - 3 * 8 * _CHUNK
+
+    def test_failed_chunk_write_keeps_its_errno(self, tmp_path):
+        # a file size limit of 1 MB fails the first chunk write part way, as
+        # a full disk does: the short write is followed by one that raises,
+        # and the OSError carries its errno (ndarray.tofile's has none). The
+        # limit is set in a child process, which it alone constrains.
+        pytest.importorskip("resource")
+        code = (
+            "import resource, signal, sys\n"
+            "from agecalc import Exponential, Scenario, TimeTriggered\n"
+            "from agecalc.simulate import _simulate_to_file\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))\n"
+            "scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)\n"
+            "try:\n"
+            "    _simulate_to_file(scenario, 300_000, 5, 0, 1_000, sys.argv[1])\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        path = tmp_path / "0"
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(errno.EFBIG)]
+        assert path.stat().st_size == 1 << 20
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
