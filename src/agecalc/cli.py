@@ -20,7 +20,10 @@ the CSV goes to stdout.
 
 Exit codes: 0 success (including flagged rows), 2 usage or config error
 (an --out that cannot be written is one, rejected before the command runs;
-a write that fails removes the partial file), 3 internal numerical failure.
+a write that fails removes the partial file) or an OSError while the
+command runs, such as a full TMPDIR, 3 internal numerical failure, 143
+stopped by SIGTERM (a pooled run first stops its workers and removes its
+temporary files).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -397,7 +401,21 @@ _COMMANDS = {
 }
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    # SIGTERM unwinds like an exception, so a pooled run stops its workers
+    # and removes its temporary directory; the caller's handler is restored
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     problem = _out_error(args.out)
@@ -408,6 +426,9 @@ def main(argv=None) -> int:
         rows, summary = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("error: %s failed: %s" % (args.command, exc.strerror or exc), file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

@@ -28,14 +28,17 @@ array's length, minimum and maximum. The parent maps each array read-only
 on its own and unlinks the file at once, so no sample array is pickled.
 The parent adds the replications to the tails in index order, as a serial
 run does, and keeps at most `workers` of them submitted beyond the one it
-is adding. The tails take the extremes they are given, so an array's pages
+is adding. Peak deviation is an event count, and its tail counts each
+value from the first sample on, exact at any sample count; it reads its
+array once, block by block, and the array is dropped. The delay and
+peak-age tails take the extremes they are given, so an array's pages
 enter the parent's resident memory only while a tail bins them or sorts
 them, and leave it once that array is dropped, whatever the tails still
-hold of the same file. The pages stay on disk until their tail bins them
-or sorts them into an array of its own: at most the replications up to the
-one that takes the tails past their raw limit, plus `workers` in flight,
-at 24 bytes per update (about 384 MB with the default raw limit, 2M-update
-replications and 2 workers).
+hold of the same file. The pages stay on disk until the last mapping of
+the file is dropped: at most the replications up to the one that takes
+the delay and peak-age tails past their raw limit, plus `workers` in
+flight, at 24 bytes per update (about 384 MB with the default raw limit,
+2M-update replications and 2 workers).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import signal
 import tempfile
 import warnings
 from collections import deque
@@ -249,18 +253,25 @@ class EmpiricalTail:
     the histogram makes quantiles conservative by at most one `bin_width`.
     An array added with its extremes is not read until it is binned or
     sorted, so a file mapping's pages stay out of memory until then.
+
+    With `integer=True` the samples must be nonnegative integers, such as
+    peak deviation's event counts, and the tail counts each value from the
+    first sample on: it keeps no raw sample, never switches, and answers
+    every query as raw mode would, at any sample count, from one count per
+    value up to the largest.
     """
 
-    def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000):
+    def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000, integer: bool = False):
         self.raw_limit = raw_limit
         self.bins = bins
+        self.integer = integer
         self._chunks: List[np.ndarray] = []
         self._sorted: Optional[np.ndarray] = None
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
         self._edges: Optional[np.ndarray] = None
-        self._counts: Optional[np.ndarray] = None
+        self._counts = np.zeros(0, dtype=np.int64) if integer else None
 
     @property
     def n_samples(self) -> int:
@@ -268,7 +279,8 @@ class EmpiricalTail:
 
     @property
     def bin_width(self) -> float:
-        """Quantile resolution: 0 while raw samples are kept."""
+        """Quantile resolution: 0 while raw samples are kept, and in an
+        integer tail, which is exact."""
         if self._edges is None:
             return 0.0
         return float(self._edges[1] - self._edges[0])
@@ -278,6 +290,18 @@ class EmpiricalTail:
         them, spares a read of an array the tail only stores."""
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
+            return
+        if self.integer:
+            for i in range(0, len(samples), _BIN_BLOCK):
+                x = samples[i:i + _BIN_BLOCK]
+                with np.errstate(invalid="ignore"):
+                    values = x.astype(np.intp)
+                if not np.array_equal(values, x):
+                    raise ValueError("an integer tail takes integer samples only")
+                counts = np.bincount(values, minlength=len(self._counts))
+                counts[:len(self._counts)] += self._counts
+                self._counts = counts
+                self._n += len(x)
             return
         lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
         self._n += len(samples)
@@ -327,6 +351,10 @@ class EmpiricalTail:
                 stacklevel=2,
             )
         allowed = math.floor(epsilon * self._n + 1e-9)
+        if self.integer:
+            # raw mode's s[max(n - 1 - allowed, 0)] of the sorted samples
+            k = max(self._n - 1 - allowed, 0)
+            return float(np.searchsorted(np.cumsum(self._counts), k, side="right"))
         if self._edges is None:
             s = self._sorted_samples()
             return float(s[max(len(s) - 1 - allowed, 0)])
@@ -342,6 +370,10 @@ class EmpiricalTail:
         most one bin in histogram mode)."""
         if self._n == 0:
             raise ValueError("no samples recorded")
+        if self.integer:
+            # the values above x, found by a search that takes ±inf and nan
+            j = int(np.searchsorted(np.arange(len(self._counts)), x, side="right"))
+            return float(self._counts[j:].sum()) / self._n
         if self._edges is None:
             s = self._sorted_samples()
             return float(len(s) - np.searchsorted(s, x, side="right")) / self._n
@@ -511,6 +543,19 @@ def _mapped(
     return arrays
 
 
+@contextlib.contextmanager
+def _sigterm_held() -> Iterator[None]:
+    """SIGTERM held back until the block ends. A handler that raises, as the
+    CLI's does, would otherwise stop a pool while it forks its workers, or a
+    run between creating its directory and registering its removal, and so
+    leave processes or files that no cleanup reaches."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
 ) -> Iterator[List[Tuple[np.ndarray, Tuple[float, float]]]]:
@@ -520,7 +565,8 @@ def _pooled(
     futures = deque()
     for r in range(n_reps):
         path = os.path.join(tmp, str(r))
-        futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
+        with _sigterm_held():  # the first submit forks the workers
+            futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
         if len(futures) > workers:
             yield _mapped(*futures.popleft().result())
     while futures:
@@ -540,12 +586,14 @@ def run_replications(
 
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
-    every replication's arrays are added to the tails in index order, which
-    bin them once past raw_limit. The pool has min(workers, n_reps)
-    processes and runs at most `workers` replications ahead of the one
-    being added, so a failed run simulates at most that many beyond it. The
-    files through which the workers hand over their samples live in a
-    directory under TMPDIR that is removed when the call returns or raises.
+    every replication's arrays are added to the tails in index order. The
+    delay and peak-age tails bin them once past raw_limit; the peak-deviation
+    tail counts each integer value, exactly, at any sample count. The pool
+    has min(workers, n_reps) processes and runs at most `workers`
+    replications ahead of the one being added, so a failed run simulates at
+    most that many beyond it. The files through which the workers hand over
+    their samples live in a directory under TMPDIR that is removed when the
+    call returns or raises.
     """
     scenario.policy.check_simulable()
     if burn_in < 0:
@@ -562,17 +610,22 @@ def run_replications(
     tails = (
         EmpiricalTail(raw_limit=raw_limit),
         EmpiricalTail(raw_limit=raw_limit),
-        EmpiricalTail(raw_limit=raw_limit),
+        EmpiricalTail(integer=True),  # peak deviation counts events
     )
     workers = min(workers, n_reps)
     args = (scenario, n_updates, base_seed)
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            # entered before the pool, so it is removed after the workers stop
-            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            # on an error, the replications no worker has taken yet are cancelled
-            stack.callback(pool.shutdown, cancel_futures=True)
+            with _sigterm_held():
+                # entered before the pool, so it is removed after the workers stop
+                tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
+                # forked with SIGTERM held, which each worker releases first
+                pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=signal.pthread_sigmask,
+                    initargs=(signal.SIG_UNBLOCK, {signal.SIGTERM}),
+                )
+                # on an error, the replications no worker has taken yet are cancelled
+                stack.callback(pool.shutdown, cancel_futures=True)
             replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
         else:
             replications = (

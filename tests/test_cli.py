@@ -1,8 +1,11 @@
+import contextlib
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -414,6 +417,74 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+    @contextlib.contextmanager
+    def _child_simulate(self, tmp_path, samples, **popen):
+        """`python -m agecalc simulate --workers 2` in a child session whose
+        TMPDIR is tmp_path / "tmp", where its pool hands replications over;
+        stdout and stderr go to tmp_path / "out" and "err". On exit the
+        session is killed, so a run that fails the test leaves no worker."""
+        cfg = _write(
+            tmp_path, "tt.cfg",
+            "lambda = 0.5\nmu = 0.25\npolicy = time\nw = 13\nepsilon = 1e-2\n"
+            "seed = 3\nsamples = %d\n" % samples,
+        )
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "agecalc", "simulate", "--config", cfg, "--workers", "2"],
+                stdout=out, stderr=err, start_new_session=True,
+                env=dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp)), **popen,
+            )
+        try:
+            yield proc, tmp
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+    def test_os_error_in_a_worker_exit_2_in_one_line(self, tmp_path):
+        # a 1 MB file size limit fails the workers' first chunk writes, as a
+        # full TMPDIR does: one line, no traceback, and no file left behind
+        resource = pytest.importorskip("resource")
+
+        def limit_file_size():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))
+
+        with self._child_simulate(tmp_path, 4_000_000, preexec_fn=limit_file_size) as (proc, tmp):
+            proc.wait(timeout=120)
+        err = (tmp_path / "err").read_text()
+        assert proc.returncode == 2, err
+        assert err == "error: simulate failed: %s\n" % os.strerror(errno.EFBIG)
+        assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
+
+    def test_sigterm_removes_the_temporary_directory(self, tmp_path):
+        # 20 replications of 2M updates: the run is stopped while its pool
+        # writes replications under TMPDIR
+        with self._child_simulate(tmp_path, 40_000_000) as (proc, tmp):
+            deadline = time.monotonic() + 60
+            while not any(p.name.startswith("agecalc-") for p in tmp.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=120)
+        assert proc.returncode == 128 + signal.SIGTERM, (tmp_path / "err").read_text()
+        assert list(tmp.iterdir()) == []
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
+            assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_workers_default_to_the_usable_cpus(self, monkeypatch):
         # under a cpuset the affinity mask is smaller than the host's CPU count

@@ -14,7 +14,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from agecalc import (
@@ -67,7 +67,7 @@ def _file_resident_bytes():
 class InlinePool:
     """Stand-in for ProcessPoolExecutor that runs each job when it is submitted."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         pass
 
     def shutdown(self, wait=True, *, cancel_futures=False):
@@ -340,6 +340,53 @@ class TestEmpiricalTail:
         for eps in (1e-1, 1e-2, 1e-3):
             assert tail.quantile(eps) == fresh.quantile(eps)
         assert tail.exceed_fraction(2.0) == fresh.exceed_fraction(2.0)
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 80), min_size=1, max_size=300),
+        repeat=st.sampled_from((1, 1, 1, 400)),
+        cuts=st.lists(st.integers(0, 120_000), max_size=6),
+    )
+    def test_integer_tail_answers_as_raw(self, values, repeat, cuts):
+        # nonnegative integer samples in random chunks, some of them longer
+        # than one _BIN_BLOCK: every quantile and exceedance fraction is raw
+        # mode's, bit for bit
+        x = np.repeat(np.array(values, dtype=np.float64), repeat)
+        n = len(x)
+        raw, counted = EmpiricalTail(), EmpiricalTail(integer=True)
+        raw.add(x)
+        for part in np.split(x, sorted(c % (n + 1) for c in cuts)):
+            counted.add(part)
+        assert counted.n_samples == n and counted.bin_width == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            for eps in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1.0 / n):
+                assert np.float64(counted.quantile(eps)).tobytes() == (
+                    np.float64(raw.quantile(eps)).tobytes()
+                )
+        points = [-math.inf, -0.5, 0.0, float(x.max()), math.inf]
+        points += [v + d for v in np.unique(x) for d in (-0.5, 0.5)]
+        for p in points:
+            assert np.float64(counted.exceed_fraction(p)).tobytes() == (
+                np.float64(raw.exceed_fraction(p)).tobytes()
+            )
+
+    def test_integer_tail_warns_and_rejects_as_raw(self):
+        counted = EmpiricalTail(integer=True)
+        with pytest.raises(ValueError, match="no samples"):
+            counted.quantile(0.5)
+        with pytest.raises(ValueError, match="no samples"):
+            counted.exceed_fraction(1.0)
+        counted.add(np.arange(50.0))
+        with pytest.warns(InsufficientSamples):
+            counted.quantile(0.01)
+        with pytest.raises(ValueError, match="epsilon"):
+            counted.quantile(0.0)
+        for bad in ([1.5], [-1.0], [math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                counted.add(np.array(bad))
+        assert counted.n_samples == 50
 
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
@@ -638,20 +685,50 @@ class TestRunReplications:
             ).by_name()
             for w in (1, 2)
         ]
-        for name in ("delay", "peak_aoi", "peak_doi"):
+        for name in ("delay", "peak_aoi"):
             a, b = runs[0][name], runs[1][name]
             assert a.bin_width > 0
             assert a.bin_width == b.bin_width
             assert np.array_equal(a._counts, b._counts)
             for eps in (1e-1, 1e-2, 1e-3):
                 assert a.quantile(eps) == b.quantile(eps)
+        # peak deviation counts each value: the same counts at either worker
+        # count, and the quantiles of a raw tail of the same samples
+        a, b = runs[0]["peak_doi"], runs[1]["peak_doi"]
+        raw = EmpiricalTail()
+        for r in range(4):
+            raw.add(_simulate_one(scenario, 20_000, 3, r, 1_000)[2])
+        assert a.bin_width == b.bin_width == 0
+        assert np.array_equal(a._counts, b._counts)
+        for eps in (1e-1, 1e-2, 1e-3):
+            assert a.quantile(eps) == b.quantile(eps) == raw.quantile(eps)
+
+    def test_workers_do_not_change_deviation_counts(self):
+        # event-triggered, 3 x 18,999 peak samples against a raw limit of
+        # 30,000: delay and peak age switch to histograms at replication 1,
+        # and peak deviation keeps one exact count per value at any worker count
+        scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(8), 1e-3)
+        a, b = (
+            run_replications(
+                scenario, 20_000, 3, 5, burn_in=1_000, workers=w, raw_limit=30_000
+            )
+            for w in (1, 2)
+        )
+        assert a.delay.bin_width > 0 and a.peak_aoi.bin_width > 0
+        assert a.peak_doi.n_samples == b.peak_doi.n_samples == 3 * 18_999
+        assert a.peak_doi._chunks == b.peak_doi._chunks == []  # no sample is kept
+        assert np.array_equal(a.peak_doi._counts, b.peak_doi._counts)
+        for eps in (1.0, 1e-1, 1e-2, 1e-3):
+            assert a.peak_doi.quantile(eps) == b.peak_doi.quantile(eps)
+        for x in (0.0, 8.0, 8.5, 20.0):
+            assert a.peak_doi.exceed_fraction(x) == b.peak_doi.exceed_fraction(x)
 
     def test_pool_sized_to_replications(self, monkeypatch):
         # a stand-in pool records its size and runs jobs inline: no process starts
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 sizes.append(max_workers)
 
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -683,7 +760,7 @@ class TestRunReplications:
                 return super().result(timeout)
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 pass
 
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -707,14 +784,15 @@ class TestRunReplications:
 
     def test_tails_switching_apart_match_raw_adds(self):
         # 2,000 delay and 1,999 peak samples per replication against a raw
-        # limit of 3,999: delay switches to a histogram at replication 1, the
-        # peak metrics at replication 2, and 3 and 4 are binned where they run.
+        # limit of 3,999: delay switches to a histogram at replication 1, peak
+        # age at replication 2, and 3 and 4 are binned where they run.
         # With seed 11, replication 2 holds every metric's largest sample so
         # far, so edges that missed it, or delay edges set anew at
-        # replication 2, would differ from the reference.
+        # replication 2, would differ from the reference. Peak deviation
+        # never switches: its counts are those of a raw tail's samples.
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         n, burn_in, reps, limit, seed = 2_001, 1, 5, 3_999, 11
-        ref = [EmpiricalTail(raw_limit=limit) for _ in range(3)]
+        ref = [EmpiricalTail(raw_limit=limit) for _ in range(2)] + [EmpiricalTail()]
         for r in range(reps):
             for tail, x in zip(ref, _simulate_one(scenario, n, seed, r, burn_in)):
                 if r == 2:
@@ -725,11 +803,16 @@ class TestRunReplications:
                 scenario, n, reps, seed, burn_in=burn_in, workers=workers, raw_limit=limit
             ).by_name().values()
             for a, b in zip(got, ref):
-                assert b.bin_width > 0
-                assert np.array_equal(a._counts, b._counts)
-                assert (a.n_samples, a._min, a._max, a.bin_width) == (
-                    b.n_samples, b._min, b._max, b.bin_width
-                )
+                if b is ref[2]:
+                    counts = np.bincount(b._sorted_samples().astype(np.intp))
+                    assert np.array_equal(a._counts, counts)
+                    assert a.n_samples == b.n_samples and a.bin_width == b.bin_width == 0
+                else:
+                    assert b.bin_width > 0
+                    assert np.array_equal(a._counts, b._counts)
+                    assert (a.n_samples, a._min, a._max, a.bin_width) == (
+                        b.n_samples, b._min, b._max, b.bin_width
+                    )
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", InsufficientSamples)
                     for eps in (1e-1, 1e-2, 1e-3):
@@ -737,10 +820,11 @@ class TestRunReplications:
 
     def test_pooled_results_are_small(self, monkeypatch):
         # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
-        # second replication switches the tails to histograms. No result
-        # carries a sample array: every replication hands its samples over as
-        # a file, which the tails hold as read-only mappings until the switch
-        # bins them, and the parent bins the later ones as a serial run does
+        # second replication switches the delay and peak-age tails to
+        # histograms. No result carries a sample array: every replication
+        # hands its samples over as a file, which those tails hold as
+        # read-only mappings until the switch bins them, and the parent bins
+        # the later ones (and counts every peak deviation) as a serial run does
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         run = functools.partial(
             run_replications, scenario, 150_000, 4, 3, burn_in=1_000, raw_limit=200_000
@@ -749,7 +833,7 @@ class TestRunReplications:
         sizes, switched = {}, []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 pass
 
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -772,9 +856,10 @@ class TestRunReplications:
         pooled = run(workers=2)
         assert sorted(sizes) == [0, 1, 2, 3]
         assert max(sizes.values()) < 64 * 1024
-        assert switched == [[True, True]] * 3
-        for name, tail in pooled.by_name().items():
-            ref = serial.by_name()[name]
+        assert switched == [[True, True]] * 2  # peak deviation never switches
+        assert np.array_equal(pooled.peak_doi._counts, serial.peak_doi._counts)
+        for name in ("delay", "peak_aoi"):
+            tail, ref = pooled.by_name()[name], serial.by_name()[name]
             assert tail.bin_width > 0
             assert np.array_equal(tail._counts, ref._counts)
             assert (tail.n_samples, tail._min, tail._max, tail.bin_width) == (
@@ -801,8 +886,9 @@ class TestRunReplications:
         serial = run(workers=1)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         pooled = run(workers=2)
-        for name, tail in pooled.by_name().items():
-            ref = serial.by_name()[name]
+        assert np.array_equal(pooled.peak_doi._counts, serial.peak_doi._counts)
+        for name in ("delay", "peak_aoi"):
+            tail, ref = pooled.by_name()[name], serial.by_name()[name]
             assert ref.bin_width > 0
             got = np.array([tail._min, tail._max, tail.bin_width])
             assert got.tobytes() == np.array([ref._min, ref._max, ref.bin_width]).tobytes()
@@ -813,10 +899,11 @@ class TestRunReplications:
     )
     def test_parent_reads_no_page_it_only_stores(self, monkeypatch):
         # 1,000,000 samples (8 MB) per metric and replication; the fourth
-        # replication takes the tails past a raw limit of 3,500,000. Until
-        # then the tails hold the first three as file mappings they have not
-        # read, since the workers report the extremes, so none of those
-        # pages is resident; binning reads each array, then drops its mapping
+        # replication takes the delay and peak-age tails past a raw limit of
+        # 3,500,000. Until then they hold the first three as file mappings
+        # they have not read, since the workers report the extremes, so none
+        # of those pages is resident; binning reads each array, then drops its
+        # mapping, as the peak-deviation tail does with every array it counts
         array = 8 * 1_000_000
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
@@ -834,19 +921,23 @@ class TestRunReplications:
             scenario, 1_001_000, 4, 3, burn_in=1_000, workers=2, raw_limit=3_500_000
         )
         rises.append(_file_resident_bytes() - base)
-        assert all(t.bin_width > 0 for t in tails.by_name().values())
-        assert len(rises) == 4
+        assert tails.delay.bin_width > 0 and tails.peak_aoi.bin_width > 0
+        assert len(rises) == 3  # peak deviation never switches
         assert max(rises) < array
 
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the pooled
-        # tails hold the mapped files until the first query sorts them into
-        # an array of their own
+        # delay and peak-age tails hold the mapped files until the first query
+        # sorts them into an array of their own; peak deviation is counted
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
-        for name, tail in pooled.by_name().items():
-            ref = serial.by_name()[name]
+        doi, ref = pooled.peak_doi, serial.peak_doi
+        assert np.array_equal(doi._counts, ref._counts) and doi.n_samples == ref.n_samples
+        for eps in (1e-1, 1e-2, 1e-3):
+            assert doi.quantile(eps) == ref.quantile(eps)
+        for name in ("delay", "peak_aoi"):
+            tail, ref = pooled.by_name()[name], serial.by_name()[name]
             mapped = list(tail._chunks)
             assert len(mapped) == 3 and all(_file_backed(x) for x in mapped)
             assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
