@@ -19,26 +19,29 @@ events and 1 for service. Event times are generated lazily in blocks and
 discarded once no later update reads them, so memory stays bounded at any
 sample count.
 
-With a process pool, every replication hands its samples to the parent
+Peak deviation is an event count, and its tail counts each value, exact at
+any sample count. So no replication keeps its deviations: each chunk's are
+counted, past the burn-in, as soon as the chunk is computed, into one count
+per value, and a replication hands its tail those counts, a few hundred
+integers, with its delay and peak-age arrays.
+
+With a process pool, every replication hands its two arrays to the parent
 through a file in a temporary directory (under TMPDIR): the worker writes
-each chunk of its three arrays at that array's offset, with `os.pwrite`,
-as soon as the chunk is computed, so it holds one chunk per array
-(2^18 updates, 2 MB), never the whole replication, and returns each
-array's length, minimum and maximum. The parent maps each array read-only
-on its own and unlinks the file at once, so no sample array is pickled.
-The parent adds the replications to the tails in index order, as a serial
-run does, and keeps at most `workers` of them submitted beyond the one it
-is adding. Peak deviation is an event count, and its tail counts each
-value from the first sample on, exact at any sample count; it reads its
-array once, block by block, and the array is dropped. The delay and
-peak-age tails take the extremes they are given, so an array's pages
-enter the parent's resident memory only while a tail bins them or sorts
-them, and leave it once that array is dropped, whatever the tails still
-hold of the same file. The pages stay on disk until the last mapping of
-the file is dropped: at most the replications up to the one that takes
-the delay and peak-age tails past their raw limit, plus `workers` in
-flight, at 24 bytes per update (about 384 MB with the default raw limit,
-2M-update replications and 2 workers).
+each chunk of them at that array's offset, with `os.pwrite`, as soon as
+the chunk is computed, so it holds one chunk per array (2^18 updates,
+2 MB), never the whole replication, and returns each array's length,
+minimum and maximum, and the deviation counts. The parent maps each array
+read-only on its own and unlinks the file at once, so no sample array is
+pickled. The parent adds the replications to the tails in index order, as
+a serial run does, and keeps at most `workers` of them submitted beyond
+the one it is adding. The delay and peak-age tails take the extremes they
+are given, so an array's pages enter the parent's resident memory only
+while a tail bins them or sorts them, and leave it once that array is
+dropped, whatever the tails still hold of the same file. The pages stay on
+disk until the last mapping of the file is dropped: at most the
+replications up to the one that takes the delay and peak-age tails past
+their raw limit, plus `workers` in flight, at 16 bytes per update (about
+256 MB with the default raw limit, 2M-update replications and 2 workers).
 """
 
 from __future__ import annotations
@@ -258,7 +261,7 @@ class EmpiricalTail:
     peak deviation's event counts, and the tail counts each value from the
     first sample on: it keeps no raw sample, never switches, and answers
     every query as raw mode would, at any sample count, from one count per
-    value up to the largest.
+    value up to the largest. `add_counts` takes samples already counted.
     """
 
     def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000, integer: bool = False):
@@ -298,10 +301,7 @@ class EmpiricalTail:
                     values = x.astype(np.intp)
                 if not np.array_equal(values, x):
                     raise ValueError("an integer tail takes integer samples only")
-                counts = np.bincount(values, minlength=len(self._counts))
-                counts[:len(self._counts)] += self._counts
-                self._counts = counts
-                self._n += len(x)
+                self.add_counts(np.bincount(values))
             return
         lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
         self._n += len(samples)
@@ -314,6 +314,22 @@ class EmpiricalTail:
         self._chunks.append(samples)
         if self._n > self.raw_limit:
             self._to_histogram()
+
+    def add_counts(self, counts: np.ndarray) -> None:
+        """Record counts[v] samples of each value v, in an integer tail.
+
+        Counts add in any order, so count arrays of any lengths, merged one
+        by one, give the tail of all their samples at once."""
+        counts = np.asarray(counts)
+        if not self.integer:
+            raise ValueError("only an integer tail takes counts")
+        if counts.dtype.kind not in "iu" or (len(counts) and counts.min() < 0):
+            raise ValueError("counts must be nonnegative integers")
+        grow = len(counts) - len(self._counts)
+        if grow > 0:
+            self._counts = np.pad(self._counts, (0, grow))
+        self._counts[:len(counts)] += counts
+        self._n += int(counts.sum())
 
     def _to_histogram(self) -> None:
         self._edges = _histogram_edges(self._max, self.bins)
@@ -410,15 +426,17 @@ def _simulate_chunks(
     base_seed: int,
     replication: int,
     chunk: int,
-    views: Callable[[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    views: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """One replication, chunk by chunk, without burn-in.
 
     For the chunk of updates done ... done + m - 1 (0-based), views(done, m)
-    supplies the three arrays the chunk fills: its m delays, and the peak
-    ages and peak deviations of updates max(done - 1, 0) ... done + m - 2,
-    as a peak needs the next update's departure. Yields done and the three
-    arrays once they are filled; the caller may reuse them for the next chunk.
+    supplies the two arrays the chunk fills: its m delays, and the peak ages
+    of updates max(done - 1, 0) ... done + m - 2, as a peak needs the next
+    update's departure. The peak deviations of the same updates, event
+    counts, go to an integer buffer of one chunk. Yields done and the three
+    arrays once they are filled; the caller may reuse its two for the next
+    chunk, which overwrites the deviations.
     """
     policy = scenario.policy
     policy.check_simulable()
@@ -426,6 +444,7 @@ def _simulate_chunks(
         scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
+    f_buf = np.empty(min(chunk, n_updates), dtype=np.intp)
 
     service_sum, run_max = 0.0, -math.inf
     arr_last = 0.0
@@ -439,14 +458,15 @@ def _simulate_chunks(
         arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
-        filled = t_out, a_out, f_out = views(done, m)
+        t_out, a_out = views(done, m)
+        carry = 1 if done > 0 else 0
+        f_out = f_buf[:m - 1 + carry]
 
         np.subtract(dep, arr, out=t_out)
 
         ca = policy.sampled_counts(events, arr, first)
         cd = events.count_upto(dep)
 
-        carry = 1 if done > 0 else 0
         if carry:
             a_out[0] = dep[0] - arr_last
             f_out[0] = cd[0] - count_last
@@ -454,7 +474,7 @@ def _simulate_chunks(
         np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
         arr_last = float(arr[-1])
         count_last = int(ca[-1])
-        yield done, filled
+        yield done, (t_out, a_out, f_out)
         done += m
 
 
@@ -466,18 +486,21 @@ def _simulate_one(
     burn_in: int,
     chunk: int = _CHUNK,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replication: burned-in sample arrays (delay, peak_aoi, peak_doi)."""
+    """One replication: its burned-in delay and peak-age arrays, and the
+    counts of its burned-in peak deviations (counts[v] of the value v),
+    taken chunk by chunk, so that no deviation array outlives its chunk."""
     t_out = np.empty(n_updates)
     a_out = np.empty(n_updates - 1)
-    f_out = np.empty(n_updates - 1)
+    doi = EmpiricalTail(integer=True)
 
-    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
         lo = max(done - 1, 0)
-        return t_out[done:done + m], a_out[lo:done + m - 1], f_out[lo:done + m - 1]
+        return t_out[done:done + m], a_out[lo:done + m - 1]
 
-    for _ in _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views):
-        pass
-    return t_out[burn_in:], a_out[burn_in:], f_out[burn_in:]
+    chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views)
+    for done, (_, _, f) in chunks:
+        doi.add_counts(np.bincount(f[max(burn_in - max(done - 1, 0), 0):]))
+    return t_out[burn_in:], a_out[burn_in:], doi._counts
 
 
 def _write_at(f: BinaryIO, x: np.ndarray, offset: int) -> None:
@@ -498,46 +521,47 @@ def _simulate_to_file(
     burn_in: int,
     path: str,
     chunk: int = _CHUNK,
-) -> Tuple[str, List[Tuple[int, float, float]]]:
-    """One replication written to `path`, its arrays back to back in the
-    order of _simulate_one's: only the path and each array's (length, min,
-    max) are pickled, so the parent need not read an array to learn them.
+) -> Tuple[str, List[Tuple[int, float, float]], np.ndarray]:
+    """One replication's delay and peak-age arrays written to `path`, back
+    to back, and its peak deviations counted: only the path, each array's
+    (length, min, max) and the counts (_simulate_one's) are pickled, so the
+    parent need not read an array to learn them.
 
-    Each chunk is written at its offset as soon as it is filled, so the
-    worker holds one chunk per array, never the replication."""
-    lengths = (n_updates - burn_in, n_updates - 1 - burn_in, n_updates - 1 - burn_in)
-    starts = (0, 8 * lengths[0], 8 * (lengths[0] + lengths[1]))
+    Each chunk is written at its offsets, and its deviations counted, as
+    soon as it is filled, so the worker holds one chunk per array, never
+    the replication."""
+    lengths = (n_updates - burn_in, n_updates - 1 - burn_in)
+    starts = (0, 8 * lengths[0])
     extremes = [[math.inf, -math.inf] for _ in lengths]
-    t_buf, a_buf, f_buf = (np.empty(min(chunk, n_updates)) for _ in lengths)
+    t_buf, a_buf = (np.empty(min(chunk, n_updates)) for _ in lengths)
+    doi = EmpiricalTail(integer=True)
 
-    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        peaks = m if done > 0 else m - 1
-        return t_buf[:m], a_buf[:peaks], f_buf[:peaks]
+    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        return t_buf[:m], a_buf[:m if done > 0 else m - 1]
 
     with open(path, "wb", buffering=0) as f:
         chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views)
-        for done, filled in chunks:
-            firsts = (done, max(done - 1, 0), max(done - 1, 0))
-            for x, first, start, ext in zip(filled, firsts, starts, extremes):
+        for done, (t, a, dev) in chunks:
+            peak = max(done - 1, 0)  # the update of the chunk's first peak
+            doi.add_counts(np.bincount(dev[max(burn_in - peak, 0):]))
+            for x, first, start, ext in zip((t, a), (done, peak), starts, extremes):
                 # the first burn_in values of each array are not written
                 x = x[max(burn_in - first, 0):]
                 if len(x):
                     _write_at(f, x, start + 8 * (max(first, burn_in) - burn_in))
                     ext[0] = min(ext[0], float(x.min()))
                     ext[1] = max(ext[1], float(x.max()))
-    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)]
+    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)], doi._counts
 
 
-def _mapped(
-    path: str, shapes: Sequence[Tuple[int, float, float]]
-) -> List[Tuple[np.ndarray, Tuple[float, float]]]:
+def _mapped(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[np.ndarray]:
     """The arrays _simulate_to_file wrote, each a read-only mapping of its
-    own part of the file, with its (min, max). The file is unlinked at once.
-    A page enters the parent's resident memory only when it is read, and
-    leaves it when the array that maps it is dropped."""
+    own part of the file. The file is unlinked at once. A page enters the
+    parent's resident memory only when it is read, and leaves it when the
+    array that maps it is dropped."""
     arrays, offset = [], 0
-    for n, lo, hi in shapes:
-        arrays.append((np.memmap(path, np.float64, "r", offset=offset, shape=(n,)), (lo, hi)))
+    for n, _, _ in shapes:
+        arrays.append(np.memmap(path, np.float64, "r", offset=offset, shape=(n,)))
         offset += 8 * n
     os.unlink(path)
     return arrays
@@ -558,19 +582,21 @@ def _sigterm_held() -> Iterator[None]:
 
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
-) -> Iterator[List[Tuple[np.ndarray, Tuple[float, float]]]]:
+) -> Iterator[Tuple[list, List[Tuple[float, float]]]]:
     """Replications 0 ... n_reps - 1 in index order, each handed over through
-    a file in `tmp`. At most `workers` replications are submitted beyond the
-    one being yielded, so a failed run stops after at most that many more."""
+    a file in `tmp`: its mapped delay and peak-age arrays and its deviation
+    counts, with the arrays' (min, max). At most `workers` replications are
+    submitted beyond the one being yielded, so a failed run stops after at
+    most that many more."""
     futures = deque()
-    for r in range(n_reps):
-        path = os.path.join(tmp, str(r))
-        with _sigterm_held():  # the first submit forks the workers
-            futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
-        if len(futures) > workers:
-            yield _mapped(*futures.popleft().result())
-    while futures:
-        yield _mapped(*futures.popleft().result())
+    for r in range(n_reps + workers):
+        if r < n_reps:
+            path = os.path.join(tmp, str(r))
+            with _sigterm_held():  # the first submit forks the workers
+                futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
+        if r >= workers:
+            path, shapes, counts = futures.popleft().result()
+            yield _mapped(path, shapes) + [counts], [(lo, hi) for _, lo, hi in shapes]
 
 
 def run_replications(
@@ -586,14 +612,16 @@ def run_replications(
 
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
-    every replication's arrays are added to the tails in index order. The
-    delay and peak-age tails bin them once past raw_limit; the peak-deviation
-    tail counts each integer value, exactly, at any sample count. The pool
-    has min(workers, n_reps) processes and runs at most `workers`
-    replications ahead of the one being added, so a failed run simulates at
-    most that many beyond it. The files through which the workers hand over
-    their samples live in a directory under TMPDIR that is removed when the
-    call returns or raises.
+    every replication's delay and peak-age arrays are added to the tails in
+    index order, which bin them once past raw_limit. Peak deviations are
+    counted per integer value where each chunk is simulated, in the worker
+    of a pooled run, and the peak-deviation tail merges each replication's
+    counts: exact at any sample count, in any order. The pool has
+    min(workers, n_reps) processes and runs at most `workers` replications
+    ahead of the one being added, so a failed run simulates at most that
+    many beyond it. The files through which the workers hand over their
+    delay and peak-age arrays, 16 bytes per update, live in a directory
+    under TMPDIR that is removed when the call returns or raises.
     """
     scenario.policy.check_simulable()
     if burn_in < 0:
@@ -629,11 +657,13 @@ def run_replications(
             replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
         else:
             replications = (
-                [(x, None) for x in _simulate_one(*args, r, burn_in)] for r in range(n_reps)
+                (list(_simulate_one(*args, r, burn_in)), (None, None)) for r in range(n_reps)
             )
-        for samples in replications:
-            # each array is dropped once its tail has it: one that was binned
+        for samples, extremes in replications:
+            # the delay and peak-age arrays, then the deviation counts. Each
+            # array is dropped once its tail has it: one that was binned
             # leaves memory, and a mapping its pages, before the next is read
-            for tail in tails:
-                tail.add(*samples.pop(0))
+            tails[2].add_counts(samples.pop())
+            for tail, ext in zip(tails[:2], extremes):
+                tail.add(samples.pop(0), ext)
     return MetricTails(*tails)

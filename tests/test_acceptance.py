@@ -5,6 +5,7 @@ minutes of CPU time.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,10 +46,10 @@ def _report(number, description, check):
     print("ACCEPTANCE %d PASS: %s" % (number, description))
 
 
-def _simulate(scenario, seed, budget=SAMPLE_BUDGET):
+def _simulate(scenario, seed, budget=SAMPLE_BUDGET, workers=1):
     n_reps = max(1, budget // REP_SIZE)
     n_updates = math.ceil(budget / n_reps)
-    return run_replications(scenario, n_updates, n_reps, seed, burn_in=BURN_IN)
+    return run_replications(scenario, n_updates, n_reps, seed, burn_in=BURN_IN, workers=workers)
 
 
 def test_criterion_1_exact_reference_tail():
@@ -186,7 +187,9 @@ def test_criterion_7_bound_dominance_suite():
             bounds["delay"] = optimize_theta(scenario, Metric.DELAY).value
             bounds["peak_aoi"] = optimize_theta(scenario, Metric.PEAK_AOI).value
             bounds["peak_doi"] = float(optimize_theta(scenario, Metric.PEAK_DOI).value_int)
-            tails = _simulate(scenario, seed=7000 + seed_offset)
+            # the tails are the same at any worker count
+            workers = len(os.sched_getaffinity(0))
+            tails = _simulate(scenario, seed=7000 + seed_offset, workers=workers)
             for metric, tail in tails.by_name().items():
                 freq = tail.exceed_fraction(bounds[metric])
                 limit = eps + 3.0 * math.sqrt(eps * (1 - eps) / tail.n_samples)

@@ -42,9 +42,26 @@ from agecalc.simulate import (
     _bin,
     _fifo_chunk,
     _mapped,
+    _simulate_chunks,
     _simulate_one,
     _simulate_to_file,
 )
+
+
+def _arrays(scenario, n, seed, replication, burn_in, chunk=_CHUNK):
+    """A replication's burned-in arrays (delay, peak_aoi, peak_doi) in full,
+    the deviations as floats, copied from each chunk _simulate_chunks yields:
+    the reference that _simulate_one counts and _simulate_to_file writes."""
+    t, a, f = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+
+    def views(done, m):
+        lo = max(done - 1, 0)
+        return t[done:done + m], a[lo:done + m - 1]
+
+    for done, (_, _, dev) in _simulate_chunks(scenario, n, seed, replication, chunk, views):
+        lo = max(done - 1, 0)
+        f[lo:lo + len(dev)] = dev
+    return t[burn_in:], a[burn_in:], f[burn_in:]
 
 
 def _file_backed(x):
@@ -55,6 +72,16 @@ def _file_backed(x):
             return not writeable and x.mode == "r"
         x = x.base
     return False
+
+
+def _traced_peak(fn):
+    """The peak of the memory numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _file_resident_bytes():
@@ -165,7 +192,7 @@ class TestPeakMetrics:
                 Deterministic(2.0), Deterministic(service), TimeTriggered(3.0), 1e-3
             )
             for chunk in (4, simulate._CHUNK):
-                delay, aoi, doi = _simulate_one(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
+                delay, aoi, doi = _arrays(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
                 assert np.array_equal(delay, np.full(6, service))
                 assert np.array_equal(aoi, np.full(5, aoi_value))
                 assert np.array_equal(doi, doi_values)
@@ -173,13 +200,13 @@ class TestPeakMetrics:
     def test_deterministic_everything(self):
         w, l = 6.0, 4.0
         scenario = Scenario(Deterministic(2.0), Deterministic(l), TimeTriggered(w), 1e-3)
-        delay, aoi, doi = _simulate_one(scenario, 50, 0, 0, burn_in=0)
+        delay, aoi, doi = _arrays(scenario, 50, 0, 0, burn_in=0)
         assert np.allclose(delay, l)
         assert np.allclose(aoi, l + w)
 
     def test_event_triggered_floor_and_order(self):
         scenario = Scenario(Exponential(0.5), Exponential(0.3), EventTriggered(4), 1e-3)
-        delay, aoi, doi = _simulate_one(scenario, 400, 11, 0, burn_in=0)
+        delay, aoi, doi = _arrays(scenario, 400, 11, 0, burn_in=0)
         # C(D(n+1)) - C(A(n)) >= 4: each departure counts at least the
         # events its own update sampled
         assert (doi >= 4).all()
@@ -321,9 +348,9 @@ class TestEmpiricalTail:
             for p in parts:
                 p.tofile(f)
         mapped = EmpiricalTail(raw_limit=150_000)
-        for x, extremes in _mapped(path, [(len(p), p.min(), p.max()) for p in parts]):
+        for x, p in zip(_mapped(path, [(len(p), p.min(), p.max()) for p in parts]), parts):
             assert _file_backed(x)
-            mapped.add(x, extremes)
+            mapped.add(x, (p.min(), p.max()))
         mapping = weakref.ref(mapped._chunks[0].base)
         assert isinstance(mapping(), np.memmap) and not os.listdir(tmp_path)
         del x
@@ -350,27 +377,33 @@ class TestEmpiricalTail:
     )
     def test_integer_tail_answers_as_raw(self, values, repeat, cuts):
         # nonnegative integer samples in random chunks, some of them longer
-        # than one _BIN_BLOCK: every quantile and exceedance fraction is raw
-        # mode's, bit for bit
+        # than one _BIN_BLOCK, added as samples or merged, in order, as the
+        # chunks' count arrays of different lengths: the counts are one
+        # bincount of all samples, and every quantile and exceedance fraction
+        # is raw mode's, bit for bit
         x = np.repeat(np.array(values, dtype=np.float64), repeat)
         n = len(x)
-        raw, counted = EmpiricalTail(), EmpiricalTail(integer=True)
+        raw = EmpiricalTail()
+        counted, merged = EmpiricalTail(integer=True), EmpiricalTail(integer=True)
         raw.add(x)
         for part in np.split(x, sorted(c % (n + 1) for c in cuts)):
             counted.add(part)
-        assert counted.n_samples == n and counted.bin_width == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InsufficientSamples)
-            for eps in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1.0 / n):
-                assert np.float64(counted.quantile(eps)).tobytes() == (
-                    np.float64(raw.quantile(eps)).tobytes()
+            merged.add_counts(np.bincount(part.astype(np.intp)))
+        assert np.array_equal(merged._counts, np.bincount(x.astype(np.intp)))
+        for tail in (counted, merged):
+            assert tail.n_samples == n and tail.bin_width == 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InsufficientSamples)
+                for eps in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1.0 / n):
+                    assert np.float64(tail.quantile(eps)).tobytes() == (
+                        np.float64(raw.quantile(eps)).tobytes()
+                    )
+            points = [-math.inf, -0.5, 0.0, float(x.max()), math.inf]
+            points += [v + d for v in np.unique(x) for d in (-0.5, 0.5)]
+            for p in points:
+                assert np.float64(tail.exceed_fraction(p)).tobytes() == (
+                    np.float64(raw.exceed_fraction(p)).tobytes()
                 )
-        points = [-math.inf, -0.5, 0.0, float(x.max()), math.inf]
-        points += [v + d for v in np.unique(x) for d in (-0.5, 0.5)]
-        for p in points:
-            assert np.float64(counted.exceed_fraction(p)).tobytes() == (
-                np.float64(raw.exceed_fraction(p)).tobytes()
-            )
 
     def test_integer_tail_warns_and_rejects_as_raw(self):
         counted = EmpiricalTail(integer=True)
@@ -386,6 +419,11 @@ class TestEmpiricalTail:
         for bad in ([1.5], [-1.0], [math.nan], [math.inf]):
             with pytest.raises(ValueError):
                 counted.add(np.array(bad))
+        for bad in ([1.0], [2, -1]):
+            with pytest.raises(ValueError, match="counts"):
+                counted.add_counts(np.array(bad))
+        with pytest.raises(ValueError, match="integer tail"):
+            EmpiricalTail().add_counts(np.array([1]))
         assert counted.n_samples == 50
 
     def test_nonincreasing_quantiles(self):
@@ -519,12 +557,7 @@ class TestEventStream:
     def test_take_writes_each_event_once(self):
         # the draws land in the store: no temporary array of the block
         stream = EventStream(Exponential(0.5), 1)
-        tracemalloc.start()
-        try:
-            stream.take(0, 1_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: stream.take(0, 1_000_000))
         assert peak <= stream._store.nbytes + 1_000_000
 
     def test_take_view_lives_until_the_next_call(self):
@@ -588,9 +621,9 @@ class _ConcatStream:
 
 
 def _concat_simulate(scenario, n, seed, replication, chunk):
-    """_simulate_one as it was before the in-place store, without burn-in:
-    the concatenating stream, a discard after the arrivals and the FIFO
-    expression s = service_sum + cumsum, g = arrivals - s + service."""
+    """_arrays computed as the simulator did before the in-place store,
+    without burn-in: the concatenating stream, a discard after the arrivals
+    and the FIFO expression s = service_sum + cumsum, g = arrivals - s + service."""
     policy = scenario.policy
     events = _ConcatStream(scenario.event_model, derive_rng(seed, replication, STREAM_EVENTS))
     rng_service = derive_rng(seed, replication, STREAM_SERVICE)
@@ -652,7 +685,7 @@ class TestRunReplications:
         ]
         for events, policy, service, chunk in cases:
             scenario = Scenario(events, service, policy, 1e-3)
-            got = _simulate_one(scenario, n, 99, 2, burn_in=0, chunk=chunk)
+            got = _arrays(scenario, n, 99, 2, burn_in=0, chunk=chunk)
             ref = _concat_simulate(scenario, n, 99, 2, chunk)
             for x, y in zip(got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -697,31 +730,37 @@ class TestRunReplications:
         a, b = runs[0]["peak_doi"], runs[1]["peak_doi"]
         raw = EmpiricalTail()
         for r in range(4):
-            raw.add(_simulate_one(scenario, 20_000, 3, r, 1_000)[2])
+            raw.add(_arrays(scenario, 20_000, 3, r, 1_000)[2])
         assert a.bin_width == b.bin_width == 0
         assert np.array_equal(a._counts, b._counts)
         for eps in (1e-1, 1e-2, 1e-3):
             assert a.quantile(eps) == b.quantile(eps) == raw.quantile(eps)
 
     def test_workers_do_not_change_deviation_counts(self):
-        # event-triggered, 3 x 18,999 peak samples against a raw limit of
+        # event-triggered, a burn-in past the first chunk and a run that is
+        # no multiple of it, 3 x 19,999 peak samples against a raw limit of
         # 30,000: delay and peak age switch to histograms at replication 1,
-        # and peak deviation keeps one exact count per value at any worker count
+        # and peak deviation keeps one exact count per value at any worker
+        # count, the counts of the reference arrays' deviations
         scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(8), 1e-3)
-        a, b = (
-            run_replications(
-                scenario, 20_000, 3, 5, burn_in=1_000, workers=w, raw_limit=30_000
-            )
-            for w in (1, 2)
-        )
+        burn_in = _CHUNK + 1_000
+        n = burn_in + 20_000
+        runs = [
+            run_replications(scenario, n, 3, 5, burn_in=burn_in, workers=w, raw_limit=30_000)
+            for w in (1, 2, 3)
+        ]
+        deviations = np.concatenate([_arrays(scenario, n, 5, r, burn_in)[2] for r in range(3)])
+        reference = np.bincount(deviations.astype(np.intp))
+        a = runs[0]
         assert a.delay.bin_width > 0 and a.peak_aoi.bin_width > 0
-        assert a.peak_doi.n_samples == b.peak_doi.n_samples == 3 * 18_999
-        assert a.peak_doi._chunks == b.peak_doi._chunks == []  # no sample is kept
-        assert np.array_equal(a.peak_doi._counts, b.peak_doi._counts)
-        for eps in (1.0, 1e-1, 1e-2, 1e-3):
-            assert a.peak_doi.quantile(eps) == b.peak_doi.quantile(eps)
-        for x in (0.0, 8.0, 8.5, 20.0):
-            assert a.peak_doi.exceed_fraction(x) == b.peak_doi.exceed_fraction(x)
+        for b in runs:
+            assert b.peak_doi.n_samples == 3 * 19_999
+            assert b.peak_doi._chunks == []  # no sample is kept
+            assert np.array_equal(b.peak_doi._counts, reference)
+            for eps in (1.0, 1e-1, 1e-2, 1e-3):
+                assert a.peak_doi.quantile(eps) == b.peak_doi.quantile(eps)
+            for x in (0.0, 8.0, 8.5, 20.0):
+                assert a.peak_doi.exceed_fraction(x) == b.peak_doi.exceed_fraction(x)
 
     def test_pool_sized_to_replications(self, monkeypatch):
         # a stand-in pool records its size and runs jobs inline: no process starts
@@ -794,7 +833,7 @@ class TestRunReplications:
         n, burn_in, reps, limit, seed = 2_001, 1, 5, 3_999, 11
         ref = [EmpiricalTail(raw_limit=limit) for _ in range(2)] + [EmpiricalTail()]
         for r in range(reps):
-            for tail, x in zip(ref, _simulate_one(scenario, n, seed, r, burn_in)):
+            for tail, x in zip(ref, _arrays(scenario, n, seed, r, burn_in)):
                 if r == 2:
                     assert x.max() > tail._max
                 tail.add(x)
@@ -822,9 +861,10 @@ class TestRunReplications:
         # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
         # second replication switches the delay and peak-age tails to
         # histograms. No result carries a sample array: every replication
-        # hands its samples over as a file, which those tails hold as
-        # read-only mappings until the switch bins them, and the parent bins
-        # the later ones (and counts every peak deviation) as a serial run does
+        # hands its delays and peak ages over as a file, which those tails
+        # hold as read-only mappings until the switch bins them, and the
+        # parent bins the later ones as a serial run does; the workers count
+        # the peak deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         run = functools.partial(
             run_replications, scenario, 150_000, 4, 3, burn_in=1_000, raw_limit=200_000
@@ -903,7 +943,7 @@ class TestRunReplications:
         # 3,500,000. Until then they hold the first three as file mappings
         # they have not read, since the workers report the extremes, so none
         # of those pages is resident; binning reads each array, then drops its
-        # mapping, as the peak-deviation tail does with every array it counts
+        # mapping. The file holds no deviation, which the workers count
         array = 8 * 1_000_000
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
@@ -928,7 +968,7 @@ class TestRunReplications:
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the pooled
         # delay and peak-age tails hold the mapped files until the first query
-        # sorts them into an array of their own; peak deviation is counted
+        # sorts them into an array of their own; the workers count peak deviation
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
@@ -964,11 +1004,11 @@ class TestRunReplications:
 
         def full_disk_in_0(f, x, offset):
             # each process counts the writes of the replications it runs;
-            # the fourth write to replication 0 is its second chunk's first
+            # the third write to replication 0 is its second chunk's first
             name = os.path.basename(f.name)
             (seen / name).touch()
             writes[name] += 1
-            if name == "0" and writes[name] > 3:
+            if name == "0" and writes[name] > 2:
                 assert os.path.getsize(f.name) > 0  # the first chunk is on disk
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), f.name)
             write(f, x, offset)
@@ -1006,37 +1046,48 @@ class TestRunReplications:
     )
     def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
         # chunks of 1,024: the file, written chunk by chunk at each array's
-        # offset, holds _simulate_one's arrays bit for bit, and the reported
-        # extremes are theirs
+        # offset, holds _simulate_one's delay and peak-age arrays bit for bit,
+        # 16 B per update, and the reported extremes are theirs; the worker
+        # and _simulate_one both count the deviations of the reference array
         scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-        ref = _simulate_one(scenario, n, 99, 1, burn_in, chunk=1_024)
+        delay, aoi, doi = _arrays(scenario, n, 99, 1, burn_in, chunk=1_024)
+        serial = _simulate_one(scenario, n, 99, 1, burn_in, chunk=1_024)
         path = str(tmp_path / "1")
-        got_path, shapes = _simulate_to_file(scenario, n, 99, 1, burn_in, path, chunk=1_024)
+        got_path, shapes, counts = _simulate_to_file(
+            scenario, n, 99, 1, burn_in, path, chunk=1_024
+        )
         assert got_path == path
         with open(path, "rb") as f:
-            assert f.read() == b"".join(x.tobytes() for x in ref)
-        expected = [(len(x), x.min(), x.max()) for x in ref]
+            assert f.read() == serial[0].tobytes() + serial[1].tobytes()
+        assert os.path.getsize(path) == 8 * (2 * n - 1 - 2 * burn_in)
+        assert np.array_equal(serial[0], delay) and np.array_equal(serial[1], aoi)
+        expected = [(len(x), x.min(), x.max()) for x in (delay, aoi)]
         assert np.array(shapes).tobytes() == np.array(expected).tobytes()
         lengths = [length for length, _, _ in shapes]
-        assert lengths == [n - burn_in, n - 1 - burn_in, n - 1 - burn_in]
+        assert lengths == [n - burn_in, n - 1 - burn_in]
+        reference = np.bincount(doi.astype(np.intp))
+        assert np.array_equal(counts, reference) and np.array_equal(serial[2], reference)
 
     def test_file_path_holds_one_chunk_per_array(self, tmp_path):
         # the worker writes each chunk as it is computed: its peak is below
-        # _simulate_one's by the three full-length arrays less three chunks
+        # that of the three full-length arrays by those arrays less three chunks
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
         n = 1_000_000
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        whole = peak(lambda: _simulate_one(scenario, n, 3, 0, 1_000))
-        chunked = peak(lambda: _simulate_to_file(scenario, n, 3, 0, 1_000, str(tmp_path / "0")))
+        whole = _traced_peak(lambda: _arrays(scenario, n, 3, 0, 1_000))
+        chunked = _traced_peak(
+            lambda: _simulate_to_file(scenario, n, 3, 0, 1_000, str(tmp_path / "0"))
+        )
         assert whole - chunked >= 8 * (3 * n - 2) - 3 * 8 * _CHUNK
+
+    def test_serial_run_holds_no_deviation_array(self):
+        # a serial run counts each chunk's deviations as it is computed: its
+        # peak is below that of the three full-length arrays by at least one
+        # of them less one chunk
+        scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
+        n = 1_000_000
+        whole = _traced_peak(lambda: _arrays(scenario, n, 3, 0, 1_000))
+        serial = _traced_peak(lambda: run_replications(scenario, n, 1, 3, burn_in=1_000))
+        assert whole - serial >= 8 * (n - 1) - 8 * _CHUNK
 
     def test_failed_chunk_write_keeps_its_errno(self, tmp_path):
         # a file size limit of 1 MB fails the first chunk write part way, as
@@ -1086,7 +1137,7 @@ class TestRunReplications:
         n = 5_000
         for policy in (EventTriggered(3), TimeTriggered(2.0)):
             scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-            t, a, f = _simulate_one(scenario, n, 99, 0, burn_in=0, chunk=1_024)
+            t, a, f = _arrays(scenario, n, 99, 0, burn_in=0, chunk=1_024)
 
             times = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS)).take(
                 0, 1 << 16
