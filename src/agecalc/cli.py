@@ -21,9 +21,9 @@ the CSV goes to stdout.
 Exit codes: 0 success (including flagged rows), 2 usage or config error
 (an --out that cannot be written is one, rejected before the command runs;
 a write that fails removes the partial file) or an OSError while the
-command runs, such as a full TMPDIR, 3 internal numerical failure, 143
-stopped by SIGTERM (a pooled run first stops its workers and removes its
-temporary files).
+command runs, such as a full TMPDIR, which every simulation writes to at
+any --workers, 3 internal numerical failure, 143 stopped by SIGTERM (a run
+first stops its workers, if any, and removes its temporary files).
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def _terminate(signum, frame):
 
 
 def main(argv=None) -> int:
-    # SIGTERM unwinds like an exception, so a pooled run stops its workers
+    # SIGTERM unwinds like an exception, so a run stops its workers, if any,
     # and removes its temporary directory; the caller's handler is restored
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:

@@ -19,29 +19,28 @@ events and 1 for service. Event times are generated lazily in blocks and
 discarded once no later update reads them, so memory stays bounded at any
 sample count.
 
-Peak deviation is an event count, and its tail counts each value, exact at
-any sample count. So no replication keeps its deviations: each chunk's are
-counted, past the burn-in, as soon as the chunk is computed, into one count
-per value, and a replication hands its tail those counts, a few hundred
-integers, with its delay and peak-age arrays.
-
-With a process pool, every replication hands its two arrays to the parent
-through a file in a temporary directory (under TMPDIR): the worker writes
-each chunk of them at that array's offset, with `os.pwrite`, as soon as
-the chunk is computed, so it holds one chunk per array (2^18 updates,
-2 MB), never the whole replication, and returns each array's length,
-minimum and maximum, and the deviation counts. The parent maps each array
-read-only on its own and unlinks the file at once, so no sample array is
-pickled. The parent adds the replications to the tails in index order, as
-a serial run does, and keeps at most `workers` of them submitted beyond
-the one it is adding. The delay and peak-age tails take the extremes they
-are given, so an array's pages enter the parent's resident memory only
+Every replication hands its metrics to the tails through a file in a
+temporary directory (under TMPDIR), whether a pool worker runs it or the
+calling process does: each chunk of its delay and peak-age arrays is
+written at that array's offset, with `os.pwrite`, as soon as the chunk is
+computed, so a replication holds one chunk per array (2^18 updates, 2 MB),
+never the whole replication. Peak deviation is an event count, and its
+tail counts each value, exact at any sample count, so each chunk's
+deviations are counted past the burn-in instead, and the replication
+returns one count per value, a few hundred integers, with each array's
+length, minimum and maximum. The caller maps each array read-only on its
+own, unlinks the file at once and adds the replications to the tails in
+index order, so no sample array is pickled and the tails are the same at
+any worker count; a pool keeps at most `workers` replications submitted
+beyond the one being added. The delay and peak-age tails take the
+extremes they are given, so an array's pages enter resident memory only
 while a tail bins them or sorts them, and leave it once that array is
 dropped, whatever the tails still hold of the same file. The pages stay on
 disk until the last mapping of the file is dropped: at most the
 replications up to the one that takes the delay and peak-age tails past
-their raw limit, plus `workers` in flight, at 16 bytes per update (about
-256 MB with the default raw limit, 2M-update replications and 2 workers).
+their raw limit, plus `workers` in flight with a pool, at 16 bytes per
+update (with the default raw limit and 2M-update replications, about
+192 MB in one process and 256 MB with 2 workers).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -426,17 +425,14 @@ def _simulate_chunks(
     base_seed: int,
     replication: int,
     chunk: int,
-    views: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """One replication, chunk by chunk, without burn-in.
 
-    For the chunk of updates done ... done + m - 1 (0-based), views(done, m)
-    supplies the two arrays the chunk fills: its m delays, and the peak ages
-    of updates max(done - 1, 0) ... done + m - 2, as a peak needs the next
-    update's departure. The peak deviations of the same updates, event
-    counts, go to an integer buffer of one chunk. Yields done and the three
-    arrays once they are filled; the caller may reuse its two for the next
-    chunk, which overwrites the deviations.
+    For the chunk of updates done ... done + m - 1 (0-based), yields done and
+    three arrays: its m delays, and the peak ages and peak deviations (event
+    counts) of updates max(done - 1, 0) ... done + m - 2, as a peak needs the
+    next update's departure. The arrays are buffers of one chunk, which the
+    next chunk overwrites.
     """
     policy = scenario.policy
     policy.check_simulable()
@@ -444,7 +440,8 @@ def _simulate_chunks(
         scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
-    f_buf = np.empty(min(chunk, n_updates), dtype=np.intp)
+    size = min(chunk, n_updates)
+    t_buf, a_buf, f_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
 
     service_sum, run_max = 0.0, -math.inf
     arr_last = 0.0
@@ -458,9 +455,8 @@ def _simulate_chunks(
         arr = policy.arrivals(events, first, m)
         service = sample(scenario.service_model, rng_service, m)
         dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
-        t_out, a_out = views(done, m)
         carry = 1 if done > 0 else 0
-        f_out = f_buf[:m - 1 + carry]
+        t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
 
         np.subtract(dep, arr, out=t_out)
 
@@ -476,31 +472,6 @@ def _simulate_chunks(
         count_last = int(ca[-1])
         yield done, (t_out, a_out, f_out)
         done += m
-
-
-def _simulate_one(
-    scenario: Scenario,
-    n_updates: int,
-    base_seed: int,
-    replication: int,
-    burn_in: int,
-    chunk: int = _CHUNK,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replication: its burned-in delay and peak-age arrays, and the
-    counts of its burned-in peak deviations (counts[v] of the value v),
-    taken chunk by chunk, so that no deviation array outlives its chunk."""
-    t_out = np.empty(n_updates)
-    a_out = np.empty(n_updates - 1)
-    doi = EmpiricalTail(integer=True)
-
-    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo = max(done - 1, 0)
-        return t_out[done:done + m], a_out[lo:done + m - 1]
-
-    chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views)
-    for done, (_, _, f) in chunks:
-        doi.add_counts(np.bincount(f[max(burn_in - max(done - 1, 0), 0):]))
-    return t_out[burn_in:], a_out[burn_in:], doi._counts
 
 
 def _write_at(f: BinaryIO, x: np.ndarray, offset: int) -> None:
@@ -522,25 +493,21 @@ def _simulate_to_file(
     path: str,
     chunk: int = _CHUNK,
 ) -> Tuple[str, List[Tuple[int, float, float]], np.ndarray]:
-    """One replication's delay and peak-age arrays written to `path`, back
-    to back, and its peak deviations counted: only the path, each array's
-    (length, min, max) and the counts (_simulate_one's) are pickled, so the
-    parent need not read an array to learn them.
+    """One replication's burned-in delay and peak-age arrays written to
+    `path`, back to back, and its burned-in peak deviations counted
+    (counts[v] of the value v). Returns the path, each array's
+    (length, min, max) and the counts, all that a pool pickles, so the
+    caller need not read an array to learn them.
 
     Each chunk is written at its offsets, and its deviations counted, as
-    soon as it is filled, so the worker holds one chunk per array, never
-    the replication."""
+    soon as it is computed, so a replication holds one chunk per array,
+    never the whole of it."""
     lengths = (n_updates - burn_in, n_updates - 1 - burn_in)
     starts = (0, 8 * lengths[0])
     extremes = [[math.inf, -math.inf] for _ in lengths]
-    t_buf, a_buf = (np.empty(min(chunk, n_updates)) for _ in lengths)
     doi = EmpiricalTail(integer=True)
-
-    def views(done: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-        return t_buf[:m], a_buf[:m if done > 0 else m - 1]
-
     with open(path, "wb", buffering=0) as f:
-        chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk, views)
+        chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
         for done, (t, a, dev) in chunks:
             peak = max(done - 1, 0)  # the update of the chunk's first peak
             doi.add_counts(np.bincount(dev[max(burn_in - peak, 0):]))
@@ -557,8 +524,8 @@ def _simulate_to_file(
 def _mapped(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[np.ndarray]:
     """The arrays _simulate_to_file wrote, each a read-only mapping of its
     own part of the file. The file is unlinked at once. A page enters the
-    parent's resident memory only when it is read, and leaves it when the
-    array that maps it is dropped."""
+    resident memory only when it is read, and leaves it when the array that
+    maps it is dropped."""
     arrays, offset = [], 0
     for n, _, _ in shapes:
         arrays.append(np.memmap(path, np.float64, "r", offset=offset, shape=(n,)))
@@ -582,12 +549,11 @@ def _sigterm_held() -> Iterator[None]:
 
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
-) -> Iterator[Tuple[list, List[Tuple[float, float]]]]:
-    """Replications 0 ... n_reps - 1 in index order, each handed over through
-    a file in `tmp`: its mapped delay and peak-age arrays and its deviation
-    counts, with the arrays' (min, max). At most `workers` replications are
-    submitted beyond the one being yielded, so a failed run stops after at
-    most that many more."""
+) -> Iterator[Tuple[str, List[Tuple[int, float, float]], np.ndarray]]:
+    """_simulate_to_file's results for replications 0 ... n_reps - 1, in
+    index order, each written to a file in `tmp` by a worker. At most
+    `workers` replications are submitted beyond the one being yielded, so a
+    failed run stops after at most that many more."""
     futures = deque()
     for r in range(n_reps + workers):
         if r < n_reps:
@@ -595,8 +561,7 @@ def _pooled(
             with _sigterm_held():  # the first submit forks the workers
                 futures.append(pool.submit(_simulate_to_file, *args, r, burn_in, path))
         if r >= workers:
-            path, shapes, counts = futures.popleft().result()
-            yield _mapped(path, shapes) + [counts], [(lo, hi) for _, lo, hi in shapes]
+            yield futures.popleft().result()
 
 
 def run_replications(
@@ -614,14 +579,15 @@ def run_replications(
     count: each replication derives its own streams from the base seed, and
     every replication's delay and peak-age arrays are added to the tails in
     index order, which bin them once past raw_limit. Peak deviations are
-    counted per integer value where each chunk is simulated, in the worker
-    of a pooled run, and the peak-deviation tail merges each replication's
-    counts: exact at any sample count, in any order. The pool has
-    min(workers, n_reps) processes and runs at most `workers` replications
-    ahead of the one being added, so a failed run simulates at most that
-    many beyond it. The files through which the workers hand over their
-    delay and peak-age arrays, 16 bytes per update, live in a directory
-    under TMPDIR that is removed when the call returns or raises.
+    counted per integer value where each chunk is simulated, and the
+    peak-deviation tail merges each replication's counts: exact at any
+    sample count, in any order. Every replication hands its delay and
+    peak-age arrays over through a file, 16 bytes per update, in a
+    directory under TMPDIR that is removed when the call returns or raises.
+    With workers > 1, a pool of min(workers, n_reps) processes runs the
+    replications, at most `workers` ahead of the one being added, so a
+    failed run simulates at most that many beyond it; otherwise this
+    process runs each in turn.
     """
     scenario.policy.check_simulable()
     if burn_in < 0:
@@ -643,10 +609,10 @@ def run_replications(
     workers = min(workers, n_reps)
     args = (scenario, n_updates, base_seed)
     with contextlib.ExitStack() as stack:
-        if workers > 1:
-            with _sigterm_held():
-                # entered before the pool, so it is removed after the workers stop
-                tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
+        with _sigterm_held():
+            # entered before the pool, so it is removed after the workers stop
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="agecalc-"))
+            if workers > 1:
                 # forked with SIGTERM held, which each worker releases first
                 pool = ProcessPoolExecutor(
                     max_workers=workers, initializer=signal.pthread_sigmask,
@@ -654,16 +620,17 @@ def run_replications(
                 )
                 # on an error, the replications no worker has taken yet are cancelled
                 stack.callback(pool.shutdown, cancel_futures=True)
-            replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
-        else:
-            replications = (
-                (list(_simulate_one(*args, r, burn_in)), (None, None)) for r in range(n_reps)
-            )
-        for samples, extremes in replications:
-            # the delay and peak-age arrays, then the deviation counts. Each
-            # array is dropped once its tail has it: one that was binned
-            # leaves memory, and a mapping its pages, before the next is read
-            tails[2].add_counts(samples.pop())
-            for tail, ext in zip(tails[:2], extremes):
-                tail.add(samples.pop(0), ext)
+                replications = _pooled(pool, tmp, args, n_reps, burn_in, workers)
+            else:
+                replications = (
+                    _simulate_to_file(*args, r, burn_in, os.path.join(tmp, str(r)))
+                    for r in range(n_reps)
+                )
+        for path, shapes, counts in replications:
+            # each array is dropped once its tail has it: one that was binned
+            # leaves memory, and its mapping its pages, before the next is read
+            tails[2].add_counts(counts)
+            arrays = _mapped(path, shapes)
+            for tail, (_, lo, hi) in zip(tails[:2], shapes):
+                tail.add(arrays.pop(0), (lo, hi))
     return MetricTails(*tails)

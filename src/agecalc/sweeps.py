@@ -182,11 +182,7 @@ def simulation_rows(
 ) -> List[CsvRow]:
     """Empirical quantile rows with a 3-sigma binomial error note per row."""
     rows = []
-    for metric, tail in (
-        (Metric.DELAY, tails.delay),
-        (Metric.PEAK_AOI, tails.peak_aoi),
-        (Metric.PEAK_DOI, tails.peak_doi),
-    ):
+    for name, tail in tails.by_name().items():
         n = tail.n_samples
         for eps in eps_values:
             tokens = []
@@ -198,7 +194,7 @@ def simulation_rows(
             if insufficient:
                 tokens.append("insufficient_samples")
             rows.append(_row(scenario_id, replace(scenario, epsilon=eps), axis,
-                             eps if axis == "epsilon" else axis_value, metric,
+                             eps if axis == "epsilon" else axis_value, Metric(name),
                              "simulation", q, flag=";".join(tokens)))
     return rows
 

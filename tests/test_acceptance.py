@@ -29,8 +29,9 @@ from agecalc import (
     run_replications,
 )
 from agecalc.cli import main
-from agecalc.simulate import _fifo_chunk, _simulate_one
+from agecalc.simulate import _fifo_chunk
 from agecalc.sweeps import FIGURES, make_model
+from simulated import arrays
 
 SAMPLE_BUDGET = 10_000_000
 REP_SIZE = 2_000_000
@@ -223,7 +224,7 @@ def test_criterion_8_structural_invariants():
         poisson = Scenario(Exponential(0.5), Exponential(1.0 / 1.5), EventTriggered(1), 1e-3)
         for replication in range(50):
             n = int(rng.integers(3, 200))
-            delay, aoi, _ = _simulate_one(poisson, n, 88, replication, burn_in=0)
+            delay, aoi, _ = arrays(poisson, n, 88, replication, burn_in=0)
             assert (aoi >= delay[1:] - 1e-12).all()
 
         # deviation floor and limiting values at the preset parameters

@@ -419,10 +419,10 @@ class TestCli:
         assert proc.stdout.startswith(CSV_HEADER)
 
     @contextlib.contextmanager
-    def _child_simulate(self, tmp_path, samples, **popen):
-        """`python -m agecalc simulate --workers 2` in a child session whose
-        TMPDIR is tmp_path / "tmp", where its pool hands replications over;
-        stdout and stderr go to tmp_path / "out" and "err". On exit the
+    def _child_simulate(self, tmp_path, samples, workers, **popen):
+        """`python -m agecalc simulate --workers <workers>` in a child session
+        whose TMPDIR is tmp_path / "tmp", where its replications are handed
+        over; stdout and stderr go to tmp_path / "out" and "err". On exit the
         session is killed, so a run that fails the test leaves no worker."""
         cfg = _write(
             tmp_path, "tt.cfg",
@@ -434,7 +434,7 @@ class TestCli:
         path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
         with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "agecalc", "simulate", "--config", cfg, "--workers", "2"],
+                [sys.executable, "-m", "agecalc", "simulate", "--config", cfg, "--workers", str(workers)],
                 stdout=out, stderr=err, start_new_session=True,
                 env=dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp)), **popen,
             )
@@ -445,26 +445,30 @@ class TestCli:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
 
-    def test_os_error_in_a_worker_exit_2_in_one_line(self, tmp_path):
-        # a 1 MB file size limit fails the workers' first chunk writes, as a
-        # full TMPDIR does: one line, no traceback, and no file left behind
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_os_error_in_a_worker_exit_2_in_one_line(self, tmp_path, workers):
+        # a 1 MB file size limit fails the first chunk writes, in the workers
+        # or in the one process, as a full TMPDIR does: one line, no
+        # traceback, and no file left behind
         resource = pytest.importorskip("resource")
 
         def limit_file_size():
             hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
             resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))
 
-        with self._child_simulate(tmp_path, 4_000_000, preexec_fn=limit_file_size) as (proc, tmp):
+        child = self._child_simulate(tmp_path, 4_000_000, workers, preexec_fn=limit_file_size)
+        with child as (proc, tmp):
             proc.wait(timeout=120)
         err = (tmp_path / "err").read_text()
         assert proc.returncode == 2, err
         assert err == "error: simulate failed: %s\n" % os.strerror(errno.EFBIG)
         assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
 
-    def test_sigterm_removes_the_temporary_directory(self, tmp_path):
-        # 20 replications of 2M updates: the run is stopped while its pool
-        # writes replications under TMPDIR
-        with self._child_simulate(tmp_path, 40_000_000) as (proc, tmp):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_removes_the_temporary_directory(self, tmp_path, workers):
+        # 20 replications of 2M updates: the run is stopped while it writes
+        # replications under TMPDIR
+        with self._child_simulate(tmp_path, 40_000_000, workers) as (proc, tmp):
             deadline = time.monotonic() + 60
             while not any(p.name.startswith("agecalc-") for p in tmp.iterdir()):
                 assert proc.poll() is None and time.monotonic() < deadline

@@ -19,7 +19,7 @@ from agecalc import (
     log_delay_mgf_bound,
     run_replications,
 )
-from agecalc.simulate import _simulate_one
+from simulated import arrays
 
 
 class TestMgfBoundsDominateSimulation:
@@ -28,7 +28,7 @@ class TestMgfBoundsDominateSimulation:
         # analytical MGF bound at the same theta
         theta = 0.25
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        t, _, _ = _simulate_one(scenario, 1_000_000, 404, 0, burn_in=10_000)
+        t, _, _ = arrays(scenario, 1_000_000, 404, 0, burn_in=10_000)
         emp = np.exp(theta * t).mean()
         env = envelope_set(scenario.policy, scenario.event_model, scenario.service_model, theta)
         assert emp <= math.exp(log_delay_mgf_bound(env))
@@ -36,7 +36,7 @@ class TestMgfBoundsDominateSimulation:
     def test_aoi_mgf_bound_dominates(self):
         theta = 0.25
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        _, a, _ = _simulate_one(scenario, 1_000_000, 405, 0, burn_in=10_000)
+        _, a, _ = arrays(scenario, 1_000_000, 405, 0, burn_in=10_000)
         emp = np.exp(theta * a).mean()
         env = envelope_set(scenario.policy, scenario.event_model, scenario.service_model, theta)
         assert emp <= math.exp(log_aoi_mgf_bound(env))
@@ -46,7 +46,8 @@ class TestMgfBoundsDominateSimulation:
         # frequency of large deviations
         scenario = Scenario(Exponential(0.5), Exponential(0.25), EventTriggered(8), 1e-3)
         bound = doi_tail_probability(scenario, theta=0.1, phi=20)
-        _, _, counts = _simulate_one(scenario, 2_000_000, 406, 0, burn_in=10_000)
+        _, _, doi = arrays(scenario, 2_000_000, 406, 0, burn_in=10_000)
+        counts = np.bincount(doi.astype(np.intp))
         n = counts.sum()
         freq = counts[21:].sum() / n
         sigma = math.sqrt(max(freq, 1e-9) * (1 - freq) / n)

@@ -42,26 +42,9 @@ from agecalc.simulate import (
     _bin,
     _fifo_chunk,
     _mapped,
-    _simulate_chunks,
-    _simulate_one,
     _simulate_to_file,
 )
-
-
-def _arrays(scenario, n, seed, replication, burn_in, chunk=_CHUNK):
-    """A replication's burned-in arrays (delay, peak_aoi, peak_doi) in full,
-    the deviations as floats, copied from each chunk _simulate_chunks yields:
-    the reference that _simulate_one counts and _simulate_to_file writes."""
-    t, a, f = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-
-    def views(done, m):
-        lo = max(done - 1, 0)
-        return t[done:done + m], a[lo:done + m - 1]
-
-    for done, (_, _, dev) in _simulate_chunks(scenario, n, seed, replication, chunk, views):
-        lo = max(done - 1, 0)
-        f[lo:lo + len(dev)] = dev
-    return t[burn_in:], a[burn_in:], f[burn_in:]
+from simulated import arrays
 
 
 def _file_backed(x):
@@ -192,7 +175,7 @@ class TestPeakMetrics:
                 Deterministic(2.0), Deterministic(service), TimeTriggered(3.0), 1e-3
             )
             for chunk in (4, simulate._CHUNK):
-                delay, aoi, doi = _arrays(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
+                delay, aoi, doi = arrays(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
                 assert np.array_equal(delay, np.full(6, service))
                 assert np.array_equal(aoi, np.full(5, aoi_value))
                 assert np.array_equal(doi, doi_values)
@@ -200,13 +183,13 @@ class TestPeakMetrics:
     def test_deterministic_everything(self):
         w, l = 6.0, 4.0
         scenario = Scenario(Deterministic(2.0), Deterministic(l), TimeTriggered(w), 1e-3)
-        delay, aoi, doi = _arrays(scenario, 50, 0, 0, burn_in=0)
+        delay, aoi, doi = arrays(scenario, 50, 0, 0, burn_in=0)
         assert np.allclose(delay, l)
         assert np.allclose(aoi, l + w)
 
     def test_event_triggered_floor_and_order(self):
         scenario = Scenario(Exponential(0.5), Exponential(0.3), EventTriggered(4), 1e-3)
-        delay, aoi, doi = _arrays(scenario, 400, 11, 0, burn_in=0)
+        delay, aoi, doi = arrays(scenario, 400, 11, 0, burn_in=0)
         # C(D(n+1)) - C(A(n)) >= 4: each departure counts at least the
         # events its own update sampled
         assert (doi >= 4).all()
@@ -621,7 +604,7 @@ class _ConcatStream:
 
 
 def _concat_simulate(scenario, n, seed, replication, chunk):
-    """_arrays computed as the simulator did before the in-place store,
+    """arrays computed as the simulator did before the in-place store,
     without burn-in: the concatenating stream, a discard after the arrivals
     and the FIFO expression s = service_sum + cumsum, g = arrivals - s + service."""
     policy = scenario.policy
@@ -685,7 +668,7 @@ class TestRunReplications:
         ]
         for events, policy, service, chunk in cases:
             scenario = Scenario(events, service, policy, 1e-3)
-            got = _arrays(scenario, n, 99, 2, burn_in=0, chunk=chunk)
+            got = arrays(scenario, n, 99, 2, burn_in=0, chunk=chunk)
             ref = _concat_simulate(scenario, n, 99, 2, chunk)
             for x, y in zip(got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -730,7 +713,7 @@ class TestRunReplications:
         a, b = runs[0]["peak_doi"], runs[1]["peak_doi"]
         raw = EmpiricalTail()
         for r in range(4):
-            raw.add(_arrays(scenario, 20_000, 3, r, 1_000)[2])
+            raw.add(arrays(scenario, 20_000, 3, r, 1_000)[2])
         assert a.bin_width == b.bin_width == 0
         assert np.array_equal(a._counts, b._counts)
         for eps in (1e-1, 1e-2, 1e-3):
@@ -749,7 +732,7 @@ class TestRunReplications:
             run_replications(scenario, n, 3, 5, burn_in=burn_in, workers=w, raw_limit=30_000)
             for w in (1, 2, 3)
         ]
-        deviations = np.concatenate([_arrays(scenario, n, 5, r, burn_in)[2] for r in range(3)])
+        deviations = np.concatenate([arrays(scenario, n, 5, r, burn_in)[2] for r in range(3)])
         reference = np.bincount(deviations.astype(np.intp))
         a = runs[0]
         assert a.delay.bin_width > 0 and a.peak_aoi.bin_width > 0
@@ -833,7 +816,7 @@ class TestRunReplications:
         n, burn_in, reps, limit, seed = 2_001, 1, 5, 3_999, 11
         ref = [EmpiricalTail(raw_limit=limit) for _ in range(2)] + [EmpiricalTail()]
         for r in range(reps):
-            for tail, x in zip(ref, _arrays(scenario, n, seed, r, burn_in)):
+            for tail, x in zip(ref, arrays(scenario, n, seed, r, burn_in)):
                 if r == 2:
                     assert x.max() > tail._max
                 tail.add(x)
@@ -966,9 +949,10 @@ class TestRunReplications:
         assert max(rises) < array
 
     def test_pooled_raw_tails_match_serial(self):
-        # 3 x 19,000 samples per metric stay below the raw limit: the pooled
-        # delay and peak-age tails hold the mapped files until the first query
-        # sorts them into an array of their own; the workers count peak deviation
+        # 3 x 19,000 samples per metric stay below the raw limit: the delay
+        # and peak-age tails of either run hold the mapped files until the
+        # first query sorts them into an array of their own; the replications
+        # count peak deviation
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
@@ -980,6 +964,7 @@ class TestRunReplications:
             tail, ref = pooled.by_name()[name], serial.by_name()[name]
             mapped = list(tail._chunks)
             assert len(mapped) == 3 and all(_file_backed(x) for x in mapped)
+            assert len(ref._chunks) == 3 and all(_file_backed(x) for x in ref._chunks)
             assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
             for eps in (1e-1, 1e-2, 1e-3):
                 assert tail.quantile(eps) == ref.quantile(eps)
@@ -989,15 +974,17 @@ class TestRunReplications:
             for x in (2.0, 10.0, float(np.median(mapped[0]))):
                 assert tail.exceed_fraction(x) == ref.exceed_fraction(x)
 
-    def test_no_file_outlives_a_run(self, monkeypatch, tmp_path):
-        # the chunk writer is looked up in the module when a worker runs, so
-        # a patch made before the pool forks reaches the workers
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_file_outlives_a_run(self, monkeypatch, tmp_path, workers):
+        # the chunk writer is looked up in the module when a replication
+        # runs, so a patch made before the pool forks reaches the workers,
+        # and one run in this process alike
         tmp, seen = tmp_path / "tmp", tmp_path / "seen"
         tmp.mkdir()
         seen.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
+        run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=workers)
         assert list(tmp.iterdir()) == []
 
         write, writes = simulate._write_at, collections.Counter()
@@ -1017,15 +1004,17 @@ class TestRunReplications:
         n_reps = 40
         with pytest.raises(OSError) as raised:
             # two chunks per replication
-            run_replications(scenario, _CHUNK + 40_000, n_reps, 5, burn_in=1_000, workers=2)
+            run_replications(
+                scenario, _CHUNK + 40_000, n_reps, 5, burn_in=1_000, workers=workers
+            )
         assert raised.value.errno == errno.ENOSPC
         assert list(tmp.iterdir()) == []
-        # replications are submitted at most `workers` ahead of the one the
+        # a pool submits replications at most `workers` ahead of the one the
         # parent waits for, so only those already submitted when replication
-        # 0 fails can be simulated
+        # 0 fails can be simulated; one process simulates replication 0 only
         simulated = {int(p.name) for p in seen.iterdir()}
         assert 0 in simulated and n_reps - 1 not in simulated
-        assert len(simulated) <= 2 + 1
+        assert len(simulated) <= (workers + 1 if workers > 1 else 1)
 
     @pytest.mark.parametrize(
         "policy", [TimeTriggered(2.0), EventTriggered(3)], ids=["time", "event"]
@@ -1044,36 +1033,34 @@ class TestRunReplications:
             (2, 0),
         ],
     )
-    def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
+    def test_file_holds_the_serialarrays(self, tmp_path, policy, n, burn_in):
         # chunks of 1,024: the file, written chunk by chunk at each array's
-        # offset, holds _simulate_one's delay and peak-age arrays bit for bit,
-        # 16 B per update, and the reported extremes are theirs; the worker
-        # and _simulate_one both count the deviations of the reference array
+        # offset, holds the burned-in delay and peak-age arrays of the
+        # chunks _simulate_chunks yields bit for bit, 16 B per update, the
+        # reported extremes are theirs, and the counts are those of the
+        # burned-in deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-        delay, aoi, doi = _arrays(scenario, n, 99, 1, burn_in, chunk=1_024)
-        serial = _simulate_one(scenario, n, 99, 1, burn_in, chunk=1_024)
+        delay, aoi, doi = arrays(scenario, n, 99, 1, burn_in, chunk=1_024)
         path = str(tmp_path / "1")
         got_path, shapes, counts = _simulate_to_file(
             scenario, n, 99, 1, burn_in, path, chunk=1_024
         )
         assert got_path == path
         with open(path, "rb") as f:
-            assert f.read() == serial[0].tobytes() + serial[1].tobytes()
+            assert f.read() == delay.tobytes() + aoi.tobytes()
         assert os.path.getsize(path) == 8 * (2 * n - 1 - 2 * burn_in)
-        assert np.array_equal(serial[0], delay) and np.array_equal(serial[1], aoi)
         expected = [(len(x), x.min(), x.max()) for x in (delay, aoi)]
         assert np.array(shapes).tobytes() == np.array(expected).tobytes()
         lengths = [length for length, _, _ in shapes]
         assert lengths == [n - burn_in, n - 1 - burn_in]
-        reference = np.bincount(doi.astype(np.intp))
-        assert np.array_equal(counts, reference) and np.array_equal(serial[2], reference)
+        assert np.array_equal(counts, np.bincount(doi.astype(np.intp)))
 
     def test_file_path_holds_one_chunk_per_array(self, tmp_path):
         # the worker writes each chunk as it is computed: its peak is below
         # that of the three full-length arrays by those arrays less three chunks
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
         n = 1_000_000
-        whole = _traced_peak(lambda: _arrays(scenario, n, 3, 0, 1_000))
+        whole = _traced_peak(lambda: arrays(scenario, n, 3, 0, 1_000))
         chunked = _traced_peak(
             lambda: _simulate_to_file(scenario, n, 3, 0, 1_000, str(tmp_path / "0"))
         )
@@ -1085,7 +1072,7 @@ class TestRunReplications:
         # of them less one chunk
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
         n = 1_000_000
-        whole = _traced_peak(lambda: _arrays(scenario, n, 3, 0, 1_000))
+        whole = _traced_peak(lambda: arrays(scenario, n, 3, 0, 1_000))
         serial = _traced_peak(lambda: run_replications(scenario, n, 1, 3, burn_in=1_000))
         assert whole - serial >= 8 * (n - 1) - 8 * _CHUNK
 
@@ -1137,7 +1124,7 @@ class TestRunReplications:
         n = 5_000
         for policy in (EventTriggered(3), TimeTriggered(2.0)):
             scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-            t, a, f = _arrays(scenario, n, 99, 0, burn_in=0, chunk=1_024)
+            t, a, f = arrays(scenario, n, 99, 0, burn_in=0, chunk=1_024)
 
             times = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS)).take(
                 0, 1 << 16
