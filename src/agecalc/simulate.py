@@ -57,6 +57,11 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+# numpy loads numpy.random on first use; loaded with this module, it is never
+# loaded inside a run, where the Cython initialisation of its modules drops
+# an exception a signal handler raises (the CLI's exit on SIGTERM), so that
+# the run would go on to the end
+import numpy.random  # noqa: F401
 
 from .bounds import Scenario
 from .models import DistributionModel, sample

@@ -478,6 +478,13 @@ class TestCli:
         assert proc.returncode == 128 + signal.SIGTERM, (tmp_path / "err").read_text()
         assert list(tmp.iterdir()) == []
 
+    def test_numpy_random_loads_with_the_cli(self):
+        # a SIGTERM that arrives while numpy.random initialises is lost: the
+        # one-process run above then went on to exit 0
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, agecalc.cli; assert 'numpy.random' in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
     def test_main_restores_the_sigterm_handler(self, tmp_path):
         def handler(signum, frame):
             pass

@@ -1033,7 +1033,7 @@ class TestRunReplications:
             (2, 0),
         ],
     )
-    def test_file_holds_the_serialarrays(self, tmp_path, policy, n, burn_in):
+    def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
         # chunks of 1,024: the file, written chunk by chunk at each array's
         # offset, holds the burned-in delay and peak-age arrays of the
         # chunks _simulate_chunks yields bit for bit, 16 B per update, the
