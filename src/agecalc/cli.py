@@ -13,10 +13,12 @@ Output is a CSV with the fixed header
   scenario,policy,axis,axis_value,utilization,metric,source,epsilon,value,theta_star,flag
 
 written to --out (default stdout) and byte-identical for identical config
-and seed, regardless of worker count. Figure commands also emit a JSON
-summary of their headline quantities, its floats rounded to the CSV's 12
-significant digits: to stdout when the CSV goes to a file, to stderr when
-the CSV goes to stdout.
+and seed, regardless of worker count. Values print to 12 significant
+digits, rounded to nearest, except that a `bound` row's value is rounded
+up, so that the printed bound is never below the computed one. Figure
+commands also emit a JSON summary of their headline quantities, its floats
+rounded to nearest at the CSV's 12 significant digits: to stdout when the
+CSV goes to a file, to stderr when the CSV goes to stdout.
 
 Exit codes: 0 success (including flagged rows), 2 usage or config error
 (an --out that cannot be written is one, rejected before the command runs;
@@ -29,6 +31,7 @@ first stops its workers, if any, and removes its temporary files).
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -269,6 +272,23 @@ def _fmt(x) -> str:
     return format(x, ".12g")
 
 
+_BOUND_DIGITS = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
+_BOUND_ULPS = 4  # the nudge that covers the rounding of the bound's own arithmetic
+
+
+def _fmt_bound(x) -> str:
+    """A bound as `_fmt` prints it, but rounded up to 12 significant digits
+    after a nudge of _BOUND_ULPS ulps upward, so that the printed value is
+    never below the computed one."""
+    if not isinstance(x, float) or not math.isfinite(x):
+        return _fmt(x)
+    for _ in range(_BOUND_ULPS):
+        x = math.nextafter(x, math.inf)
+    # the nearest float to the rounded-up decimal is not below x, and prints
+    # as that decimal
+    return _fmt(float(_BOUND_DIGITS.plus(decimal.Decimal(x))))
+
+
 def _rounded(x):
     """x with every float, in nested dicts and lists too, rounded as `_fmt` prints it."""
     if isinstance(x, float):
@@ -294,7 +314,7 @@ def render_csv(rows: Sequence[CsvRow]) -> str:
                     r.metric,
                     r.source,
                     _fmt(r.epsilon),
-                    _fmt(r.value),
+                    _fmt_bound(r.value) if r.source == "bound" else _fmt(r.value),
                     _fmt(r.theta_star),
                     r.flag,
                 )

@@ -17,15 +17,20 @@ and service streams from Philox generators keyed by
 SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
 events and 1 for service. Event times are generated lazily in blocks and
 discarded once no later update reads them, so memory stays bounded at any
-sample count.
+sample count. A replication runs in chunks of _CHUNK updates. The chunk
+size is part of the seed contract, as the block size is: it changes no
+draw, but the FIFO adds its running service total once per chunk, and an
+event-triggered chunk grows the event stream in one block, which adds the
+stream's last time once, so it sets the rounding of every delay and peak
+age.
 
 Every replication hands its metrics to the tails through a file in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
 calling process does: each chunk of its delay and peak-age arrays is
 written at that array's offset, with `os.pwrite`, as soon as the chunk is
-computed, so a replication holds one chunk per array (2^18 updates, 2 MB),
-never the whole replication. Peak deviation is an event count, and its
-tail counts each value, exact at any sample count, so each chunk's
+computed, so a replication holds one chunk per array (2^16 updates,
+512 KB), never the whole replication. Peak deviation is an event count,
+and its tail counts each value, exact at any sample count, so each chunk's
 deviations are counted past the burn-in instead, and the replication
 returns one count per value, a few hundred integers, with each array's
 length, minimum and maximum. The caller maps each array read-only on its
@@ -70,7 +75,7 @@ STREAM_EVENTS = 0
 STREAM_SERVICE = 1
 
 _BLOCK = 1 << 16
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 _BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000

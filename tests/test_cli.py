@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -351,6 +352,29 @@ class TestCli:
         assert len(printed) == 8
         for t in printed:
             assert float(t) == float(format(float(t), ".12g")), t
+
+    def test_printed_bounds_are_not_below_their_values(self):
+        # over the bound rows of the seven sweep presets, a bound prints
+        # rounded up, less than one unit of its 12th significant digit above
+        # its value, where nearest rounding prints some below it; every
+        # other number keeps nearest rounding
+        rows = [r for name in sorted(SWEEP_FIGURES) for r in FIGURES[name]()[0]]
+        rows.sort(key=lambda r: r.sort_key())
+        lines = cli.render_csv(rows).splitlines()
+        header = lines[0].split(",")
+        below = 0
+        for row, line in zip(rows, lines[1:]):
+            printed = dict(zip(header, line.split(",")))
+            assert printed["theta_star"] == cli._fmt(row.theta_star)
+            assert printed["utilization"] == cli._fmt(row.utilization)
+            assert row.source == "bound"
+            if row.value is None or not math.isfinite(row.value):
+                assert printed["value"] == cli._fmt(row.value)
+                continue
+            value = float(printed["value"])
+            assert row.value <= value <= row.value + 1e-11 * abs(row.value), line
+            below += float(format(row.value, ".12g")) < row.value
+        assert len(lines) == len(rows) + 1 and below > 0
 
     def test_figure_fig5_event_curve_bends_up(self):
         # with deterministic service the event-triggered age bound bends

@@ -652,21 +652,24 @@ class TestRunReplications:
                     moves.add("compact")
 
         monkeypatch.setattr(simulate, "EventStream", SpyStream)
-        n = 30_000
+        n, long = 30_000, 2 * _CHUNK + 5_000
         cases = [
-            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 1_000),
-            (Deterministic(2.0), TimeTriggered(2.0), Deterministic(1.5), 7_000),
-            (Deterministic(0.3), TimeTriggered(3.7), Exponential(0.5), 2_500),
-            (Exponential(0.5), EventTriggered(3), Exponential(0.25), 3_000),
-            (Deterministic(0.3), EventTriggered(3), Deterministic(0.8), 20_000),
+            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 1_000, n),
+            (Deterministic(2.0), TimeTriggered(2.0), Deterministic(1.5), 7_000, n),
+            (Deterministic(0.3), TimeTriggered(3.7), Exponential(0.5), 2_500, n),
+            (Exponential(0.5), EventTriggered(3), Exponential(0.25), 3_000, n),
+            (Deterministic(0.3), EventTriggered(3), Deterministic(0.8), 20_000, n),
             # each take of 16 * 5_000 events is larger than one block
-            (Exponential(0.5), EventTriggered(16), Exponential(0.05), 5_000),
-            (Deterministic(2.0), EventTriggered(16), Exponential(0.04), 1_024),
+            (Exponential(0.5), EventTriggered(16), Exponential(0.05), 5_000, n),
+            (Deterministic(2.0), EventTriggered(16), Exponential(0.04), 1_024, n),
             # gamma draws: a chunk's counts span two blocks; takes of 16 * 5_000
-            (Erlang(3, 1.5), TimeTriggered(13.0), Exponential(0.25), 20_000),
-            (Erlang(3, 1.5), EventTriggered(16), Exponential(0.05), 5_000),
+            (Erlang(3, 1.5), TimeTriggered(13.0), Exponential(0.25), 20_000, n),
+            (Erlang(3, 1.5), EventTriggered(16), Exponential(0.05), 5_000, n),
+            # the chunk every run uses, over three chunks
+            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), _CHUNK, long),
+            (Exponential(0.5), EventTriggered(16), Exponential(0.05), _CHUNK, long),
         ]
-        for events, policy, service, chunk in cases:
+        for events, policy, service, chunk, n in cases:
             scenario = Scenario(events, service, policy, 1e-3)
             got = arrays(scenario, n, 99, 2, burn_in=0, chunk=chunk)
             ref = _concat_simulate(scenario, n, 99, 2, chunk)
@@ -1077,18 +1080,20 @@ class TestRunReplications:
         assert whole - serial >= 8 * (n - 1) - 8 * _CHUNK
 
     def test_failed_chunk_write_keeps_its_errno(self, tmp_path):
-        # a file size limit of 1 MB fails the first chunk write part way, as
-        # a full disk does: the short write is followed by one that raises,
-        # and the OSError carries its errno (ndarray.tofile's has none). The
-        # limit is set in a child process, which it alone constrains.
+        # a file size limit of half the first delay chunk's bytes fails that
+        # chunk's write part way, as a full disk does: the short write is
+        # followed by one that raises, and the OSError carries its errno
+        # (ndarray.tofile's has none). The limit is set in a child process,
+        # which it alone constrains.
         pytest.importorskip("resource")
+        limit = 8 * (_CHUNK - 1_000) // 2
         code = (
             "import resource, signal, sys\n"
             "from agecalc import Exponential, Scenario, TimeTriggered\n"
             "from agecalc.simulate import _simulate_to_file\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[2]), hard))\n"
             "scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)\n"
             "try:\n"
             "    _simulate_to_file(scenario, 300_000, 5, 0, 1_000, sys.argv[1])\n"
@@ -1098,12 +1103,68 @@ class TestRunReplications:
         path = tmp_path / "0"
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", code, str(path)],
+            [sys.executable, "-c", code, str(path), str(limit)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == [str(errno.EFBIG)]
-        assert path.stat().st_size == 1 << 20
+        assert path.stat().st_size == limit
+
+    def test_event_store_holds_one_chunk_of_events(self, tmp_path):
+        # at threshold 16 a chunk takes 16 * _CHUNK events, which the store
+        # holds with a quarter of headroom: 10 MiB in 2^16-update chunks, and
+        # with every other chunk buffer the replication stays under 16 MiB,
+        # where a 2^18-update chunk's store alone would take 40 MiB
+        scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(16), 1e-3)
+        peak = _traced_peak(
+            lambda: _simulate_to_file(scenario, 3 * _CHUNK, 5, 0, 1_000, str(tmp_path / "0"))
+        )
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("policy", [TimeTriggered(13.0), EventTriggered(16)])
+    def test_chunk_size_changes_no_draw(self, monkeypatch, policy):
+        # the chunk size sets where running sums add their offsets, not what
+        # is drawn: the event and service draws of a run in 2^16-update
+        # chunks are those in 2^18-update chunks, bit for bit, and the
+        # metrics differ by rounding only
+        n = (1 << 18) + 5_000
+        scenario = Scenario(Exponential(0.5), Exponential(0.25), policy, 1e-3)
+        streams, draws = {}, {}
+        simulate_sample = simulate.sample
+
+        def tagged(base_seed, replication, stream_id):
+            rng = derive_rng(base_seed, replication, stream_id)
+            streams[id(rng)] = stream_id
+            return rng
+
+        def recording(model, rng, k, out=None):
+            x = simulate_sample(model, rng, k, out=out)
+            draws[chunk][streams[id(rng)]].append(x.copy())
+            return x
+
+        monkeypatch.setattr(simulate, "derive_rng", tagged)
+        monkeypatch.setattr(simulate, "sample", recording)
+        metrics = {}
+        for chunk in (1 << 16, 1 << 18):
+            draws[chunk] = {STREAM_EVENTS: [], STREAM_SERVICE: []}
+            metrics[chunk] = arrays(scenario, n, 11, 3, burn_in=0, chunk=chunk)
+        events, service = (
+            [np.concatenate(draws[chunk][sid]) for chunk in draws]
+            for sid in (STREAM_EVENTS, STREAM_SERVICE)
+        )
+        assert len(service[0]) == len(service[1]) == n
+        assert np.array_equal(service[0], service[1])
+        k = min(map(len, events))
+        if isinstance(policy, EventTriggered):
+            assert k >= 16 * n  # every update's events
+        else:
+            assert events[0][:k].sum() > 13.0 * n  # the events up to the last arrival
+        assert np.array_equal(events[0][:k], events[1][:k])
+        (t16, a16, f16), (t18, a18, f18) = metrics.values()
+        horizon = n * policy.spacing(scenario.event_model)
+        for x, y in ((t16, t18), (a16, a18)):
+            assert np.allclose(x, y, rtol=0, atol=1e-12 * horizon)
+        assert np.array_equal(f16, f18)
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
