@@ -8,6 +8,8 @@ Subcommands:
   figure    preset experiment reproductions (fig3 ... fig8)
 
 Configs are flat key = value text files (one scenario per file, # comments).
+A sweep couples its two policies at equal mean utilization by
+alpha = lambda * w.
 Output is a CSV with the fixed header
 
   scenario,policy,axis,axis_value,utilization,metric,source,epsilon,value,theta_star,flag
@@ -16,9 +18,10 @@ written to --out (default stdout) and byte-identical for identical config
 and seed, regardless of worker count. Values print to 12 significant
 digits, rounded to nearest, except that a `bound` row's value is rounded
 up, so that the printed bound is never below the computed one. Figure
-commands also emit a JSON summary of their headline quantities, its floats
-rounded to nearest at the CSV's 12 significant digits: to stdout when the
-CSV goes to a file, to stderr when the CSV goes to stdout.
+commands also emit a JSON summary of their headline quantities at the
+CSV's 12 significant digits, its bound values rounded up as the CSV's and
+its other floats to nearest: to stdout when the CSV goes to a file, to
+stderr when the CSV goes to stdout.
 
 Exit codes: 0 success (including flagged rows), 2 usage or config error
 (an --out that cannot be written is one, rejected before the command runs;
@@ -31,7 +34,6 @@ first stops its workers, if any, and removes its temporary files).
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import math
 import os
@@ -54,6 +56,7 @@ from .sweeps import (
     SweepSpec,
     bound_rows,
     make_model,
+    round_bound,
     round_threshold,
     simulation_rows,
     sweep_rows,
@@ -74,8 +77,7 @@ _FLOAT_KEYS = ("lambda", "mu", "w", "alpha")
 _INT_KEYS = ("samples", "seed", "burn_in")
 _STR_KEYS = ("policy", "event_kind", "service_kind", "sweep_axis")
 _LIST_KEYS = ("epsilon", "grid")
-_BOOL_KEYS = ("couple_alpha",)
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + _LIST_KEYS + _BOOL_KEYS
+_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + _LIST_KEYS
 
 
 def parse_config(path: str) -> Dict:
@@ -113,13 +115,6 @@ def _coerce(key: str, value: str):
         return n
     if key in _LIST_KEYS:
         return [float(v) for v in value.split(",") if v.strip()]
-    if key in _BOOL_KEYS:
-        low = value.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ValueError("expected a boolean, got %r" % (value,))
     return value
 
 
@@ -228,7 +223,6 @@ def cmd_sweep(args) -> Tuple[List[CsvRow], Optional[Dict]]:
             epsilon=eps_list[0],
             axis=cfg.get("sweep_axis", "utilization"),
             grid=tuple(cfg.get("grid", [])),
-            couple_alpha=cfg.get("couple_alpha", True),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -265,32 +259,15 @@ def _scenario_id(config_path: str) -> str:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return format(x, ".12g")
 
 
-_BOUND_DIGITS = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
-_BOUND_ULPS = 4  # the nudge that covers the rounding of the bound's own arithmetic
-
-
-def _fmt_bound(x) -> str:
-    """A bound as `_fmt` prints it, but rounded up to 12 significant digits
-    after a nudge of _BOUND_ULPS ulps upward, so that the printed value is
-    never below the computed one."""
-    if not isinstance(x, float) or not math.isfinite(x):
-        return _fmt(x)
-    for _ in range(_BOUND_ULPS):
-        x = math.nextafter(x, math.inf)
-    # the nearest float to the rounded-up decimal is not below x, and prints
-    # as that decimal
-    return _fmt(float(_BOUND_DIGITS.plus(decimal.Decimal(x))))
-
-
 def _rounded(x):
-    """x with every float, in nested dicts and lists too, rounded as `_fmt` prints it."""
+    """x with every float, in nested dicts and lists too, rounded as `_fmt`
+    prints it; a summary's bound values arrive rounded up already, which
+    this keeps."""
     if isinstance(x, float):
         return float(format(x, ".12g"))
     if isinstance(x, dict):
@@ -314,7 +291,7 @@ def render_csv(rows: Sequence[CsvRow]) -> str:
                     r.metric,
                     r.source,
                     _fmt(r.epsilon),
-                    _fmt_bound(r.value) if r.source == "bound" else _fmt(r.value),
+                    _fmt(round_bound(r.value) if r.source == "bound" else r.value),
                     _fmt(r.theta_star),
                     r.flag,
                 )

@@ -266,11 +266,11 @@ class EmpiricalTail:
     An array added with its extremes is not read until it is binned or
     sorted, so a file mapping's pages stay out of memory until then.
 
-    With `integer=True` the samples must be nonnegative integers, such as
-    peak deviation's event counts, and the tail counts each value from the
-    first sample on: it keeps no raw sample, never switches, and answers
-    every query as raw mode would, at any sample count, from one count per
-    value up to the largest. `add_counts` takes samples already counted.
+    With `integer=True` the samples are nonnegative integers, such as peak
+    deviation's event counts, and arrive already counted, through
+    `add_counts` only: the tail keeps no raw sample, never switches, and
+    answers every query as raw mode would, at any sample count, from one
+    count per value up to the largest.
     """
 
     def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000, integer: bool = False):
@@ -300,17 +300,10 @@ class EmpiricalTail:
     def add(self, samples: np.ndarray, extremes: Optional[Tuple[float, float]] = None) -> None:
         """Record samples; `extremes`, their (min, max) when the caller has
         them, spares a read of an array the tail only stores."""
+        if self.integer:
+            raise ValueError("an integer tail takes counts only")
         samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
-            return
-        if self.integer:
-            for i in range(0, len(samples), _BIN_BLOCK):
-                x = samples[i:i + _BIN_BLOCK]
-                with np.errstate(invalid="ignore"):
-                    values = x.astype(np.intp)
-                if not np.array_equal(values, x):
-                    raise ValueError("an integer tail takes integer samples only")
-                self.add_counts(np.bincount(values))
             return
         lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
         self._n += len(samples)

@@ -12,6 +12,7 @@ minimum 1) and record the rounding in the flag column.
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -84,7 +85,6 @@ class SweepSpec:
     epsilon: float = 1e-6
     axis: str = "utilization"  # "w" or "utilization"
     grid: Sequence[float] = ()
-    couple_alpha: bool = True
 
     def __post_init__(self) -> None:
         if self.axis not in ("w", "utilization"):
@@ -94,6 +94,23 @@ class SweepSpec:
         for g in self.grid:
             if not 0 < g < math.inf:
                 raise ValueError("grid values must be finite and positive, got %r" % (g,))
+
+
+_BOUND_DIGITS = decimal.Context(prec=12, rounding=decimal.ROUND_CEILING)
+_BOUND_ULPS = 4  # the nudge that covers the rounding of the bound's own arithmetic
+
+
+def round_bound(x):
+    """A bound as the output states it: rounded up to 12 significant digits
+    after a nudge of _BOUND_ULPS ulps upward, so that the printed value is
+    never below the computed one. Anything but a finite float passes through."""
+    if not isinstance(x, float) or not math.isfinite(x):
+        return x
+    for _ in range(_BOUND_ULPS):
+        x = math.nextafter(x, math.inf)
+    # the nearest float to the rounded-up decimal is not below x, and prints
+    # as that decimal
+    return float(_BOUND_DIGITS.plus(decimal.Decimal(x)))
 
 
 def make_model(kind: str, rate: float) -> DistributionModel:
@@ -226,8 +243,8 @@ def sweep_rows(
     coupled policies.
 
     Axis values implying utilization >= 1 still produce rows; they come back
-    flagged infeasible. On a w axis the event-triggered rows appear only
-    when couple_alpha is set.
+    flagged infeasible, as do the event-triggered rows where the coupled
+    threshold falls below 1.
     """
     event_model = make_model(spec.event_kind, spec.event_rate)
     service_model = make_model(spec.service_kind, spec.service_rate)
@@ -237,37 +254,17 @@ def sweep_rows(
             w, alpha = params_for_utilization(x, spec.event_rate, spec.service_rate)
         else:
             w, alpha = x, spec.event_rate * x
-        policies: List[TriggerPolicy] = [TimeTriggered(interval=w)]
-        if spec.axis == "utilization" or spec.couple_alpha:
-            try:
-                policies.append(EventTriggered(threshold=alpha))
-            except ValueError:
-                # coupled threshold below 1; no event-triggered system exists
-                # at this axis value
-                for metric in metrics:
-                    rows.append(
-                        CsvRow(
-                            scenario=scenario_id,
-                            policy=EVENT_TRIGGERED,
-                            axis=spec.axis,
-                            axis_value=x,
-                            utilization=float("nan"),
-                            metric=metric.value,
-                            source="bound",
-                            epsilon=spec.epsilon,
-                            value=None,
-                            theta_star=None,
-                            flag="infeasible",
-                        )
-                    )
-        for policy in policies:
-            scenario = Scenario(
-                event_model=event_model,
-                service_model=service_model,
-                policy=policy,
-                epsilon=spec.epsilon,
-            )
-            rows.extend(bound_rows(scenario_id, scenario, spec.axis, x, metrics))
+        tt = Scenario(event_model, service_model, TimeTriggered(interval=w), spec.epsilon)
+        tt_rows = bound_rows(scenario_id, tt, spec.axis, x, metrics)
+        rows += tt_rows
+        try:
+            et = replace(tt, policy=EventTriggered(threshold=alpha))
+        except ValueError:
+            # no event-triggered system exists at this axis value
+            rows += [replace(r, policy=EVENT_TRIGGERED, utilization=math.nan, value=None,
+                             theta_star=None, flag="infeasible") for r in tt_rows]
+            continue
+        rows += bound_rows(scenario_id, et, spec.axis, x, metrics)
     return rows
 
 
@@ -314,7 +311,8 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     exponential events rate 0.5, exponential service rate 1."""
     tt = Scenario(Exponential(rate=0.5), Exponential(rate=1.0), TimeTriggered(interval=2.0), 1e-6)
     et = replace(tt, policy=EventTriggered(threshold=1))
-    rows = _eps_curve("fig3", tt, (Metric.DELAY,)) + _eps_curve("fig3", et, (Metric.DELAY,))
+    tt_rows = _eps_curve("fig3", tt, (Metric.DELAY,))
+    rows = tt_rows + _eps_curve("fig3", et, (Metric.DELAY,))
     rows += [
         _row("fig3", replace(et, epsilon=eps), "epsilon", eps, Metric.DELAY, "exact",
              exact_mm1_tail(0.5, 1.0, eps))
@@ -324,10 +322,11 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     rows += simulation_rows("fig3", tt, "epsilon", 0.0, tails, SIM_EPS)
 
     slope = bound_tail_slope(tt.event_model, tt.service_model, et.policy)
+    bound_at = {r.epsilon: r.value for r in tt_rows}  # 1e-2 ... 1e-4 are in EPS_GRID
     dominance = {}
     for eps in (1e-2, 1e-3, 1e-4):
-        b = optimize_theta(replace(tt, epsilon=eps), Metric.DELAY).value
-        entry = dominance["%.0e" % eps] = {"bound": b}
+        b = bound_at[eps]
+        entry = dominance["%.0e" % eps] = {"bound": round_bound(b)}
         q = _summary_quantile(tails.delay, eps, entry)
         entry.update(simulated=q, below=bool(q <= b))
     summary = {
@@ -393,37 +392,48 @@ def _curve(rows: List[CsvRow], policy: str, metric: Metric,
     ]
 
 
+def _curve_min(rows: List[CsvRow], policy: str, metric: Metric) -> Tuple:
+    """(argmin, minimum rounded up as a bound) at the first smallest value of
+    one policy's curve; (None, None) when the curve is empty."""
+    curve = _curve(rows, policy, metric)
+    if not curve:
+        return None, None
+    x, v = min(curve, key=lambda p: p[1])
+    return x, round_bound(v)
+
+
 def _interval_summary(rows: List[CsvRow], spec: SweepSpec) -> Dict:
     """Minimum and argmin of every curve; with deterministic service also the
     time-triggered spreads where w exceeds the service time (no queueing)."""
     summary: Dict = {}
     for policy in (TIME_TRIGGERED, EVENT_TRIGGERED):
         for metric in (Metric.DELAY, Metric.PEAK_AOI):
-            curve = _curve(rows, policy, metric)
-            if curve:
-                x, v = min(curve, key=lambda p: p[1])
+            x, v = _curve_min(rows, policy, metric)
+            if x is not None:
                 summary["%s_min_%s" % (policy, metric.value)] = v
                 summary["%s_argmin_%s_w" % (policy, metric.value)] = x
     if spec.service_kind == "deterministic":
         service_time = 1.0 / spec.service_rate
         delay = [v for _, v in _curve(rows, TIME_TRIGGERED, Metric.DELAY, service_time)]
         aoi = [v - x for x, v in _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI, service_time)]
-        summary["tt_delay_spread"] = [min(delay), max(delay)]
+        summary["tt_delay_spread"] = [round_bound(min(delay)), round_bound(max(delay))]
         summary["tt_aoi_minus_w_spread"] = [min(aoi), max(aoi)]
     return summary
 
 
 def _utilization_summary(rows: List[CsvRow]) -> Dict:
-    """Time-triggered age and deviation minima, and the event-triggered one."""
-    tt_aoi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI)
-    tt_doi = _curve(rows, TIME_TRIGGERED, Metric.PEAK_DOI)
-    et_doi = _curve(rows, EVENT_TRIGGERED, Metric.PEAK_DOI)
+    """Minimum and argmin utilization of the time-triggered age and deviation
+    curves and of the event-triggered deviation curve."""
+    tt_aoi_x, tt_aoi = _curve_min(rows, TIME_TRIGGERED, Metric.PEAK_AOI)
+    tt_doi_x, tt_doi = _curve_min(rows, TIME_TRIGGERED, Metric.PEAK_DOI)
+    et_doi_x, et_doi = _curve_min(rows, EVENT_TRIGGERED, Metric.PEAK_DOI)
     return {
-        "min_aoi_bound": min(v for _, v in tt_aoi),
-        "argmin_utilization": min(tt_aoi, key=lambda p: p[1])[0],
-        "min_doi_bound": min(v for _, v in tt_doi),
-        "argmin_utilization_doi": min(tt_doi, key=lambda p: p[1])[0],
-        "et_min_doi_bound": min(v for _, v in et_doi) if et_doi else None,
+        "min_aoi_bound": tt_aoi,
+        "argmin_utilization": tt_aoi_x,
+        "min_doi_bound": tt_doi,
+        "argmin_utilization_doi": tt_doi_x,
+        "et_min_doi_bound": et_doi,
+        "et_argmin_utilization_doi": et_doi_x,
     }
 
 

@@ -4,6 +4,7 @@ criteria use 10^7 updates per scenario, so the full module takes a few
 minutes of CPU time.
 """
 
+import json
 import math
 import os
 
@@ -263,3 +264,16 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert f1.read_bytes() == f2.read_bytes()
 
     _report(9, "byte-identical CSV across repeats and worker counts", check)
+
+
+def test_criterion_10_event_triggered_deviation_at_lower_utilization(tmp_path, capsys):
+    def check():
+        for name in ("fig6a", "fig6b", "fig6c"):
+            assert main(["figure", name, "--out", str(tmp_path / (name + ".csv"))]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            et, tt = summary["et_argmin_utilization_doi"], summary["argmin_utilization_doi"]
+            assert et <= tt, (name, et, tt)
+            if name != "fig6a":  # deterministic events: both minima at one utilization
+                assert et < tt, (name, et, tt)
+
+    _report(10, "event-triggered deviation minimum at no higher utilization (fig6a-c)", check)

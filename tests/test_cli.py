@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import errno
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -31,6 +33,21 @@ FIGURE_ROWS = {
 }
 
 
+# summary keys whose values state bounds: curve minima, the time-triggered
+# delay spread and fig3's tt_dominance bounds
+BOUND_KEY = re.compile(r"(time|event)_triggered_min_\w+|(et_)?min_\w+_bound|tt_delay_spread|bound")
+
+
+def _bound_entries(summary):
+    """(key, value) of every float a summary states as a bound, nested too."""
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            yield from _bound_entries(value)
+        elif BOUND_KEY.fullmatch(key):
+            for v in value if isinstance(value, list) else [value]:
+                yield key, v
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -44,8 +61,7 @@ class TestSweeps:
         assert alpha == pytest.approx(8.0)
 
     def test_coupling_on_interval_axis(self):
-        spec = SweepSpec(event_rate=0.5, service_rate=0.25, axis="w", grid=(2.0,),
-                         couple_alpha=True)
+        spec = SweepSpec(event_rate=0.5, service_rate=0.25, axis="w", grid=(2.0,))
         rows = sweep_rows(spec)
         # w=2 couples to threshold 1; both policies present and equally loaded
         tt = [r for r in rows if r.policy == TIME_TRIGGERED]
@@ -68,8 +84,7 @@ class TestSweeps:
 
     def test_subunit_threshold_rows_flagged(self):
         # w small enough that the coupled threshold drops below 1
-        spec = SweepSpec(event_rate=0.1, service_rate=2.0, axis="w", grid=(3.0,),
-                         couple_alpha=True)
+        spec = SweepSpec(event_rate=0.1, service_rate=2.0, axis="w", grid=(3.0,))
         rows = sweep_rows(spec)
         et = [r for r in rows if r.policy == EVENT_TRIGGERED]
         assert et and all(r.flag == "infeasible" for r in et)
@@ -117,6 +132,7 @@ INVALID_INPUTS = {
         "sweep", "lambda = inf\nmu = 0.25\nevent_kind = deterministic\n"),
     "sweep-unknown-kind": ("sweep", "lambda = 0.5\nmu = 0.25\nservice_kind = pareto\n"),
     "sweep-epsilon-inf": ("sweep", "lambda = 0.5\nmu = 0.25\nepsilon = inf\n"),
+    "sweep-couple-alpha": ("sweep", "lambda = 0.5\nmu = 0.25\ncouple_alpha = true\n"),
     "bound-epsilon-inf": ("bound", BASE_CONFIG.replace("epsilon = 1e-6", "epsilon = 1e-3,inf")),
     "bound-lambda-0-deterministic": ("bound", BASE_CONFIG.replace("lambda = 0.5", "lambda = 0")),
     "bound-lambda-inf": ("bound", SIM_CONFIG.replace("lambda = 0.5", "lambda = inf")),
@@ -375,6 +391,24 @@ class TestCli:
             assert row.value <= value <= row.value + 1e-11 * abs(row.value), line
             below += float(format(row.value, ".12g")) < row.value
         assert len(lines) == len(rows) + 1 and below > 0
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_summary_bounds_print_as_their_rows(self, name, tmp_path, capsys):
+        # every summary entry that states a bound prints as the CSV row of
+        # that bound, rounded up: never below the value computed for it
+        out = tmp_path / (name + ".csv")
+        budget = [] if name in SWEEP_FIGURES else ["--samples", "30000"]
+        assert main(["figure", name, "--out", str(out), "--workers", "1"] + budget) == 0
+        summary = json.loads(capsys.readouterr().out)
+        rows, _ = FIGURES[name]() if name in SWEEP_FIGURES else FIGURES[name](30000, 0, 1)
+        computed = [r.value for r in rows if r.source == "bound" and r.value is not None]
+        printed = {float(r["value"]) for r in csv.DictReader(out.read_text().splitlines())
+                   if r["source"] == "bound" and r["value"]}
+        entries = list(_bound_entries(summary))
+        for key, p in entries:
+            v = min(computed, key=lambda c: abs(c - p))
+            assert p in printed and v <= p <= v + 1e-11 * abs(v), (key, p, v)
+        assert entries or name in ("fig7", "fig8")  # their summaries state samples only
 
     def test_figure_fig5_event_curve_bends_up(self):
         # with deterministic service the event-triggered age bound bends

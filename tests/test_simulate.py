@@ -359,34 +359,31 @@ class TestEmpiricalTail:
         cuts=st.lists(st.integers(0, 120_000), max_size=6),
     )
     def test_integer_tail_answers_as_raw(self, values, repeat, cuts):
-        # nonnegative integer samples in random chunks, some of them longer
-        # than one _BIN_BLOCK, added as samples or merged, in order, as the
-        # chunks' count arrays of different lengths: the counts are one
+        # nonnegative integer samples in random chunks merged, in order, as
+        # the chunks' count arrays of different lengths: the counts are one
         # bincount of all samples, and every quantile and exceedance fraction
         # is raw mode's, bit for bit
         x = np.repeat(np.array(values, dtype=np.float64), repeat)
         n = len(x)
         raw = EmpiricalTail()
-        counted, merged = EmpiricalTail(integer=True), EmpiricalTail(integer=True)
+        merged = EmpiricalTail(integer=True)
         raw.add(x)
         for part in np.split(x, sorted(c % (n + 1) for c in cuts)):
-            counted.add(part)
             merged.add_counts(np.bincount(part.astype(np.intp)))
         assert np.array_equal(merged._counts, np.bincount(x.astype(np.intp)))
-        for tail in (counted, merged):
-            assert tail.n_samples == n and tail.bin_width == 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", InsufficientSamples)
-                for eps in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1.0 / n):
-                    assert np.float64(tail.quantile(eps)).tobytes() == (
-                        np.float64(raw.quantile(eps)).tobytes()
-                    )
-            points = [-math.inf, -0.5, 0.0, float(x.max()), math.inf]
-            points += [v + d for v in np.unique(x) for d in (-0.5, 0.5)]
-            for p in points:
-                assert np.float64(tail.exceed_fraction(p)).tobytes() == (
-                    np.float64(raw.exceed_fraction(p)).tobytes()
+        assert merged.n_samples == n and merged.bin_width == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            for eps in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1.0 / n):
+                assert np.float64(merged.quantile(eps)).tobytes() == (
+                    np.float64(raw.quantile(eps)).tobytes()
                 )
+        points = [-math.inf, -0.5, 0.0, float(x.max()), math.inf]
+        points += [v + d for v in np.unique(x) for d in (-0.5, 0.5)]
+        for p in points:
+            assert np.float64(merged.exceed_fraction(p)).tobytes() == (
+                np.float64(raw.exceed_fraction(p)).tobytes()
+            )
 
     def test_integer_tail_warns_and_rejects_as_raw(self):
         counted = EmpiricalTail(integer=True)
@@ -394,14 +391,15 @@ class TestEmpiricalTail:
             counted.quantile(0.5)
         with pytest.raises(ValueError, match="no samples"):
             counted.exceed_fraction(1.0)
-        counted.add(np.arange(50.0))
+        counted.add_counts(np.ones(50, dtype=np.int64))  # the samples 0, 1, ..., 49
         with pytest.warns(InsufficientSamples):
             counted.quantile(0.01)
         with pytest.raises(ValueError, match="epsilon"):
             counted.quantile(0.0)
-        for bad in ([1.5], [-1.0], [math.nan], [math.inf]):
-            with pytest.raises(ValueError):
-                counted.add(np.array(bad))
+        # an integer tail takes counts only, whatever the samples
+        for samples in ([], [1.0], [1.5], [-1.0], [math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="counts only"):
+                counted.add(np.array(samples))
         for bad in ([1.0], [2, -1]):
             with pytest.raises(ValueError, match="counts"):
                 counted.add_counts(np.array(bad))
