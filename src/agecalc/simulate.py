@@ -33,29 +33,42 @@ computed, so a replication holds one chunk per array (2^16 updates,
 and its tail counts each value, exact at any sample count, so each chunk's
 deviations are counted past the burn-in instead, and the replication
 returns one count per value, a few hundred integers, with each array's
-length, minimum and maximum. The caller maps each array read-only on its
-own, unlinks the file at once and adds the replications to the tails in
-index order, so no sample array is pickled and the tails are the same at
-any worker count; a pool keeps at most `workers` replications submitted
-beyond the one being added. The delay and peak-age tails take the
-extremes they are given, so an array's pages enter resident memory only
-while a tail bins them or sorts them, and leave it once that array is
-dropped, whatever the tails still hold of the same file. The pages stay on
-disk until the last mapping of the file is dropped: at most the
-replications up to the one that takes the delay and peak-age tails past
-their raw limit, plus `workers` in flight with a pool, at 16 bytes per
-update (with the default raw limit and 2M-update replications, about
-192 MB in one process and 256 MB with 2 workers).
+length, minimum and maximum. The caller opens each array on its own, as a
+slice of the file that it reads with `os.preadv` and never maps, unlinks
+the file at once and adds the replications to the tails in index order,
+so no sample array is pickled and the tails are the same at any worker
+count; a pool keeps at most `workers` replications submitted beyond the
+one being added. The delay and peak-age tails take the extremes they are
+given, so a tail reads an array only to bin it, a block at a time into
+one buffer, or to sort it. A raw tail's first query reads its samples
+into one array, sorts it, writes it to an unnamed file under TMPDIR and
+drops it; the tail then answers from that file. So the caller's peak is
+its own working set plus one sort buffer of 8 bytes per raw sample, and
+only while a raw tail's first query runs; any query of a raw tail needs
+TMPDIR space.
+
+A file's blocks stay on disk until the last slice of it is dropped: at
+most the replications up to the one that takes the delay and peak-age
+tails past their raw limit, plus `workers` in flight with a pool, at 16
+bytes per update (with the default raw limit and 2M-update replications,
+about 192 MB in one process and 256 MB with 2 workers). Once raw tails
+are queried, each holds its sorted file, 8 bytes per sample: up to 24
+bytes per update while the first tail's sorted file and the replication
+files, which the other tail still holds, coexist, and 16 bytes once both
+are sorted. A pool forked while earlier tails hold files keeps those
+blocks until its workers exit.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
 import signal
 import tempfile
 import warnings
+import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -222,7 +235,53 @@ def _histogram_edges(hi: float, bins: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * (hi if hi > 0 else 1.0), bins + 1)
 
 
-def _bin(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+class _FileSlice:
+    """`n` float64 samples at byte `offset` of an open file that has no name
+    any more, read with `os.preadv` into the caller's arrays, never mapped:
+    what a slice holds stays on disk and in the page cache, outside the
+    process's resident memory. The file is closed when the slice is
+    dropped. Indexing reads one sample, so `bisect` searches a sorted slice
+    as it would a list."""
+
+    def __init__(self, f: BinaryIO, offset: int, n: int):
+        self._fd, self._offset, self._n = f.fileno(), offset, n
+        weakref.finalize(self, f.close)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def read_into(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Samples start ... start + len(out) - 1 read into `out`, returned."""
+        data, offset = memoryview(out).cast("B"), self._offset + 8 * start
+        while data:
+            got = os.preadv(self._fd, [data], offset)
+            if not got:
+                raise EOFError("sample file ends at byte %d" % offset)
+            data, offset = data[got:], offset + got
+        return out
+
+    def __getitem__(self, i: int) -> float:
+        return float(self.read_into(i, np.empty(1))[0])
+
+
+_Samples = Union[np.ndarray, _FileSlice]
+
+
+def _blocks(samples: _Samples, size: int) -> Iterator[np.ndarray]:
+    """The samples in consecutive blocks of `size`: views of an array, or
+    reads of a file slice into one reused buffer, each valid until the next
+    block is taken."""
+    n = len(samples)
+    if isinstance(samples, np.ndarray):
+        for i in range(0, n, size):
+            yield samples[i:i + size]
+        return
+    buf = np.empty(min(size, n))
+    for i in range(0, n, size):
+        yield samples.read_into(i, buf[:min(size, n - i)])
+
+
+def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
     """Samples per bin of the linspace `edges`, plus a last, overflow bin.
 
     Same bins as searchsorted(edges, x, side="left") - 1 clipped to
@@ -241,8 +300,7 @@ def _bin(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     counts = np.zeros(bins + 1, dtype=np.int64)
     m = min(len(samples), _BIN_BLOCK)
     q_buf, idx_buf, step_buf = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool)
-    for i in range(0, len(samples), _BIN_BLOCK):
-        x = samples[i:i + _BIN_BLOCK]
+    for x in _blocks(samples, _BIN_BLOCK):
         q, idx, step = q_buf[:len(x)], idx_buf[:len(x)], step_buf[:len(x)]
         with np.errstate(over="ignore"):
             np.divide(x, edges[1], out=q)
@@ -263,8 +321,15 @@ class EmpiricalTail:
     Holds raw samples up to `raw_limit` and switches to a fixed-width
     histogram (plus an overflow bin) beyond it, which bins every later `add`;
     the histogram makes quantiles conservative by at most one `bin_width`.
-    An array added with its extremes is not read until it is binned or
-    sorted, so a file mapping's pages stay out of memory until then.
+    Samples added with their extremes are not read until they are binned or
+    sorted, so samples the tail is given in a file stay on disk until then.
+    While raw, a query after an `add` sorts the samples in one array of
+    8 bytes per sample, the caller's only extra memory, writes it to an
+    unnamed file under TMPDIR and drops it: the tail then holds that file
+    alone, and answers each query with a read of one sample or a binary
+    search of the file. So any query of a raw tail needs TMPDIR space for
+    its samples, and a write that fails raises its OSError and leaves the
+    tail as it was.
 
     With `integer=True` the samples are nonnegative integers, such as peak
     deviation's event counts, and arrive already counted, through
@@ -277,8 +342,8 @@ class EmpiricalTail:
         self.raw_limit = raw_limit
         self.bins = bins
         self.integer = integer
-        self._chunks: List[np.ndarray] = []
-        self._sorted: Optional[np.ndarray] = None
+        self._chunks: List[_Samples] = []
+        self._sorted: Optional[_FileSlice] = None
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
@@ -297,12 +362,14 @@ class EmpiricalTail:
             return 0.0
         return float(self._edges[1] - self._edges[0])
 
-    def add(self, samples: np.ndarray, extremes: Optional[Tuple[float, float]] = None) -> None:
+    def add(self, samples: _Samples, extremes: Optional[Tuple[float, float]] = None) -> None:
         """Record samples; `extremes`, their (min, max) when the caller has
-        them, spares a read of an array the tail only stores."""
+        them, spares a read of samples the tail only stores. A file slice
+        comes with its extremes."""
         if self.integer:
             raise ValueError("an integer tail takes counts only")
-        samples = np.asarray(samples, dtype=np.float64)
+        if not isinstance(samples, _FileSlice):
+            samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             return
         lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
@@ -336,20 +403,33 @@ class EmpiricalTail:
     def _to_histogram(self) -> None:
         self._edges = _histogram_edges(self._max, self.bins)
         self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
-        # free each raw chunk once binned, so the memory it holds (an array
-        # or a file mapping's pages) falls while the rest are binned
+        # free each raw chunk once binned, so the memory or file it holds is
+        # released while the rest are binned
         chunks, self._chunks = self._chunks, []
         while chunks:
             self._counts += _bin(chunks.pop(0), self._edges)
 
-    def _sorted_samples(self) -> np.ndarray:
+    def _sorted_samples(self) -> _FileSlice:
         if self._sorted is None:
-            # concatenate always copies, so the in-place sort never touches
-            # a caller's array. The sorted copy holds the same samples as the
-            # chunks, so it becomes the only chunk and the arrays the tail
-            # held are released.
-            self._sorted = np.concatenate(self._chunks or [np.empty(0)])
-            self._sorted.sort()
+            # the chunks are copied into one array, so the in-place sort never
+            # touches a caller's array, and the array is dropped on return.
+            # The sorted file holds the same samples as the chunks, so it
+            # becomes the only chunk and what the tail held is released.
+            s, i = np.empty(self._n), 0
+            for x in self._chunks:
+                if isinstance(x, _FileSlice):
+                    x.read_into(0, s[i:i + len(x)])
+                else:
+                    s[i:i + len(x)] = x
+                i += len(x)
+            s.sort()
+            f = tempfile.TemporaryFile(buffering=0)
+            try:
+                _write_at(f, s, 0)
+            except BaseException:
+                f.close()
+                raise
+            self._sorted = _FileSlice(f, 0, self._n)
             self._chunks = [self._sorted]
         return self._sorted
 
@@ -375,7 +455,7 @@ class EmpiricalTail:
             return float(np.searchsorted(np.cumsum(self._counts), k, side="right"))
         if self._edges is None:
             s = self._sorted_samples()
-            return float(s[max(len(s) - 1 - allowed, 0)])
+            return s[max(len(s) - 1 - allowed, 0)]
         above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
         # smallest upper edge whose strict exceedance is within the allowance
         j = int(np.searchsorted(-above[1:], -allowed, side="left"))
@@ -393,8 +473,13 @@ class EmpiricalTail:
             j = int(np.searchsorted(np.arange(len(self._counts)), x, side="right"))
             return float(self._counts[j:].sum()) / self._n
         if self._edges is None:
+            # np.searchsorted(s, x, side="right") of the sorted samples: nan
+            # samples sort last and a nan x goes past them, where bisect,
+            # which compares by <, would stop anywhere
             s = self._sorted_samples()
-            return float(len(s) - np.searchsorted(s, x, side="right")) / self._n
+            numeric = bisect.bisect_left(s, True, key=math.isnan)
+            j = len(s) if math.isnan(x) else bisect.bisect_right(s, x, 0, numeric)
+            return float(len(s) - j) / self._n
         j = int(np.searchsorted(self._edges, x, side="left")) - 1
         j = min(max(j, 0), self.bins)
         return float(self._counts[j:].sum()) / self._n
@@ -479,7 +564,7 @@ def _simulate_chunks(
 
 def _write_at(f: BinaryIO, x: np.ndarray, offset: int) -> None:
     # write(), not a writable mapping, so that a full disk raises OSError
-    # here instead of killing the worker with SIGBUS on a page fault; and
+    # here instead of killing the process with SIGBUS on a page fault; and
     # not ndarray.tofile, whose OSError drops the errno
     data = memoryview(x).cast("B")
     while data:
@@ -524,17 +609,16 @@ def _simulate_to_file(
     return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)], doi._counts
 
 
-def _mapped(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[np.ndarray]:
-    """The arrays _simulate_to_file wrote, each a read-only mapping of its
-    own part of the file. The file is unlinked at once. A page enters the
-    resident memory only when it is read, and leaves it when the array that
-    maps it is dropped."""
-    arrays, offset = [], 0
+def _opened(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[_FileSlice]:
+    """The arrays _simulate_to_file wrote, each a slice of the file through
+    a descriptor of its own. The file is unlinked at once; its blocks are
+    freed when the last of the slices is dropped."""
+    slices, offset = [], 0
     for n, _, _ in shapes:
-        arrays.append(np.memmap(path, np.float64, "r", offset=offset, shape=(n,)))
+        slices.append(_FileSlice(open(path, "rb", buffering=0), offset, n))
         offset += 8 * n
     os.unlink(path)
-    return arrays
+    return slices
 
 
 @contextlib.contextmanager
@@ -631,9 +715,9 @@ def run_replications(
                 )
         for path, shapes, counts in replications:
             # each array is dropped once its tail has it: one that was binned
-            # leaves memory, and its mapping its pages, before the next is read
+            # closes its descriptor before the next is read
             tails[2].add_counts(counts)
-            arrays = _mapped(path, shapes)
+            arrays = _opened(path, shapes)
             for tail, (_, lo, hi) in zip(tails[:2], shapes):
                 tail.add(arrays.pop(0), (lo, hi))
     return MetricTails(*tails)

@@ -312,7 +312,8 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     tt = Scenario(Exponential(rate=0.5), Exponential(rate=1.0), TimeTriggered(interval=2.0), 1e-6)
     et = replace(tt, policy=EventTriggered(threshold=1))
     tt_rows = _eps_curve("fig3", tt, (Metric.DELAY,))
-    rows = tt_rows + _eps_curve("fig3", et, (Metric.DELAY,))
+    et_rows = _eps_curve("fig3", et, (Metric.DELAY,))
+    rows = tt_rows + et_rows
     rows += [
         _row("fig3", replace(et, epsilon=eps), "epsilon", eps, Metric.DELAY, "exact",
              exact_mm1_tail(0.5, 1.0, eps))
@@ -321,8 +322,9 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     tails = _simulate(tt, samples, seed, workers)
     rows += simulation_rows("fig3", tt, "epsilon", 0.0, tails, SIM_EPS)
 
-    slope = bound_tail_slope(tt.event_model, tt.service_model, et.policy)
-    bound_at = {r.epsilon: r.value for r in tt_rows}  # 1e-2 ... 1e-4 are in EPS_GRID
+    # SLOPE_EPS and 1e-2 ... 1e-4 are in EPS_GRID
+    slope = _decay_rate({r.epsilon: r.value for r in et_rows})
+    bound_at = {r.epsilon: r.value for r in tt_rows}
     dominance = {}
     for eps in (1e-2, 1e-3, 1e-4):
         b = bound_at[eps]
@@ -341,14 +343,20 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
 SLOPE_EPS = (1e-9, 1e-8)
 
 
+def _decay_rate(bound_at: Dict[float, float]) -> float:
+    """d(ln eps)/d(bound) between the bounds at the two SLOPE_EPS."""
+    eps_lo, eps_hi = SLOPE_EPS
+    return (math.log(eps_lo) - math.log(eps_hi)) / (bound_at[eps_lo] - bound_at[eps_hi])
+
+
 def bound_tail_slope(event_model, service_model, policy) -> float:
     """Decay rate d(ln eps)/d(bound) of the optimized delay bound curve between
     the two SLOPE_EPS, at the deep end of the tail where the curve approaches
     its asymptote."""
-    eps_lo, eps_hi = SLOPE_EPS
-    b_lo = optimize_theta(Scenario(event_model, service_model, policy, eps_lo), Metric.DELAY).value
-    b_hi = optimize_theta(Scenario(event_model, service_model, policy, eps_hi), Metric.DELAY).value
-    return (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
+    return _decay_rate({
+        eps: optimize_theta(Scenario(event_model, service_model, policy, eps), Metric.DELAY).value
+        for eps in SLOPE_EPS
+    })
 
 
 # Sweep presets, name -> (event kind, event rate, service kind, axis), all at

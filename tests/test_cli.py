@@ -13,8 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from agecalc import SweepSpec, params_for_utilization, round_threshold, sweep_rows
-from agecalc import cli
+from agecalc import (
+    EventTriggered,
+    Exponential,
+    SweepSpec,
+    bound_tail_slope,
+    params_for_utilization,
+    round_threshold,
+    sweep_rows,
+)
+from agecalc import cli, sweeps
 from agecalc.cli import CSV_HEADER, build_parser, main, parse_config
 from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, SWEEP_FIGURES, TIME_TRIGGERED
 
@@ -445,6 +453,24 @@ class TestCli:
         assert (EVENT_TRIGGERED, "exact") in kinds
         assert (TIME_TRIGGERED, "simulation") in kinds
 
+    def test_figure_fig3_bounds_each_row_once(self, monkeypatch):
+        # the tail slope's two bounds, at SLOPE_EPS, are rows of the
+        # event-triggered curve: one optimize_theta call per bound row, and
+        # the summary's slope is bound_tail_slope's bit for bit
+        calls = []
+        optimize = sweeps.optimize_theta
+
+        def counted(scenario, metric):
+            calls.append(metric)
+            return optimize(scenario, metric)
+
+        monkeypatch.setattr(sweeps, "optimize_theta", counted)
+        rows, summary = sweeps.figure_fig3(30_000, 5, 1)
+        assert len(calls) == sum(r.source == "bound" for r in rows) == 66
+        monkeypatch.undo()
+        slope = bound_tail_slope(Exponential(0.5), Exponential(1.0), EventTriggered(1))
+        assert summary["bound_tail_slope"] == slope
+
     def test_figure_fig8_summary_flags_insufficient_samples(self, tmp_path, capsys):
         out = tmp_path / "fig8.csv"
         assert main(["figure", "fig8", "--out", str(out), "--samples", "20000",
@@ -515,6 +541,25 @@ class TestCli:
             resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))
 
         child = self._child_simulate(tmp_path, 4_000_000, workers, preexec_fn=limit_file_size)
+        with child as (proc, tmp):
+            proc.wait(timeout=120)
+        err = (tmp_path / "err").read_text()
+        assert proc.returncode == 2, err
+        assert err == "error: simulate failed: %s\n" % os.strerror(errno.EFBIG)
+        assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
+
+    def test_failed_spill_exit_2_in_one_line(self, tmp_path):
+        # three 2M-update replications, each file 32 MB, pass a 40 MB file
+        # size limit; the delay tail's first query then writes its sorted
+        # samples, 48 MB, which the limit fails as a full TMPDIR does: one
+        # line, no traceback, and no file left behind
+        resource = pytest.importorskip("resource")
+
+        def limit_file_size():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (40 << 20, hard))
+
+        child = self._child_simulate(tmp_path, 6_000_000, 1, preexec_fn=limit_file_size)
         with child as (proc, tmp):
             proc.wait(timeout=120)
         err = (tmp_path / "err").read_text()

@@ -1,6 +1,8 @@
 import collections
 import errno
+import fcntl
 import functools
+import gc
 import math
 import os
 import pickle
@@ -32,6 +34,7 @@ from agecalc import (
     run_replications,
 )
 from agecalc import simulate
+from agecalc.sweeps import EPS_GRID, SIM_EPS
 from agecalc.simulate import (
     _BIN_BLOCK,
     _BLOCK,
@@ -41,20 +44,31 @@ from agecalc.simulate import (
     STREAM_SERVICE,
     _bin,
     _fifo_chunk,
-    _mapped,
+    _opened,
     _simulate_to_file,
 )
 from simulated import arrays
 
 
 def _file_backed(x):
-    """Whether x is a view of a read-only file mapping."""
-    writeable = x.flags.writeable
-    while isinstance(x, np.ndarray):
-        if isinstance(x, np.memmap):
-            return not writeable and x.mode == "r"
-        x = x.base
-    return False
+    """Whether x is a slice of a file opened read-only whose name is gone."""
+    if not isinstance(x, simulate._FileSlice):
+        return False
+    read_only = fcntl.fcntl(x._fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY
+    return read_only and os.fstat(x._fd).st_nlink == 0
+
+
+def _read(s):
+    """All the samples of a file slice, in an array."""
+    return s.read_into(0, np.empty(len(s)))
+
+
+def _spilled(tail):
+    """Whether the tail holds its samples as one sorted file with no name."""
+    (s,) = tail._chunks
+    return isinstance(s, simulate._FileSlice) and s is tail._sorted and (
+        os.fstat(s._fd).st_nlink == 0
+    )
 
 
 def _traced_peak(fn):
@@ -295,7 +309,7 @@ class TestEmpiricalTail:
     def test_block_boundaries_keep_the_bins(self, hi, bins, seed, on_edges, gap):
         # more than two blocks of samples, with edge values, their 1-ulp
         # neighbours, infinities and values above 2 * max on both sides of
-        # every block boundary
+        # every block boundary, given as an array and as a file slice
         edges = simulate._histogram_edges(hi, bins)
         top = edges[-1]
         nudge = {-1: -math.inf, 0: None, 1: math.inf}
@@ -310,13 +324,17 @@ class TestEmpiricalTail:
             for i, v in enumerate(values):
                 x[boundary - 1 - gap - i] = v
                 x[boundary + gap + i] = v
-        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
-        assert np.array_equal(_bin(x, edges), np.bincount(ref, minlength=bins + 1))
+        ref = np.bincount(np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins),
+                          minlength=bins + 1)
+        assert np.array_equal(_bin(x, edges), ref)
+        f = tempfile.TemporaryFile(buffering=0)
+        simulate._write_at(f, x, 0)
+        assert np.array_equal(_bin(simulate._FileSlice(f, 0, len(x)), edges), ref)
 
     def test_raw_tail_keeps_one_sorted_copy(self, tmp_path):
-        # the first query sorts a copy that replaces the caller's arrays,
-        # an array of its own or views of a file mapping alike; the samples
-        # are the same, so no later answer changes
+        # the first query sorts a copy, written to a file of its own, that
+        # replaces the caller's arrays or file slices alike; the samples are
+        # the same, so no later answer changes
         rng = np.random.default_rng(31)
         first, second = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
         fresh = EmpiricalTail(raw_limit=150_000)
@@ -331,18 +349,19 @@ class TestEmpiricalTail:
             for p in parts:
                 p.tofile(f)
         mapped = EmpiricalTail(raw_limit=150_000)
-        for x, p in zip(_mapped(path, [(len(p), p.min(), p.max()) for p in parts]), parts):
+        for x, p in zip(_opened(path, [(len(p), p.min(), p.max()) for p in parts]), parts):
             assert _file_backed(x)
             mapped.add(x, (p.min(), p.max()))
-        mapping = weakref.ref(mapped._chunks[0].base)
-        assert isinstance(mapping(), np.memmap) and not os.listdir(tmp_path)
+        mapping = weakref.ref(mapped._chunks[0])
+        assert isinstance(mapping(), simulate._FileSlice) and not os.listdir(tmp_path)
         del x
         ordered = np.sort(first)
         for eps in (1e-1, 1e-2, 1e-3):
             expected = ordered[len(ordered) - 1 - round(eps * len(ordered))]
             assert tail.quantile(eps) == mapped.quantile(eps) == expected
         assert given() is None and mapping() is None
-        assert np.array_equal(mapped._chunks[0], ordered) and mapped._chunks[0].flags.owndata
+        assert np.array_equal(_read(mapped._chunks[0]), ordered) and _spilled(mapped)
+        assert _spilled(tail) and not os.listdir(tmp_path)
         assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
         tail.add(second.copy())  # crosses raw_limit: the sorted copy is binned
         assert tail.bin_width == fresh.bin_width > 0
@@ -412,6 +431,121 @@ class TestEmpiricalTail:
         tail = EmpiricalTail.from_samples(rng.exponential(1.0, 10_000))
         qs = [tail.quantile(e) for e in (1e-3, 1e-2, 0.1, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(qs, qs[1:]))
+
+    @pytest.mark.parametrize("stage", ["raw", "raw-with-nan", "later-add", "histogram"])
+    def test_file_backed_tail_answers_as_in_memory(self, tmp_path, stage):
+        # the same samples given as file slices and as arrays: each raw
+        # answer is that of a sort and a search of all the samples in memory,
+        # bit for bit, before and after a later add, and across the switch
+        # both bin as a tail given arrays and never queried
+        rng = np.random.default_rng(41)
+        special = [0.0, -0.0, -math.inf, 1e300]
+        special += [math.nan] * 3 if stage == "raw-with-nan" else []
+        special += [] if stage == "histogram" else [math.inf]
+        parts = [np.round(rng.exponential(1.0, 1_500), 2) for _ in range(3)]
+        parts[0] = np.concatenate((parts[0][:700], special, parts[0][700:]))
+        limit = 4_000 if stage == "histogram" else 10_000
+        filed, given, fresh = (EmpiricalTail(raw_limit=limit) for _ in range(3))
+
+        def add(k):
+            path = str(tmp_path / str(k))
+            parts[k].tofile(path)
+            extremes = (parts[k].min(), parts[k].max())
+            (x,) = _opened(path, [(len(parts[k]), *extremes)])
+            filed.add(x, extremes)
+            given.add(parts[k].copy())
+            fresh.add(parts[k].copy())
+
+        def answers(tail, eps_values, points):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InsufficientSamples)
+                q = [tail.quantile(eps) for eps in eps_values]
+            return np.array(q + [tail.exceed_fraction(p) for p in points]).tobytes()
+
+        def check(n_parts):
+            s = np.sort(np.concatenate(parts[:n_parts]))
+            n = len(s)
+            eps_values = EPS_GRID + SIM_EPS
+            points = [-math.inf, math.nan, math.inf]
+            points += [y for v in np.unique(s).tolist()
+                       for y in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+            expected = [s[max(n - 1 - math.floor(eps * n + 1e-9), 0)] for eps in eps_values]
+            expected += [float(n - np.searchsorted(s, p, side="right")) / n for p in points]
+            for tail in (filed, given):
+                assert tail.bin_width == 0
+                assert answers(tail, eps_values, points) == np.array(expected).tobytes()
+                assert _spilled(tail)
+            return eps_values, points
+
+        add(0)
+        add(1)
+        eps_values, points = check(2)
+        if stage.startswith("raw"):
+            return
+        add(2)
+        if stage == "later-add":
+            check(3)
+            return
+        assert filed.bin_width == given.bin_width == fresh.bin_width > 0
+        for tail in (filed, given):
+            assert np.array_equal(tail._counts, fresh._counts) and tail._chunks == []
+            assert answers(tail, eps_values, points) == answers(fresh, eps_values, points)
+
+    def test_first_query_keeps_no_sample_in_memory(self):
+        # the first query of a raw tail given arrays sorts the samples in one
+        # array of 8 bytes each, writes it to a file and drops it with the
+        # arrays: the query's peak is that array, and the tail holds no
+        # sample in memory after it
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            tail = EmpiricalTail()
+            for seed in (1, 2):
+                tail.add(np.random.default_rng(seed).exponential(1.0, n // 2))
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tail.quantile(1e-3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert before >= 8 * n and _spilled(tail)
+        assert peak - before <= 8 * n + (1 << 20)
+        assert held < 1 << 20
+
+    def test_failed_spill_keeps_its_errno_and_the_tail(self, tmp_path):
+        # a file size limit below the sorted samples' bytes fails the first
+        # query's write, in a child process that the limit alone constrains:
+        # the OSError carries its errno, no file or descriptor is left, and
+        # with the limit lifted the same tail answers from the same samples
+        pytest.importorskip("resource")
+        code = (
+            "import errno, os, resource, signal\n"
+            "import numpy as np\n"
+            "from agecalc import EmpiricalTail\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "tail = EmpiricalTail()\n"
+            "tail.add(np.arange(100_000.0)[::-1].copy())\n"
+            "fds = len(os.listdir('/proc/self/fd'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (8 * 50_000, hard))\n"
+            "try:\n"
+            "    tail.quantile(0.5)\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+            "print(len(os.listdir('/proc/self/fd')) - fds, len(tail._chunks))\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))\n"
+            "print(tail.quantile(0.5), tail.exceed_fraction(89_999.5))\n"
+        )
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp)),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(errno.EFBIG), "0", "1", "49999.0", "0.1"]
+        assert list(tmp.iterdir()) == []
 
 
 class TestEventStream:
@@ -827,7 +961,7 @@ class TestRunReplications:
             ).by_name().values()
             for a, b in zip(got, ref):
                 if b is ref[2]:
-                    counts = np.bincount(b._sorted_samples().astype(np.intp))
+                    counts = np.bincount(_read(b._sorted_samples()).astype(np.intp))
                     assert np.array_equal(a._counts, counts)
                     assert a.n_samples == b.n_samples and a.bin_width == b.bin_width == 0
                 else:
@@ -846,7 +980,7 @@ class TestRunReplications:
         # second replication switches the delay and peak-age tails to
         # histograms. No result carries a sample array: every replication
         # hands its delays and peak ages over as a file, which those tails
-        # hold as read-only mappings until the switch bins them, and the
+        # hold as read-only file slices until the switch bins them, and the
         # parent bins the later ones as a serial run does; the workers count
         # the peak deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
@@ -924,10 +1058,11 @@ class TestRunReplications:
     def test_parent_reads_no_page_it_only_stores(self, monkeypatch):
         # 1,000,000 samples (8 MB) per metric and replication; the fourth
         # replication takes the delay and peak-age tails past a raw limit of
-        # 3,500,000. Until then they hold the first three as file mappings
+        # 3,500,000. Until then they hold the first three as file slices
         # they have not read, since the workers report the extremes, so none
-        # of those pages is resident; binning reads each array, then drops its
-        # mapping. The file holds no deviation, which the workers count
+        # of those pages is resident; binning reads each array a block at a
+        # time into a buffer and maps no page. The file holds no deviation,
+        # which the workers count
         array = 8 * 1_000_000
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
@@ -951,9 +1086,9 @@ class TestRunReplications:
 
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the delay
-        # and peak-age tails of either run hold the mapped files until the
-        # first query sorts them into an array of their own; the replications
-        # count peak deviation
+        # and peak-age tails of either run hold the replication files until
+        # the first query sorts them into a file of their own; the
+        # replications count peak deviation
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
@@ -969,11 +1104,33 @@ class TestRunReplications:
             assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
             for eps in (1e-1, 1e-2, 1e-3):
                 assert tail.quantile(eps) == ref.quantile(eps)
-            assert len(tail._chunks) == 1 and tail._chunks[0].flags.owndata
-            assert not any(np.shares_memory(tail._chunks[0], x) for x in mapped)
-            assert np.array_equal(tail._sorted_samples(), ref._sorted_samples())
-            for x in (2.0, 10.0, float(np.median(mapped[0]))):
+            assert len(tail._chunks) == 1 and _spilled(tail)
+            own = os.fstat(tail._chunks[0]._fd)
+            assert not any(os.path.samestat(own, os.fstat(x._fd)) for x in mapped)
+            assert np.array_equal(_read(tail._sorted_samples()), _read(ref._sorted_samples()))
+            for x in (2.0, 10.0, float(np.median(_read(mapped[0])))):
                 assert tail.exceed_fraction(x) == ref.exceed_fraction(x)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_descriptor_outlives_the_tails(self, monkeypatch, tmp_path, workers):
+        # the tails hold their replication files, and once queried their
+        # sorted files, through descriptors that close when they are
+        # dropped; no file has a name under TMPDIR meanwhile
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        tails = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=workers)
+        assert len(os.listdir("/proc/self/fd")) == before + 2 * 3
+        for tail in (tails.delay, tails.peak_aoi):
+            tail.quantile(1e-2)
+        assert len(os.listdir("/proc/self/fd")) == before + 2
+        assert list(tmp_path.iterdir()) == []
+        del tails, tail
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_file_outlives_a_run(self, monkeypatch, tmp_path, workers):
