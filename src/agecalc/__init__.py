@@ -36,6 +36,7 @@ from .bounds import (
     optimize_theta,
 )
 from .simulate import (
+    CountTail,
     EmpiricalTail,
     EventStream,
     InsufficientSamples,

@@ -83,6 +83,7 @@ _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + _LIST_KEYS
 def parse_config(path: str) -> Dict:
     """Read a flat key = value config file into a typed dict."""
     cfg: Dict = {}
+    set_on: Dict[str, int] = {}  # the line that set each key
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -98,6 +99,11 @@ def parse_config(path: str) -> Dict:
         key, value = key.strip(), value.strip()
         if key not in _ALL_KEYS:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        if key in set_on:
+            raise ConfigError(
+                "%s:%d: key %r already set on line %d" % (path, lineno, key, set_on[key])
+            )
+        set_on[key] = lineno
         try:
             cfg[key] = _coerce(key, value)
         except ValueError as exc:

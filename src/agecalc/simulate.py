@@ -29,23 +29,23 @@ temporary directory (under TMPDIR), whether a pool worker runs it or the
 calling process does: each chunk of its delay and peak-age arrays is
 written at that array's offset, with `os.pwrite`, as soon as the chunk is
 computed, so a replication holds one chunk per array (2^16 updates,
-512 KB), never the whole replication. Peak deviation is an event count,
-and its tail counts each value, exact at any sample count, so each chunk's
-deviations are counted past the burn-in instead, and the replication
-returns one count per value, a few hundred integers, with each array's
-length, minimum and maximum. The caller opens each array on its own, as a
-slice of the file that it reads with `os.preadv` and never maps, unlinks
-the file at once and adds the replications to the tails in index order,
-so no sample array is pickled and the tails are the same at any worker
-count; a pool keeps at most `workers` replications submitted beyond the
-one being added. The delay and peak-age tails take the extremes they are
-given, so a tail reads an array only to bin it, a block at a time into
-one buffer, or to sort it. A raw tail's first query reads its samples
-into one array, sorts it, writes it to an unnamed file under TMPDIR and
-drops it; the tail then answers from that file. So the caller's peak is
-its own working set plus one sort buffer of 8 bytes per raw sample, and
-only while a raw tail's first query runs; any query of a raw tail needs
-TMPDIR space.
+512 KB), never the whole replication. Peak deviation is an event count, and
+its tail, a `CountTail`, holds one count per value, exact at any sample
+count, so each chunk's deviations are counted past the burn-in instead,
+and the replication returns one count per value, a few hundred integers,
+with each array's length, minimum and maximum. The caller opens each array
+on its own, as a slice of the file that it reads with `os.preadv` and
+never maps, unlinks the file at once and adds the replications to the
+tails in index order, so no sample array is pickled and the tails are the
+same at any worker count; a pool keeps at most `workers` replications
+submitted beyond the one being added. Each slice knows its array's
+extremes, so the delay and peak-age tails, `EmpiricalTail`s, read an array
+only to bin it, a block at a time into one buffer, or to sort it. A raw
+tail's first query reads its samples into one array, sorts it, writes it
+to an unnamed file under TMPDIR and drops it; the tail then answers from
+that file. So the caller's peak is its own working set plus one sort
+buffer of 8 bytes per raw sample, and only while a raw tail's first query
+runs; any query of a raw tail needs TMPDIR space.
 
 A file's blocks stay on disk until the last slice of it is dropped: at
 most the replications up to the one that takes the delay and peak-age
@@ -92,6 +92,8 @@ _CHUNK = 1 << 16
 _BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000
+DEFAULT_RAW_LIMIT = 10_000_000  # raw samples a tail keeps before it bins them
+_BINS = 10_000  # histogram bins below the overflow bin
 
 
 class InsufficientSamples(UserWarning):
@@ -241,14 +243,22 @@ class _FileSlice:
     what a slice holds stays on disk and in the page cache, outside the
     process's resident memory. The file is closed when the slice is
     dropped. Indexing reads one sample, so `bisect` searches a sorted slice
-    as it would a list."""
+    as it would a list. `min()` and `max()` return `lo` and `hi`, the
+    samples' extremes as the slice's maker knows them, without a read."""
 
-    def __init__(self, f: BinaryIO, offset: int, n: int):
+    def __init__(self, f: BinaryIO, offset: int, n: int, lo: float, hi: float):
         self._fd, self._offset, self._n = f.fileno(), offset, n
+        self._lo, self._hi = lo, hi
         weakref.finalize(self, f.close)
 
     def __len__(self) -> int:
         return self._n
+
+    def min(self) -> float:
+        return self._lo
+
+    def max(self) -> float:
+        return self._hi
 
     def read_into(self, start: int, out: np.ndarray) -> np.ndarray:
         """Samples start ... start + len(out) - 1 read into `out`, returned."""
@@ -315,40 +325,51 @@ def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _allowance(epsilon: float, n: int) -> int:
+    """floor(epsilon * n + 1e-9), the samples a quantile may leave above it;
+    warns InsufficientSamples at the query's caller when n < 10/epsilon."""
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1], got %r" % (epsilon,))
+    if n == 0:
+        raise ValueError("no samples recorded")
+    if n < 10.0 / epsilon:
+        warnings.warn(
+            "quantile at epsilon=%g from only %d samples" % (epsilon, n),
+            InsufficientSamples,
+            stacklevel=3,
+        )
+    return math.floor(epsilon * n + 1e-9)
+
+
 class EmpiricalTail:
-    """Empirical complementary CDF of metric samples.
+    """Empirical complementary CDF of real-valued metric samples.
 
     Holds raw samples up to `raw_limit` and switches to a fixed-width
     histogram (plus an overflow bin) beyond it, which bins every later `add`;
     the histogram makes quantiles conservative by at most one `bin_width`.
-    Samples added with their extremes are not read until they are binned or
-    sorted, so samples the tail is given in a file stay on disk until then.
-    While raw, a query after an `add` sorts the samples in one array of
-    8 bytes per sample, the caller's only extra memory, writes it to an
-    unnamed file under TMPDIR and drops it: the tail then holds that file
-    alone, and answers each query with a read of one sample or a binary
-    search of the file. So any query of a raw tail needs TMPDIR space for
-    its samples, and a write that fails raises its OSError and leaves the
-    tail as it was.
-
-    With `integer=True` the samples are nonnegative integers, such as peak
-    deviation's event counts, and arrive already counted, through
-    `add_counts` only: the tail keeps no raw sample, never switches, and
-    answers every query as raw mode would, at any sample count, from one
-    count per value up to the largest.
+    Its edges run from 0 to twice the pooled maximum at the switch, so an
+    `add` that would switch at a maximum of +inf or nan, or bin a nan
+    sample, raises ValueError and leaves the tail as it was; a later +inf
+    lands in the overflow bin. File slices are not read until they are
+    binned or sorted, so samples the tail is given in a file stay on disk
+    until then. While raw, a query after an `add` sorts the samples in one
+    array of 8 bytes per sample, the caller's only extra memory, writes it
+    to an unnamed file under TMPDIR and drops it: the tail then holds that
+    file alone, and answers each query with a read of one sample or a
+    binary search of the file. So any query of a raw tail needs TMPDIR
+    space for its samples, and a write that fails raises its OSError and
+    leaves the tail as it was.
     """
 
-    def __init__(self, raw_limit: int = 10_000_000, bins: int = 10_000, integer: bool = False):
+    def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
         self.raw_limit = raw_limit
-        self.bins = bins
-        self.integer = integer
         self._chunks: List[_Samples] = []
         self._sorted: Optional[_FileSlice] = None
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
         self._edges: Optional[np.ndarray] = None
-        self._counts = np.zeros(0, dtype=np.int64) if integer else None
+        self._counts: Optional[np.ndarray] = None
 
     @property
     def n_samples(self) -> int:
@@ -356,26 +377,29 @@ class EmpiricalTail:
 
     @property
     def bin_width(self) -> float:
-        """Quantile resolution: 0 while raw samples are kept, and in an
-        integer tail, which is exact."""
+        """Quantile resolution: 0 while raw samples are kept."""
         if self._edges is None:
             return 0.0
         return float(self._edges[1] - self._edges[0])
 
-    def add(self, samples: _Samples, extremes: Optional[Tuple[float, float]] = None) -> None:
-        """Record samples; `extremes`, their (min, max) when the caller has
-        them, spares a read of samples the tail only stores. A file slice
-        comes with its extremes."""
-        if self.integer:
-            raise ValueError("an integer tail takes counts only")
+    def add(self, samples: _Samples) -> None:
+        """Record samples, an array or a file slice, whose extremes the
+        slice knows without a read."""
         if not isinstance(samples, _FileSlice):
             samples = np.asarray(samples, dtype=np.float64)
         if len(samples) == 0:
             return
-        lo, hi = extremes if extremes is not None else (samples.min(), samples.max())
-        self._n += len(samples)
-        self._min = min(self._min, float(lo))
-        self._max = max(self._max, float(hi))
+        lo, hi = float(samples.min()), float(samples.max())
+        if self._edges is not None and math.isnan(hi):
+            raise ValueError("cannot bin the sample nan")
+        # min() and max() return their first argument against a nan: a nan
+        # extreme, the mark of a nan sample, is kept as it is
+        lo = lo if math.isnan(lo) else min(self._min, lo)
+        hi = hi if math.isnan(hi) else max(self._max, hi)
+        n = self._n + len(samples)
+        if self._edges is None and n > self.raw_limit and (math.isnan(hi) or hi == math.inf):
+            raise ValueError("cannot fix histogram edges at the maximum %r" % (hi,))
+        self._n, self._min, self._max = n, lo, hi
         if self._edges is not None:
             self._counts += _bin(samples, self._edges)
             return
@@ -384,25 +408,9 @@ class EmpiricalTail:
         if self._n > self.raw_limit:
             self._to_histogram()
 
-    def add_counts(self, counts: np.ndarray) -> None:
-        """Record counts[v] samples of each value v, in an integer tail.
-
-        Counts add in any order, so count arrays of any lengths, merged one
-        by one, give the tail of all their samples at once."""
-        counts = np.asarray(counts)
-        if not self.integer:
-            raise ValueError("only an integer tail takes counts")
-        if counts.dtype.kind not in "iu" or (len(counts) and counts.min() < 0):
-            raise ValueError("counts must be nonnegative integers")
-        grow = len(counts) - len(self._counts)
-        if grow > 0:
-            self._counts = np.pad(self._counts, (0, grow))
-        self._counts[:len(counts)] += counts
-        self._n += int(counts.sum())
-
     def _to_histogram(self) -> None:
-        self._edges = _histogram_edges(self._max, self.bins)
-        self._counts = np.zeros(self.bins + 1, dtype=np.int64)  # last bin = overflow
+        self._edges = _histogram_edges(self._max, _BINS)
+        self._counts = np.zeros(_BINS + 1, dtype=np.int64)  # last bin = overflow
         # free each raw chunk once binned, so the memory or file it holds is
         # released while the rest are binned
         chunks, self._chunks = self._chunks, []
@@ -429,7 +437,7 @@ class EmpiricalTail:
             except BaseException:
                 f.close()
                 raise
-            self._sorted = _FileSlice(f, 0, self._n)
+            self._sorted = _FileSlice(f, 0, self._n, self._min, self._max)
             self._chunks = [self._sorted]
         return self._sorted
 
@@ -438,28 +446,14 @@ class EmpiricalTail:
 
         Warns InsufficientSamples when fewer than 10/epsilon samples exist.
         """
-        if not 0 < epsilon <= 1:
-            raise ValueError("epsilon must be in (0, 1], got %r" % (epsilon,))
-        if self._n == 0:
-            raise ValueError("no samples recorded")
-        if self._n < 10.0 / epsilon:
-            warnings.warn(
-                "quantile at epsilon=%g from only %d samples" % (epsilon, self._n),
-                InsufficientSamples,
-                stacklevel=2,
-            )
-        allowed = math.floor(epsilon * self._n + 1e-9)
-        if self.integer:
-            # raw mode's s[max(n - 1 - allowed, 0)] of the sorted samples
-            k = max(self._n - 1 - allowed, 0)
-            return float(np.searchsorted(np.cumsum(self._counts), k, side="right"))
+        allowed = _allowance(epsilon, self._n)
         if self._edges is None:
             s = self._sorted_samples()
             return s[max(len(s) - 1 - allowed, 0)]
         above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
         # smallest upper edge whose strict exceedance is within the allowance
         j = int(np.searchsorted(-above[1:], -allowed, side="left"))
-        if j >= self.bins:
+        if j >= _BINS:
             return self._max  # inside the overflow bin
         return max(float(self._edges[j + 1]), self._min)
 
@@ -468,10 +462,6 @@ class EmpiricalTail:
         most one bin in histogram mode)."""
         if self._n == 0:
             raise ValueError("no samples recorded")
-        if self.integer:
-            # the values above x, found by a search that takes ±inf and nan
-            j = int(np.searchsorted(np.arange(len(self._counts)), x, side="right"))
-            return float(self._counts[j:].sum()) / self._n
         if self._edges is None:
             # np.searchsorted(s, x, side="right") of the sorted samples: nan
             # samples sort last and a nan x goes past them, where bisect,
@@ -481,14 +471,50 @@ class EmpiricalTail:
             j = len(s) if math.isnan(x) else bisect.bisect_right(s, x, 0, numeric)
             return float(len(s) - j) / self._n
         j = int(np.searchsorted(self._edges, x, side="left")) - 1
-        j = min(max(j, 0), self.bins)
+        j = min(max(j, 0), _BINS)
         return float(self._counts[j:].sum()) / self._n
 
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalTail":
-        tail = cls()
-        tail.add(np.asarray(samples))
-        return tail
+
+class CountTail:
+    """Empirical complementary CDF of nonnegative integer samples, such as
+    peak deviation's event counts: `counts[v]` samples of each value v.
+    Count arrays of any lengths merge in any order, and every query is
+    answered as a raw EmpiricalTail of the samples would answer it."""
+
+    bin_width = 0.0  # exact: no sample is binned
+
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.n_samples = 0
+
+    def add(self, counts: np.ndarray) -> None:
+        """Record counts[v] samples of each value v."""
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu" or (len(counts) and counts.min() < 0):
+            raise ValueError("counts must be nonnegative integers")
+        grow = len(counts) - len(self.counts)
+        if grow > 0:
+            self.counts = np.pad(self.counts, (0, grow))
+        self.counts[:len(counts)] += counts
+        self.n_samples += int(counts.sum())
+
+    def quantile(self, epsilon: float) -> float:
+        """Smallest recorded value exceeded by at most a fraction epsilon.
+
+        Warns InsufficientSamples when fewer than 10/epsilon samples exist.
+        """
+        allowed = _allowance(epsilon, self.n_samples)
+        # s[max(n - 1 - allowed, 0)] of the sorted samples s
+        k = max(self.n_samples - 1 - allowed, 0)
+        return float(np.searchsorted(np.cumsum(self.counts), k, side="right"))
+
+    def exceed_fraction(self, x: float) -> float:
+        """Fraction of samples strictly greater than x."""
+        if self.n_samples == 0:
+            raise ValueError("no samples recorded")
+        # the values above x, found by a search that takes ±inf and nan
+        j = int(np.searchsorted(np.arange(len(self.counts)), x, side="right"))
+        return float(self.counts[j:].sum()) / self.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +527,7 @@ class MetricTails:
 
     delay: EmpiricalTail
     peak_aoi: EmpiricalTail
-    peak_doi: EmpiricalTail
+    peak_doi: CountTail
 
     def by_name(self) -> dict:
         return {"delay": self.delay, "peak_aoi": self.peak_aoi, "peak_doi": self.peak_doi}
@@ -593,12 +619,12 @@ def _simulate_to_file(
     lengths = (n_updates - burn_in, n_updates - 1 - burn_in)
     starts = (0, 8 * lengths[0])
     extremes = [[math.inf, -math.inf] for _ in lengths]
-    doi = EmpiricalTail(integer=True)
+    doi = CountTail()
     with open(path, "wb", buffering=0) as f:
         chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
         for done, (t, a, dev) in chunks:
             peak = max(done - 1, 0)  # the update of the chunk's first peak
-            doi.add_counts(np.bincount(dev[max(burn_in - peak, 0):]))
+            doi.add(np.bincount(dev[max(burn_in - peak, 0):]))
             for x, first, start, ext in zip((t, a), (done, peak), starts, extremes):
                 # the first burn_in values of each array are not written
                 x = x[max(burn_in - first, 0):]
@@ -606,16 +632,16 @@ def _simulate_to_file(
                     _write_at(f, x, start + 8 * (max(first, burn_in) - burn_in))
                     ext[0] = min(ext[0], float(x.min()))
                     ext[1] = max(ext[1], float(x.max()))
-    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)], doi._counts
+    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)], doi.counts
 
 
 def _opened(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[_FileSlice]:
-    """The arrays _simulate_to_file wrote, each a slice of the file through
-    a descriptor of its own. The file is unlinked at once; its blocks are
-    freed when the last of the slices is dropped."""
+    """The arrays _simulate_to_file wrote, each a slice of the file, with
+    its extremes, through a descriptor of its own. The file is unlinked at
+    once; its blocks are freed when the last of the slices is dropped."""
     slices, offset = [], 0
-    for n, _, _ in shapes:
-        slices.append(_FileSlice(open(path, "rb", buffering=0), offset, n))
+    for n, lo, hi in shapes:
+        slices.append(_FileSlice(open(path, "rb", buffering=0), offset, n, lo, hi))
         offset += 8 * n
     os.unlink(path)
     return slices
@@ -658,7 +684,7 @@ def run_replications(
     base_seed: int,
     burn_in: int = DEFAULT_BURN_IN,
     workers: int = 1,
-    raw_limit: int = 10_000_000,
+    raw_limit: int = DEFAULT_RAW_LIMIT,
 ) -> MetricTails:
     """Simulate n_reps independent replications and pool their metric tails.
 
@@ -688,11 +714,7 @@ def run_replications(
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)
 
-    tails = (
-        EmpiricalTail(raw_limit=raw_limit),
-        EmpiricalTail(raw_limit=raw_limit),
-        EmpiricalTail(integer=True),  # peak deviation counts events
-    )
+    tails = MetricTails(EmpiricalTail(raw_limit), EmpiricalTail(raw_limit), CountTail())
     workers = min(workers, n_reps)
     args = (scenario, n_updates, base_seed)
     with contextlib.ExitStack() as stack:
@@ -714,10 +736,10 @@ def run_replications(
                     for r in range(n_reps)
                 )
         for path, shapes, counts in replications:
-            # each array is dropped once its tail has it: one that was binned
+            tails.peak_doi.add(counts)
+            # each slice is dropped once its tail has it: one that was binned
             # closes its descriptor before the next is read
-            tails[2].add_counts(counts)
-            arrays = _opened(path, shapes)
-            for tail, (_, lo, hi) in zip(tails[:2], shapes):
-                tail.add(arrays.pop(0), (lo, hi))
-    return MetricTails(*tails)
+            slices = _opened(path, shapes)
+            for tail in (tails.delay, tails.peak_aoi):
+                tail.add(slices.pop(0))
+    return tails

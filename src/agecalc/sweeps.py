@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .envelopes import EventTriggered, TimeTriggered, TriggerPolicy
 from .models import Deterministic, DistributionModel, Exponential
 from .simulate import (
     DEFAULT_BURN_IN,
+    CountTail,
     EmpiricalTail,
     InsufficientSamples,
     MetricTails,
@@ -216,7 +217,7 @@ def simulation_rows(
     return rows
 
 
-def _quantile(tail: EmpiricalTail, eps: float) -> Tuple[float, bool]:
+def _quantile(tail: Union[EmpiricalTail, CountTail], eps: float) -> Tuple[float, bool]:
     """(tail.quantile(eps), whether fewer than 10/eps samples back it).
 
     The InsufficientSamples warning is suppressed: callers record the
@@ -227,7 +228,7 @@ def _quantile(tail: EmpiricalTail, eps: float) -> Tuple[float, bool]:
         return tail.quantile(eps), tail.n_samples < 10.0 / eps
 
 
-def _summary_quantile(tail: EmpiricalTail, eps: float, entry: Dict) -> float:
+def _summary_quantile(tail: Union[EmpiricalTail, CountTail], eps: float, entry: Dict) -> float:
     """tail.quantile(eps) for a figure summary; sets
     entry["insufficient_samples"] when fewer than 10/eps samples back it."""
     q, insufficient = _quantile(tail, eps)

@@ -40,6 +40,8 @@ def test_tracer_reads_every_tail_of_a_run():
     with t.job():
         tails = simulate.run_replications(scenario, 3_000, 2, 1, burn_in=100, raw_limit=4_000)
         tails.peak_doi.quantile(0.1)
+        # the tracer wraps EmpiricalTail's queries alone
+        tails.delay.quantile(0.1)
     metrics = t.layer_metrics()
     # delay and peak age switch to histograms; peak deviation counts values
     assert t.tail_stats == [(2, tails.delay.bin_width)]

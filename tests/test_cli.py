@@ -146,6 +146,7 @@ INVALID_INPUTS = {
     "bound-lambda-inf": ("bound", SIM_CONFIG.replace("lambda = 0.5", "lambda = inf")),
     "bound-mu-inf": ("bound", SIM_CONFIG.replace("mu = 1.0", "mu = inf")),
     "bound-w-inf": ("bound", BASE_CONFIG.replace("w = 5", "w = inf")),
+    "bound-w-twice": ("bound", BASE_CONFIG.replace("w = 5", "w = 13\nw = 3")),
     "bound-alpha-inf": ("bound", SIM_CONFIG.replace("alpha = 1", "alpha = inf")),
     "simulate-alpha-inf": ("simulate", SIM_CONFIG.replace("alpha = 1", "alpha = inf")),
     "simulate-mu-inf": ("simulate", SIM_CONFIG.replace("mu = 1.0", "mu = inf")),

@@ -20,6 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from agecalc import (
+    CountTail,
     Deterministic,
     EmpiricalTail,
     Erlang,
@@ -37,6 +38,7 @@ from agecalc import simulate
 from agecalc.sweeps import EPS_GRID, SIM_EPS
 from agecalc.simulate import (
     _BIN_BLOCK,
+    _BINS,
     _BLOCK,
     _CHUNK,
     _COUNT_BLOCK,
@@ -44,6 +46,7 @@ from agecalc.simulate import (
     STREAM_SERVICE,
     _bin,
     _fifo_chunk,
+    _histogram_edges,
     _opened,
     _simulate_to_file,
 )
@@ -56,6 +59,13 @@ def _file_backed(x):
         return False
     read_only = fcntl.fcntl(x._fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY
     return read_only and os.fstat(x._fd).st_nlink == 0
+
+
+def _raw(samples):
+    """A raw tail of the samples."""
+    tail = EmpiricalTail()
+    tail.add(np.asarray(samples))
+    return tail
 
 
 def _read(s):
@@ -224,13 +234,13 @@ class TestPeakMetrics:
 
 class TestEmpiricalTail:
     def test_quantile_example(self):
-        tail = EmpiricalTail.from_samples(np.arange(1.0, 11.0))
+        tail = _raw(np.arange(1.0, 11.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert tail.quantile(0.2) == 8.0
 
     def test_constant_samples(self):
-        tail = EmpiricalTail.from_samples(np.full(100, 3.25))
+        tail = _raw(np.full(100, 3.25))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert tail.quantile(0.07) == 3.25
@@ -238,16 +248,17 @@ class TestEmpiricalTail:
 
     def test_exponential_quantile_oracle(self):
         rng = np.random.default_rng(9)
-        tail = EmpiricalTail.from_samples(rng.exponential(1.0, 1_000_000))
+        tail = _raw(rng.exponential(1.0, 1_000_000))
         assert tail.quantile(1e-3) == pytest.approx(math.log(1000.0), abs=0.2)
 
     def test_warns_on_few_samples(self):
-        tail = EmpiricalTail.from_samples(np.arange(50.0))
-        with pytest.warns(InsufficientSamples):
+        tail = _raw(np.arange(50.0))
+        with pytest.warns(InsufficientSamples) as warned:
             tail.quantile(0.01)
+        assert warned[0].filename == __file__  # at the query's caller
 
     def test_exceed_fraction(self):
-        tail = EmpiricalTail.from_samples(np.arange(1.0, 11.0))
+        tail = _raw(np.arange(1.0, 11.0))
         assert tail.exceed_fraction(8.0) == pytest.approx(0.2)
         assert tail.exceed_fraction(10.0) == 0.0
         assert tail.exceed_fraction(0.0) == 1.0
@@ -255,7 +266,7 @@ class TestEmpiricalTail:
     def test_histogram_mode_close_to_raw(self):
         rng = np.random.default_rng(21)
         data = rng.exponential(1.0, 50_000)
-        raw = EmpiricalTail.from_samples(data)
+        raw = _raw(data)
         binned = EmpiricalTail(raw_limit=10_000)
         for chunk in np.split(data, 5):
             binned.add(chunk)
@@ -277,10 +288,10 @@ class TestEmpiricalTail:
         others=st.lists(st.floats(allow_nan=False), max_size=60),
     )
     def test_histogram_bins_match_searchsorted(self, hi, bins, on_edges, others):
-        # hi is the pooled maximum when the raw limit is crossed
-        tail = EmpiricalTail(raw_limit=1, bins=bins)
-        tail.add(np.array([hi, hi]))
-        edges = tail._edges
+        # hi is the pooled maximum when the raw limit is crossed: _bin bins
+        # as searchsorted at any bin count, and a tail switching at hi bins
+        # every later add with the edges of _BINS bins
+        edges = _histogram_edges(hi, bins)
         top = edges[-1]
         nudge = {-1: -math.inf, 0: None, 1: math.inf}
         x = [
@@ -289,12 +300,58 @@ class TestEmpiricalTail:
         ]
         x += [0.0, -0.0, -1.0, -top, 1.5 * top, 2.0 * top, 1e300] + others
         x = np.array(x, dtype=np.float64)
+        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
+        ref = np.bincount(ref, minlength=bins + 1)
+        assert np.array_equal(_bin(x, edges), ref)
+        ref[-1] += 1  # +inf lands in the overflow bin
+        assert np.array_equal(_bin(np.append(x, math.inf), edges), ref)
+        tail = EmpiricalTail(raw_limit=1)
+        tail.add(np.array([hi, hi]))
+        assert np.array_equal(tail._edges, _histogram_edges(hi, _BINS))
         before = tail._counts.copy()
         tail.add(x)
-        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
-        assert np.array_equal(tail._counts - before, np.bincount(ref, minlength=bins + 1))
         tail.add(np.array([math.inf]))
-        assert tail._counts[-1] - before[-1] == np.count_nonzero(ref == bins) + 1
+        assert np.array_equal(tail._counts - before, _bin(np.append(x, math.inf), tail._edges))
+
+    @pytest.mark.parametrize("stage", ["switch", "binned"])
+    def test_refuses_a_sample_it_cannot_bin(self, stage):
+        # the edges run to twice the maximum at the switch, so an add that
+        # would switch at a maximum of +inf or nan, or bin a nan, raises and
+        # leaves the tail as it was. A raw tail holds a nan, an -inf maximum
+        # gives edges up to 2, and +inf binned after the switch lands in the
+        # overflow bin
+        tail = EmpiricalTail(raw_limit=4)
+        tail.add(np.array([1.0, 2.0]))
+        bad = [[1.0, 2.0, math.inf], [1.0, 2.0, math.nan], [math.nan, math.inf, 1.0]]
+        if stage == "binned":
+            tail.add(np.array([1.0, 2.0, 3.0]))
+            bad = [[math.nan], [1.0, math.nan, math.inf]]
+
+        def state():
+            counts = None if tail._counts is None else tail._counts.tolist()
+            chunks = [id(c) for c in tail._chunks]
+            return tail.n_samples, tail._min, tail._max, tail.bin_width, counts, chunks
+
+        for x in bad:
+            before = state()
+            with pytest.raises(ValueError, match="nan|inf"):
+                tail.add(np.array(x))
+            assert state() == before
+        if stage == "binned":
+            tail.add(np.array([math.inf]))
+            assert tail._counts[-1] == 1 and tail.n_samples == 6
+            return
+        # a nan the raw tail holds makes the maximum at the switch nan
+        tail.add(np.array([math.nan]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            assert tail.quantile(1.0) == 1.0
+        with pytest.raises(ValueError, match="nan"):
+            tail.add(np.array([1.0, 2.0]))
+        assert tail.n_samples == 3 and tail.bin_width == 0
+        low = EmpiricalTail(raw_limit=1)
+        low.add(np.array([-math.inf, -math.inf]))
+        assert low.bin_width == 2.0 / _BINS and low._counts[0] == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,7 +386,8 @@ class TestEmpiricalTail:
         assert np.array_equal(_bin(x, edges), ref)
         f = tempfile.TemporaryFile(buffering=0)
         simulate._write_at(f, x, 0)
-        assert np.array_equal(_bin(simulate._FileSlice(f, 0, len(x)), edges), ref)
+        filed = simulate._FileSlice(f, 0, len(x), x.min(), x.max())
+        assert np.array_equal(_bin(filed, edges), ref)
 
     def test_raw_tail_keeps_one_sorted_copy(self, tmp_path):
         # the first query sorts a copy, written to a file of its own, that
@@ -349,9 +407,9 @@ class TestEmpiricalTail:
             for p in parts:
                 p.tofile(f)
         mapped = EmpiricalTail(raw_limit=150_000)
-        for x, p in zip(_opened(path, [(len(p), p.min(), p.max()) for p in parts]), parts):
+        for x in _opened(path, [(len(p), p.min(), p.max()) for p in parts]):
             assert _file_backed(x)
-            mapped.add(x, (p.min(), p.max()))
+            mapped.add(x)
         mapping = weakref.ref(mapped._chunks[0])
         assert isinstance(mapping(), simulate._FileSlice) and not os.listdir(tmp_path)
         del x
@@ -384,12 +442,11 @@ class TestEmpiricalTail:
         # is raw mode's, bit for bit
         x = np.repeat(np.array(values, dtype=np.float64), repeat)
         n = len(x)
-        raw = EmpiricalTail()
-        merged = EmpiricalTail(integer=True)
-        raw.add(x)
+        raw = _raw(x)
+        merged = CountTail()
         for part in np.split(x, sorted(c % (n + 1) for c in cuts)):
-            merged.add_counts(np.bincount(part.astype(np.intp)))
-        assert np.array_equal(merged._counts, np.bincount(x.astype(np.intp)))
+            merged.add(np.bincount(part.astype(np.intp)))
+        assert np.array_equal(merged.counts, np.bincount(x.astype(np.intp)))
         assert merged.n_samples == n and merged.bin_width == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InsufficientSamples)
@@ -405,30 +462,26 @@ class TestEmpiricalTail:
             )
 
     def test_integer_tail_warns_and_rejects_as_raw(self):
-        counted = EmpiricalTail(integer=True)
+        counted = CountTail()
         with pytest.raises(ValueError, match="no samples"):
             counted.quantile(0.5)
         with pytest.raises(ValueError, match="no samples"):
             counted.exceed_fraction(1.0)
-        counted.add_counts(np.ones(50, dtype=np.int64))  # the samples 0, 1, ..., 49
-        with pytest.warns(InsufficientSamples):
+        counted.add(np.ones(50, dtype=np.int64))  # the samples 0, 1, ..., 49
+        with pytest.warns(InsufficientSamples) as warned:
             counted.quantile(0.01)
+        assert warned[0].filename == __file__  # at the query's caller
         with pytest.raises(ValueError, match="epsilon"):
             counted.quantile(0.0)
-        # an integer tail takes counts only, whatever the samples
-        for samples in ([], [1.0], [1.5], [-1.0], [math.nan], [math.inf]):
-            with pytest.raises(ValueError, match="counts only"):
+        # a count tail takes integer counts only, never real samples
+        for samples in ([], [1.0], [1.5], [-1.0], [math.nan], [math.inf], [2, -1]):
+            with pytest.raises(ValueError, match="nonnegative integers"):
                 counted.add(np.array(samples))
-        for bad in ([1.0], [2, -1]):
-            with pytest.raises(ValueError, match="counts"):
-                counted.add_counts(np.array(bad))
-        with pytest.raises(ValueError, match="integer tail"):
-            EmpiricalTail().add_counts(np.array([1]))
         assert counted.n_samples == 50
 
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
-        tail = EmpiricalTail.from_samples(rng.exponential(1.0, 10_000))
+        tail = _raw(rng.exponential(1.0, 10_000))
         qs = [tail.quantile(e) for e in (1e-3, 1e-2, 0.1, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(qs, qs[1:]))
 
@@ -441,6 +494,8 @@ class TestEmpiricalTail:
         rng = np.random.default_rng(41)
         special = [0.0, -0.0, -math.inf, 1e300]
         special += [math.nan] * 3 if stage == "raw-with-nan" else []
+        # the switch fixes the bin edges at twice the maximum, which must be
+        # finite: a tail holding +inf refuses to switch
         special += [] if stage == "histogram" else [math.inf]
         parts = [np.round(rng.exponential(1.0, 1_500), 2) for _ in range(3)]
         parts[0] = np.concatenate((parts[0][:700], special, parts[0][700:]))
@@ -450,9 +505,8 @@ class TestEmpiricalTail:
         def add(k):
             path = str(tmp_path / str(k))
             parts[k].tofile(path)
-            extremes = (parts[k].min(), parts[k].max())
-            (x,) = _opened(path, [(len(parts[k]), *extremes)])
-            filed.add(x, extremes)
+            (x,) = _opened(path, [(len(parts[k]), parts[k].min(), parts[k].max())])
+            filed.add(x)
             given.add(parts[k].copy())
             fresh.add(parts[k].copy())
 
@@ -850,7 +904,7 @@ class TestRunReplications:
         for r in range(4):
             raw.add(arrays(scenario, 20_000, 3, r, 1_000)[2])
         assert a.bin_width == b.bin_width == 0
-        assert np.array_equal(a._counts, b._counts)
+        assert np.array_equal(a.counts, b.counts)
         for eps in (1e-1, 1e-2, 1e-3):
             assert a.quantile(eps) == b.quantile(eps) == raw.quantile(eps)
 
@@ -873,8 +927,8 @@ class TestRunReplications:
         assert a.delay.bin_width > 0 and a.peak_aoi.bin_width > 0
         for b in runs:
             assert b.peak_doi.n_samples == 3 * 19_999
-            assert b.peak_doi._chunks == []  # no sample is kept
-            assert np.array_equal(b.peak_doi._counts, reference)
+            assert isinstance(b.peak_doi, CountTail)  # no sample is kept
+            assert np.array_equal(b.peak_doi.counts, reference)
             for eps in (1.0, 1e-1, 1e-2, 1e-3):
                 assert a.peak_doi.quantile(eps) == b.peak_doi.quantile(eps)
             for x in (0.0, 8.0, 8.5, 20.0):
@@ -962,7 +1016,7 @@ class TestRunReplications:
             for a, b in zip(got, ref):
                 if b is ref[2]:
                     counts = np.bincount(_read(b._sorted_samples()).astype(np.intp))
-                    assert np.array_equal(a._counts, counts)
+                    assert np.array_equal(a.counts, counts)
                     assert a.n_samples == b.n_samples and a.bin_width == b.bin_width == 0
                 else:
                     assert b.bin_width > 0
@@ -1015,7 +1069,7 @@ class TestRunReplications:
         assert sorted(sizes) == [0, 1, 2, 3]
         assert max(sizes.values()) < 64 * 1024
         assert switched == [[True, True]] * 2  # peak deviation never switches
-        assert np.array_equal(pooled.peak_doi._counts, serial.peak_doi._counts)
+        assert np.array_equal(pooled.peak_doi.counts, serial.peak_doi.counts)
         for name in ("delay", "peak_aoi"):
             tail, ref = pooled.by_name()[name], serial.by_name()[name]
             assert tail.bin_width > 0
@@ -1044,7 +1098,7 @@ class TestRunReplications:
         serial = run(workers=1)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         pooled = run(workers=2)
-        assert np.array_equal(pooled.peak_doi._counts, serial.peak_doi._counts)
+        assert np.array_equal(pooled.peak_doi.counts, serial.peak_doi.counts)
         for name in ("delay", "peak_aoi"):
             tail, ref = pooled.by_name()[name], serial.by_name()[name]
             assert ref.bin_width > 0
@@ -1093,7 +1147,7 @@ class TestRunReplications:
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
         doi, ref = pooled.peak_doi, serial.peak_doi
-        assert np.array_equal(doi._counts, ref._counts) and doi.n_samples == ref.n_samples
+        assert np.array_equal(doi.counts, ref.counts) and doi.n_samples == ref.n_samples
         for eps in (1e-1, 1e-2, 1e-3):
             assert doi.quantile(eps) == ref.quantile(eps)
         for name in ("delay", "peak_aoi"):
