@@ -116,8 +116,9 @@ def _coerce(key: str, value: str):
         return float(value)
     if key in _INT_KEYS:
         n = int(value)
-        if key == "burn_in" and n < 0:
-            raise ValueError("must be >= 0, got %d" % n)
+        low = 1 if key == "samples" else 0
+        if n < low:
+            raise ValueError("must be >= %d, got %d" % (low, n))
         return n
     if key in _LIST_KEYS:
         return [float(v) for v in value.split(",") if v.strip()]

@@ -70,7 +70,6 @@ import tempfile
 import warnings
 import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -383,10 +382,13 @@ class EmpiricalTail:
         return float(self._edges[1] - self._edges[0])
 
     def add(self, samples: _Samples) -> None:
-        """Record samples, an array or a file slice, whose extremes the
-        slice knows without a read."""
+        """Record samples, a 1-D array or a file slice, whose extremes the
+        slice knows without a read. An array of any other shape raises
+        ValueError and leaves the tail as it was."""
         if not isinstance(samples, _FileSlice):
             samples = np.asarray(samples, dtype=np.float64)
+            if samples.ndim != 1:
+                raise ValueError("samples must be a 1-D array, got shape %r" % (samples.shape,))
         if len(samples) == 0:
             return
         lo, hi = float(samples.min()), float(samples.max())
@@ -488,10 +490,15 @@ class CountTail:
         self.n_samples = 0
 
     def add(self, counts: np.ndarray) -> None:
-        """Record counts[v] samples of each value v."""
+        """Record counts[v] samples of each value v, from a 1-D array of
+        nonnegative integers that fit in int64. Any other input raises
+        ValueError and leaves the tail as it was."""
         counts = np.asarray(counts)
-        if counts.dtype.kind not in "iu" or (len(counts) and counts.min() < 0):
-            raise ValueError("counts must be nonnegative integers")
+        if counts.ndim != 1 or counts.dtype.kind not in "iu" or (
+            len(counts) and (counts.min() < 0 or counts.max() > np.iinfo(np.int64).max)
+        ):
+            raise ValueError("counts must be a 1-D array of nonnegative integers within int64")
+        counts = counts.astype(np.int64, copy=False)
         grow = len(counts) - len(self.counts)
         if grow > 0:
             self.counts = np.pad(self.counts, (0, grow))
@@ -645,6 +652,17 @@ def _opened(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[_File
         offset += 8 * n
     os.unlink(path)
     return slices
+
+
+def ProcessPoolExecutor(**options):
+    """concurrent.futures.ProcessPoolExecutor(**options), imported here, where
+    the only pool is made, so that a serial run or a bound never loads
+    multiprocessing. run_replications calls it with SIGTERM held, so a
+    SIGTERM during the import waits until the pool's shutdown is
+    registered."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**options)
 
 
 @contextlib.contextmanager

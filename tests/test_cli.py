@@ -154,6 +154,9 @@ INVALID_INPUTS = {
     "simulate-epsilon-inf": ("simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = inf")),
     "simulate-epsilon-above-1": (
         "simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = 1e-2,2")),
+    "simulate-seed-negative": ("simulate", SIM_CONFIG.replace("seed = 4242", "seed = -1")),
+    "simulate-samples-negative": (
+        "simulate", SIM_CONFIG.replace("samples = 60000", "samples = -5")),
 }
 
 # (command, flag) pairs of flags a command does not read, which it rejects
@@ -303,6 +306,15 @@ class TestCli:
         missing = _write(tmp_path, "missing.cfg", "lambda = 0.5\n")
         assert main(["bound", "--config", missing]) == 2
         assert main(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("key", ["seed", "samples"])
+    def test_negative_config_integer_names_key_and_line(self, key, tmp_path, capsys):
+        # rejected as the config is read, before a run makes its directory
+        command, text = INVALID_INPUTS["simulate-%s-negative" % key]
+        cfg = _write(tmp_path, "neg.cfg", text)
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key + " "))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "n.csv")]) == 2
+        assert "%s:%d: bad value for %s: must be >= " % (cfg, lineno, key) in capsys.readouterr().err
 
     def test_negative_burn_in_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "neg.cfg", SIM_CONFIG.replace("burn_in = 2000", "burn_in = -5"))
@@ -588,6 +600,30 @@ class TestCli:
         path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
         code = "import sys, agecalc.cli; assert 'numpy.random' in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+    def test_only_a_pool_loads_multiprocessing(self, tmp_path):
+        # the CLI, a one-process run and a bound never import the pool;
+        # a run on two workers does
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        cfg = _write(tmp_path, "dd1.cfg", BASE_CONFIG)
+        code = (
+            "import sys, agecalc.cli\n"
+            "from agecalc import Exponential, Scenario, TimeTriggered, run_replications\n"
+            "def pool():\n"
+            "    return [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "assert pool() == [], 'import'\n"
+            "scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)\n"
+            "run_replications(scenario, 3000, 2, 5, burn_in=100, workers=1)\n"
+            "assert pool() == [], 'workers=1'\n"
+            "assert agecalc.cli.main(['bound', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "assert pool() == [], 'bound'\n"
+            "run_replications(scenario, 3000, 2, 5, burn_in=100, workers=2)\n"
+            "assert len(pool()) == 2, 'workers=2'\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, cfg, str(tmp_path / "b.csv")],
+            env=dict(os.environ, PYTHONPATH=path), check=True,
+        )
 
     def test_main_restores_the_sigterm_handler(self, tmp_path):
         def handler(signum, frame):

@@ -467,17 +467,31 @@ class TestEmpiricalTail:
             counted.quantile(0.5)
         with pytest.raises(ValueError, match="no samples"):
             counted.exceed_fraction(1.0)
-        counted.add(np.ones(50, dtype=np.int64))  # the samples 0, 1, ..., 49
+        counted.add(np.ones(50, dtype=np.uint64))  # the samples 0, 1, ..., 49
+        assert counted.counts.dtype == np.int64
         with pytest.warns(InsufficientSamples) as warned:
             counted.quantile(0.01)
         assert warned[0].filename == __file__  # at the query's caller
         with pytest.raises(ValueError, match="epsilon"):
             counted.quantile(0.0)
-        # a count tail takes integer counts only, never real samples
-        for samples in ([], [1.0], [1.5], [-1.0], [math.nan], [math.inf], [2, -1]):
+        # a count tail takes a 1-D array of integer counts within int64 only,
+        # never real samples, and checks it before it pads its counts
+        for samples in (
+            [], [1.0], [1.5], [-1.0], [math.nan], [math.inf], [2, -1], 3,
+            np.ones((60, 2), dtype=np.int64), np.full(60, 2**63, dtype=np.uint64),
+        ):
             with pytest.raises(ValueError, match="nonnegative integers"):
                 counted.add(np.array(samples))
-        assert counted.n_samples == 50
+        assert counted.n_samples == 50 and np.array_equal(counted.counts, np.ones(50))
+
+    def test_rejects_samples_that_are_not_1d(self):
+        tail = EmpiricalTail()
+        for samples in (np.ones((3, 4)), 2.5):
+            with pytest.raises(ValueError, match="1-D array"):
+                tail.add(samples)
+        assert tail.n_samples == 0
+        tail.add(np.arange(3.0))
+        assert tail.exceed_fraction(0.5) == pytest.approx(2 / 3)
 
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
