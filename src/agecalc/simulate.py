@@ -40,28 +40,23 @@ tails in index order, so no sample array is pickled and the tails are the
 same at any worker count; a pool keeps at most `workers` replications
 submitted beyond the one being added. Each slice knows its array's
 extremes, so the delay and peak-age tails, `EmpiricalTail`s, read an array
-only to bin it, a block at a time into one buffer, or to sort it. A raw
-tail's first query reads its samples into one array, sorts it, writes it
-to an unnamed file under TMPDIR and drops it; the tail then answers from
-that file. So the caller's peak is its own working set plus one sort
-buffer of 8 bytes per raw sample, and only while a raw tail's first query
-runs; any query of a raw tail needs TMPDIR space.
+only to bin it or to answer a query, a block at a time into one buffer. A
+raw tail answers each query, or each batch of quantiles, in one pass over
+the slices it holds and writes no file: it keeps the candidates for the
+requested ranks, at most 16 bytes per sample a quantile at epsilon may
+leave above it, or sorts all of its samples in one array, 8 bytes per
+sample, when that is no larger.
 
 A file's blocks stay on disk until the last slice of it is dropped: at
 most the replications up to the one that takes the delay and peak-age
 tails past their raw limit, plus `workers` in flight with a pool, at 16
 bytes per update (with the default raw limit and 2M-update replications,
-about 192 MB in one process and 256 MB with 2 workers). Once raw tails
-are queried, each holds its sorted file, 8 bytes per sample: up to 24
-bytes per update while the first tail's sorted file and the replication
-files, which the other tail still holds, coexist, and 16 bytes once both
-are sorted. A pool forked while earlier tails hold files keeps those
-blocks until its workers exit.
+about 192 MB in one process and 256 MB with 2 workers). A pool forked
+while earlier tails hold files keeps those blocks until its workers exit.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import os
@@ -241,9 +236,8 @@ class _FileSlice:
     any more, read with `os.preadv` into the caller's arrays, never mapped:
     what a slice holds stays on disk and in the page cache, outside the
     process's resident memory. The file is closed when the slice is
-    dropped. Indexing reads one sample, so `bisect` searches a sorted slice
-    as it would a list. `min()` and `max()` return `lo` and `hi`, the
-    samples' extremes as the slice's maker knows them, without a read."""
+    dropped. `min()` and `max()` return `lo` and `hi`, the samples'
+    extremes as the slice's maker knows them, without a read."""
 
     def __init__(self, f: BinaryIO, offset: int, n: int, lo: float, hi: float):
         self._fd, self._offset, self._n = f.fileno(), offset, n
@@ -268,9 +262,6 @@ class _FileSlice:
                 raise EOFError("sample file ends at byte %d" % offset)
             data, offset = data[got:], offset + got
         return out
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.read_into(i, np.empty(1))[0])
 
 
 _Samples = Union[np.ndarray, _FileSlice]
@@ -324,20 +315,71 @@ def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _allowance(epsilon: float, n: int) -> int:
-    """floor(epsilon * n + 1e-9), the samples a quantile may leave above it;
-    warns InsufficientSamples at the query's caller when n < 10/epsilon."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1], got %r" % (epsilon,))
-    if n == 0:
-        raise ValueError("no samples recorded")
-    if n < 10.0 / epsilon:
-        warnings.warn(
-            "quantile at epsilon=%g from only %d samples" % (epsilon, n),
-            InsufficientSamples,
-            stacklevel=3,
-        )
-    return math.floor(epsilon * n + 1e-9)
+def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
+    """floor(epsilon * n + 1e-9) for each epsilon, the samples its quantile
+    may leave above it; warns InsufficientSamples at the query's caller for
+    each epsilon with n < 10/epsilon."""
+    allowed = []
+    for epsilon in epsilons:
+        if not 0 < epsilon <= 1:
+            raise ValueError("epsilon must be in (0, 1], got %r" % (epsilon,))
+        if n == 0:
+            raise ValueError("no samples recorded")
+        if n < 10.0 / epsilon:
+            warnings.warn(
+                "quantile at epsilon=%g from only %d samples" % (epsilon, n),
+                InsufficientSamples,
+                stacklevel=3,
+            )
+        allowed.append(math.floor(epsilon * n + 1e-9))
+    return allowed
+
+
+class _Extremes:
+    """The values of the `need` largest (or smallest) numeric samples
+    offered, kept in one buffer of 2 * need + _BIN_BLOCK floats. Of each
+    block, the samples beyond the bound, the need-th largest (smallest)
+    value kept so far, are appended; when they would not fit, the buffer is
+    partitioned in place down to its `need` extremes, which sets the bound.
+    A sample equal to the bound changes none of the need values, so it is
+    not kept, and neither is a nan, which the caller counts."""
+
+    def __init__(self, need: int, largest: bool):
+        self.need, self.largest = need, largest
+        self.beyond = np.greater if largest else np.less
+        self.bound = -math.inf if largest else math.inf
+        self.buf = np.empty(2 * need + _BIN_BLOCK)
+        self.fill = 0
+
+    def offer(self, x: np.ndarray, mask: np.ndarray) -> None:
+        mask = self.beyond(x, self.bound, out=mask[:len(x)])
+        k = np.count_nonzero(mask)
+        if self.fill + k > len(self.buf):
+            # then fill > 2 * need, so the largest need, moved to the front,
+            # overlap nothing they are copied from
+            kept, cut = self.buf[:self.fill], self.fill - self.need
+            if self.largest:
+                kept.partition(cut)
+                self.buf[:self.need] = kept[cut:]
+                self.bound = float(self.buf[0])
+            else:
+                kept.partition(self.need - 1)
+                self.bound = float(self.buf[self.need - 1])
+            self.fill = self.need
+        np.compress(mask, x, out=self.buf[self.fill:self.fill + k])
+        self.fill += k
+
+    def extremes(self) -> np.ndarray:
+        """The need extreme values, the most extreme first, sorted in the
+        buffer itself, which takes no copy of it. Fewer are kept only if
+        the buffer never filled, so the bound is still ±inf, and every
+        numeric sample not kept is that bound."""
+        s = self.buf[:self.fill]
+        s.sort()
+        s = s[::-1][:self.need] if self.largest else s[:self.need]
+        if len(s) < self.need:
+            s = np.append(s, np.full(self.need - len(s), self.bound))
+        return s
 
 
 class EmpiricalTail:
@@ -350,20 +392,20 @@ class EmpiricalTail:
     `add` that would switch at a maximum of +inf or nan, or bin a nan
     sample, raises ValueError and leaves the tail as it was; a later +inf
     lands in the overflow bin. File slices are not read until they are
-    binned or sorted, so samples the tail is given in a file stay on disk
-    until then. While raw, a query after an `add` sorts the samples in one
-    array of 8 bytes per sample, the caller's only extra memory, writes it
-    to an unnamed file under TMPDIR and drops it: the tail then holds that
-    file alone, and answers each query with a read of one sample or a
-    binary search of the file. So any query of a raw tail needs TMPDIR
-    space for its samples, and a write that fails raises its OSError and
-    leaves the tail as it was.
+    binned or queried, so samples the tail is given in a file stay on disk.
+    While raw, the tail keeps the arrays and slices it was given and
+    answers each query exactly, as a sort of all its samples (nan last)
+    would, in at most one pass over them that writes no file: an exceedance
+    fraction counts, and a batch of quantiles (`quantiles`) keeps the
+    candidates for its ranks, at most 16 bytes per sample that the smallest
+    epsilon lets exceed its quantile, plus a block. A batch whose candidates
+    could reach all the samples sorts them in one array instead, 8 bytes
+    per sample.
     """
 
     def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
         self.raw_limit = raw_limit
         self._chunks: List[_Samples] = []
-        self._sorted: Optional[_FileSlice] = None
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
@@ -405,7 +447,6 @@ class EmpiricalTail:
         if self._edges is not None:
             self._counts += _bin(samples, self._edges)
             return
-        self._sorted = None
         self._chunks.append(samples)
         if self._n > self.raw_limit:
             self._to_histogram()
@@ -419,13 +460,28 @@ class EmpiricalTail:
         while chunks:
             self._counts += _bin(chunks.pop(0), self._edges)
 
-    def _sorted_samples(self) -> _FileSlice:
-        if self._sorted is None:
-            # the chunks are copied into one array, so the in-place sort never
-            # touches a caller's array, and the array is dropped on return.
-            # The sorted file holds the same samples as the chunks, so it
-            # becomes the only chunk and what the tail held is released.
-            s, i = np.empty(self._n), 0
+    def _raw_blocks(self) -> Iterator[np.ndarray]:
+        for chunk in self._chunks:
+            yield from _blocks(chunk, _BIN_BLOCK)
+
+    def _order_statistics(self, ranks: Sequence[int]) -> List[float]:
+        """s[k] for each rank k of the raw samples s sorted as np.sort sorts
+        them, nan last. s[0] is the minimum, unless that marks a nan sample,
+        and s[n - 1] the maximum; every other rank k >= n/2 is read from
+        the n - k largest samples, and every one below from the k + 1
+        smallest, both kept in one pass that also counts the nans."""
+        n = self._n
+        known = {n - 1: self._max}
+        if not math.isnan(self._min):
+            known[0] = self._min
+        top = [k for k in ranks if k not in known and 2 * k >= n]
+        bottom = [k for k in ranks if k not in known and 2 * k < n]
+        needs = [(n - min(top), True)] if top else []
+        needs += [(max(bottom) + 1, False)] if bottom else []
+        if sum(2 * need + _BIN_BLOCK for need, _ in needs) >= n:
+            # the buffers could hold every sample: sort a copy of them all,
+            # so that no caller's array is touched
+            s, i = np.empty(n), 0
             for x in self._chunks:
                 if isinstance(x, _FileSlice):
                     x.read_into(0, s[i:i + len(x)])
@@ -433,31 +489,53 @@ class EmpiricalTail:
                     s[i:i + len(x)] = x
                 i += len(x)
             s.sort()
-            f = tempfile.TemporaryFile(buffering=0)
-            try:
-                _write_at(f, s, 0)
-            except BaseException:
-                f.close()
-                raise
-            self._sorted = _FileSlice(f, 0, self._n, self._min, self._max)
-            self._chunks = [self._sorted]
-        return self._sorted
+            return [float(s[k]) for k in ranks]
+        sides = [_Extremes(need, largest) for need, largest in needs]
+        nans, has_nan = 0, math.isnan(self._max)
+        if sides:
+            mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
+            for x in self._raw_blocks():
+                for side in sides:
+                    side.offer(x, mask)
+                if has_nan:
+                    nans += np.count_nonzero(np.isnan(x, out=mask[:len(x)]))
+        extremes = {side.largest: side.extremes() for side in sides}
+        numeric = n - nans  # s[numeric:] are the nans
+        values = []
+        for k in ranks:
+            if k in known:
+                values.append(known[k])
+            elif k >= numeric:
+                values.append(math.nan)
+            elif 2 * k >= n:
+                values.append(float(extremes[True][numeric - 1 - k]))
+            else:
+                values.append(float(extremes[False][k]))
+        return values
+
+    def _at(self, allowed: Sequence[int]) -> List[float]:
+        if self._edges is None:
+            return self._order_statistics([max(self._n - 1 - a, 0) for a in allowed])
+        above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
+        # smallest upper edge whose strict exceedance is within the
+        # allowance; j = _BINS is inside the overflow bin
+        found = np.searchsorted(-above[1:], [-a for a in allowed], side="left")
+        return [
+            self._max if j >= _BINS else max(float(self._edges[j + 1]), self._min)
+            for j in found.tolist()
+        ]
 
     def quantile(self, epsilon: float) -> float:
         """Smallest recorded value exceeded by at most a fraction epsilon.
 
         Warns InsufficientSamples when fewer than 10/epsilon samples exist.
         """
-        allowed = _allowance(epsilon, self._n)
-        if self._edges is None:
-            s = self._sorted_samples()
-            return s[max(len(s) - 1 - allowed, 0)]
-        above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
-        # smallest upper edge whose strict exceedance is within the allowance
-        j = int(np.searchsorted(-above[1:], -allowed, side="left"))
-        if j >= _BINS:
-            return self._max  # inside the overflow bin
-        return max(float(self._edges[j + 1]), self._min)
+        return self._at(_allowances((epsilon,), self._n))[0]
+
+    def quantiles(self, epsilons: Sequence[float]) -> List[float]:
+        """[quantile(e) for e in epsilons], with one pass over the raw
+        samples at most, or one cumulative count of the histogram."""
+        return self._at(_allowances(epsilons, self._n))
 
     def exceed_fraction(self, x: float) -> float:
         """Fraction of samples strictly greater than x (upper estimate of at
@@ -465,13 +543,17 @@ class EmpiricalTail:
         if self._n == 0:
             raise ValueError("no samples recorded")
         if self._edges is None:
-            # np.searchsorted(s, x, side="right") of the sorted samples: nan
-            # samples sort last and a nan x goes past them, where bisect,
-            # which compares by <, would stop anywhere
-            s = self._sorted_samples()
-            numeric = bisect.bisect_left(s, True, key=math.isnan)
-            j = len(s) if math.isnan(x) else bisect.bisect_right(s, x, 0, numeric)
-            return float(len(s) - j) / self._n
+            # (n - np.searchsorted(s, x, side="right")) / n of the sorted
+            # samples s: the samples not <= x, nan samples too, and none for
+            # a nan x, which sorts past every sample
+            if math.isnan(x):
+                return 0.0
+            mask = np.empty(min(self._n, _BIN_BLOCK), dtype=bool)
+            at_most = sum(
+                np.count_nonzero(np.less_equal(b, x, out=mask[:len(b)]))
+                for b in self._raw_blocks()
+            )
+            return float(self._n - at_most) / self._n
         j = int(np.searchsorted(self._edges, x, side="left")) - 1
         j = min(max(j, 0), _BINS)
         return float(self._counts[j:].sum()) / self._n
@@ -505,15 +587,21 @@ class CountTail:
         self.counts[:len(counts)] += counts
         self.n_samples += int(counts.sum())
 
+    def _at(self, allowed: Sequence[int]) -> List[float]:
+        # s[max(n - 1 - allowed, 0)] of the sorted samples s
+        ranks = [max(self.n_samples - 1 - a, 0) for a in allowed]
+        return np.searchsorted(np.cumsum(self.counts), ranks, side="right").astype(float).tolist()
+
     def quantile(self, epsilon: float) -> float:
         """Smallest recorded value exceeded by at most a fraction epsilon.
 
         Warns InsufficientSamples when fewer than 10/epsilon samples exist.
         """
-        allowed = _allowance(epsilon, self.n_samples)
-        # s[max(n - 1 - allowed, 0)] of the sorted samples s
-        k = max(self.n_samples - 1 - allowed, 0)
-        return float(np.searchsorted(np.cumsum(self.counts), k, side="right"))
+        return self._at(_allowances((epsilon,), self.n_samples))[0]
+
+    def quantiles(self, epsilons: Sequence[float]) -> List[float]:
+        """[quantile(e) for e in epsilons], from one cumulative count."""
+        return self._at(_allowances(epsilons, self.n_samples))
 
     def exceed_fraction(self, x: float) -> float:
         """Fraction of samples strictly greater than x."""

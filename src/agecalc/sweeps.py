@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .envelopes import EventTriggered, TimeTriggered, TriggerPolicy
 from .models import Deterministic, DistributionModel, Exponential
 from .simulate import (
     DEFAULT_BURN_IN,
-    CountTail,
-    EmpiricalTail,
     InsufficientSamples,
     MetricTails,
     run_replications,
@@ -198,18 +196,23 @@ def simulation_rows(
     eps_values: Sequence[float],
     extra_flag: str = "",
 ) -> List[CsvRow]:
-    """Empirical quantile rows with a 3-sigma binomial error note per row."""
+    """Empirical quantile rows with a 3-sigma binomial error note per row,
+    and `insufficient_samples` where fewer than 10/eps samples back the
+    quantile (the InsufficientSamples warning is suppressed). Each tail
+    answers all of eps_values in one batch."""
     rows = []
     for name, tail in tails.by_name().items():
         n = tail.n_samples
-        for eps in eps_values:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            values = tail.quantiles(eps_values)
+        for eps, q in zip(eps_values, values):
             tokens = []
             if extra_flag:
                 tokens.append(extra_flag)
             sigma3 = 3.0 * math.sqrt(eps * (1.0 - eps) / n)
             tokens.append("sigma3:%.3e" % sigma3)
-            q, insufficient = _quantile(tail, eps)
-            if insufficient:
+            if n < 10.0 / eps:
                 tokens.append("insufficient_samples")
             rows.append(_row(scenario_id, replace(scenario, epsilon=eps), axis,
                              eps if axis == "epsilon" else axis_value, Metric(name),
@@ -217,24 +220,14 @@ def simulation_rows(
     return rows
 
 
-def _quantile(tail: Union[EmpiricalTail, CountTail], eps: float) -> Tuple[float, bool]:
-    """(tail.quantile(eps), whether fewer than 10/eps samples back it).
-
-    The InsufficientSamples warning is suppressed: callers record the
-    shortfall in their output instead.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InsufficientSamples)
-        return tail.quantile(eps), tail.n_samples < 10.0 / eps
-
-
-def _summary_quantile(tail: Union[EmpiricalTail, CountTail], eps: float, entry: Dict) -> float:
-    """tail.quantile(eps) for a figure summary; sets
-    entry["insufficient_samples"] when fewer than 10/eps samples back it."""
-    q, insufficient = _quantile(tail, eps)
-    if insufficient:
+def _simulated(rows: List[CsvRow], metric: Metric, eps: float, entry: Dict) -> float:
+    """The simulated quantile of `metric` at `eps` among simulation_rows'
+    rows, for a figure summary; sets entry["insufficient_samples"] when the
+    row is flagged so."""
+    (row,) = [r for r in rows if r.metric == metric.value and r.epsilon == eps]
+    if "insufficient_samples" in row.flag.split(";"):
         entry["insufficient_samples"] = True
-    return q
+    return row.value
 
 
 def sweep_rows(
@@ -320,17 +313,18 @@ def figure_fig3(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
              exact_mm1_tail(0.5, 1.0, eps))
         for eps in EPS_GRID
     ]
-    tails = _simulate(tt, samples, seed, workers)
-    rows += simulation_rows("fig3", tt, "epsilon", 0.0, tails, SIM_EPS)
+    simulated = simulation_rows("fig3", tt, "epsilon", 0.0, _simulate(tt, samples, seed, workers),
+                                SIM_EPS)
+    rows += simulated
 
-    # SLOPE_EPS and 1e-2 ... 1e-4 are in EPS_GRID
+    # SLOPE_EPS and 1e-2 ... 1e-4 are in EPS_GRID, and 1e-2 ... 1e-4 in SIM_EPS
     slope = _decay_rate({r.epsilon: r.value for r in et_rows})
     bound_at = {r.epsilon: r.value for r in tt_rows}
     dominance = {}
     for eps in (1e-2, 1e-3, 1e-4):
         b = bound_at[eps]
         entry = dominance["%.0e" % eps] = {"bound": round_bound(b)}
-        q = _summary_quantile(tails.delay, eps, entry)
+        q = _simulated(simulated, Metric.DELAY, eps, entry)
         entry.update(simulated=q, below=bool(q <= b))
     summary = {
         "bound_tail_slope": slope,
@@ -511,9 +505,12 @@ def figure_fig8(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
     for suffix, label, policy in runs:
         scenario = Scenario(Exponential(rate=0.5), Exponential(rate=0.25), policy, 1e-6)
         tails = _simulate(scenario, samples, seed, workers)
-        rows += simulation_rows("fig8-" + suffix, scenario, "epsilon", 0.0, tails, SIM_EPS_WIDE)
-        for key, tail in (("aoi_at_1e-4", tails.peak_aoi), ("doi_at_1e-4", tails.peak_doi)):
-            summary[key][label] = _summary_quantile(tail, 1e-4, summary[key])
+        simulated = simulation_rows("fig8-" + suffix, scenario, "epsilon", 0.0, tails,
+                                    SIM_EPS_WIDE)
+        rows += simulated
+        # 1e-4 is in SIM_EPS_WIDE
+        for key, metric in (("aoi_at_1e-4", Metric.PEAK_AOI), ("doi_at_1e-4", Metric.PEAK_DOI)):
+            summary[key][label] = _simulated(simulated, metric, 1e-4, summary[key])
     return rows, summary
 
 

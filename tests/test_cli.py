@@ -561,24 +561,25 @@ class TestCli:
         assert err == "error: simulate failed: %s\n" % os.strerror(errno.EFBIG)
         assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
 
-    def test_failed_spill_exit_2_in_one_line(self, tmp_path):
+    def test_raw_queries_pass_a_file_size_limit(self, tmp_path):
         # three 2M-update replications, each file 32 MB, pass a 40 MB file
-        # size limit; the delay tail's first query then writes its sorted
-        # samples, 48 MB, which the limit fails as a full TMPDIR does: one
-        # line, no traceback, and no file left behind
+        # size limit, and the raw tails' queries write nothing: the run
+        # exits 0 with the CSV of a run without the limit, and no file left
         resource = pytest.importorskip("resource")
 
         def limit_file_size():
             hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
             resource.setrlimit(resource.RLIMIT_FSIZE, (40 << 20, hard))
 
-        child = self._child_simulate(tmp_path, 6_000_000, 1, preexec_fn=limit_file_size)
-        with child as (proc, tmp):
-            proc.wait(timeout=120)
-        err = (tmp_path / "err").read_text()
-        assert proc.returncode == 2, err
-        assert err == "error: simulate failed: %s\n" % os.strerror(errno.EFBIG)
-        assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
+        results = []
+        for run, popen in (("limited", {"preexec_fn": limit_file_size}), ("free", {})):
+            (tmp_path / run).mkdir()
+            with self._child_simulate(tmp_path / run, 6_000_000, 1, **popen) as (proc, tmp):
+                proc.wait(timeout=120)
+            assert proc.returncode == 0, (tmp_path / run / "err").read_text()
+            assert list(tmp.iterdir()) == []
+            results.append((tmp_path / run / "out").read_text())
+        assert results[0] == results[1] and results[0].startswith(CSV_HEADER)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sigterm_removes_the_temporary_directory(self, tmp_path, workers):

@@ -11,8 +11,8 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-import weakref
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,14 +71,6 @@ def _raw(samples):
 def _read(s):
     """All the samples of a file slice, in an array."""
     return s.read_into(0, np.empty(len(s)))
-
-
-def _spilled(tail):
-    """Whether the tail holds its samples as one sorted file with no name."""
-    (s,) = tail._chunks
-    return isinstance(s, simulate._FileSlice) and s is tail._sorted and (
-        os.fstat(s._fd).st_nlink == 0
-    )
 
 
 def _traced_peak(fn):
@@ -389,10 +381,10 @@ class TestEmpiricalTail:
         filed = simulate._FileSlice(f, 0, len(x), x.min(), x.max())
         assert np.array_equal(_bin(filed, edges), ref)
 
-    def test_raw_tail_keeps_one_sorted_copy(self, tmp_path):
-        # the first query sorts a copy, written to a file of its own, that
-        # replaces the caller's arrays or file slices alike; the samples are
-        # the same, so no later answer changes
+    def test_raw_tail_keeps_the_chunks_it_was_given(self, tmp_path):
+        # a raw tail answers from the caller's arrays and file slices
+        # themselves: a query copies, sorts and writes none of them, and
+        # crossing raw_limit later bins them as a tail never queried does
         rng = np.random.default_rng(31)
         first, second = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
         fresh = EmpiricalTail(raw_limit=150_000)
@@ -400,32 +392,32 @@ class TestEmpiricalTail:
         fresh.add(second.copy())
         tail = EmpiricalTail(raw_limit=150_000)
         tail.add(first.copy())
-        given = weakref.ref(tail._chunks[0])
+        given = tail._chunks[0]
         path = str(tmp_path / "first")
         parts = [first[:40_000], first[40_000:]]
         with open(path, "wb") as f:
             for p in parts:
                 p.tofile(f)
         mapped = EmpiricalTail(raw_limit=150_000)
-        for x in _opened(path, [(len(p), p.min(), p.max()) for p in parts]):
+        slices = _opened(path, [(len(p), p.min(), p.max()) for p in parts])
+        for x in slices:
             assert _file_backed(x)
             mapped.add(x)
-        mapping = weakref.ref(mapped._chunks[0])
-        assert isinstance(mapping(), simulate._FileSlice) and not os.listdir(tmp_path)
-        del x
         ordered = np.sort(first)
-        for eps in (1e-1, 1e-2, 1e-3):
-            expected = ordered[len(ordered) - 1 - round(eps * len(ordered))]
-            assert tail.quantile(eps) == mapped.quantile(eps) == expected
-        assert given() is None and mapping() is None
-        assert np.array_equal(_read(mapped._chunks[0]), ordered) and _spilled(mapped)
-        assert _spilled(tail) and not os.listdir(tmp_path)
+        eps_values = (1.0, 0.5, 1e-1, 1e-2, 1e-3)
+        expected = [ordered[max(len(ordered) - 1 - round(eps * len(ordered)), 0)]
+                    for eps in eps_values]
+        for t in (tail, mapped):
+            assert t.quantiles(eps_values) == [t.quantile(eps) for eps in eps_values] == expected
+        assert tail._chunks == [given] and mapped._chunks == slices
+        assert np.array_equal(given, first) and not os.listdir(tmp_path)
         assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
-        tail.add(second.copy())  # crosses raw_limit: the sorted copy is binned
+        tail.add(second.copy())  # crosses raw_limit: the chunks are binned
         assert tail.bin_width == fresh.bin_width > 0
         assert np.array_equal(tail._counts, fresh._counts)
         for eps in (1e-1, 1e-2, 1e-3):
             assert tail.quantile(eps) == fresh.quantile(eps)
+        assert tail.quantiles(eps_values) == fresh.quantiles(eps_values)
         assert tail.exceed_fraction(2.0) == fresh.exceed_fraction(2.0)
 
     @seed(20261019)
@@ -460,6 +452,83 @@ class TestEmpiricalTail:
             assert np.float64(merged.exceed_fraction(p)).tobytes() == (
                 np.float64(raw.exceed_fraction(p)).tobytes()
             )
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from((0.0, 1.0, -2.5, math.inf, -math.inf, math.nan)),
+                      st.floats()),
+            min_size=1, max_size=60,
+        ),
+        repeat=st.sampled_from((1, 5, 40)),
+        bulk=st.sampled_from((0, 150, 600)),
+        order=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(0, 5_000), max_size=4),
+        filed=st.lists(st.booleans(), min_size=5, max_size=5),
+        eps=st.lists(st.floats(1e-6, 1.0), max_size=4),
+        block=st.sampled_from((16, 256, _BIN_BLOCK)),
+    )
+    def test_raw_queries_match_a_sort(self, values, repeat, bulk, order, cuts, filed, eps,
+                                      block):
+        # random multisets with ties, ±inf and nan, plus a bulk of mostly
+        # distinct samples, shuffled and cut into arrays and file slices:
+        # every quantile, alone or in a batch, is an order statistic of
+        # np.sort's, and every exceedance fraction the searchsorted count
+        # above the point. Blocks of 16 and 256 samples let the candidate
+        # buffers of both sides fill and compact
+        rng = np.random.default_rng(order)
+        x = np.concatenate((np.repeat(np.array(values), repeat),
+                            np.round(rng.standard_normal(bulk), 3)))
+        x = rng.permutation(x)
+        n = len(x)
+        s = np.sort(x)
+        tail = EmpiricalTail()
+        for part, as_file in zip(np.split(x, sorted(c % (n + 1) for c in cuts)), filed):
+            if as_file and len(part):
+                f = tempfile.TemporaryFile(buffering=0)
+                simulate._write_at(f, part, 0)
+                part = simulate._FileSlice(f, 0, len(part), part.min(), part.max())
+            tail.add(part)
+        # below 1/n, the largest; near 1, the second and sixth smallest
+        eps_values = [1.0, 0.5, 0.5 / n, 1.0 / n, min(5.5 / n, 1.0), 0.05]
+        eps_values += [max((n - k) / n, 0.5 / n) for k in (1.5, 5.5)] + eps
+
+        def expected(eps_values):
+            return [s[max(n - 1 - math.floor(e * n + 1e-9), 0)] for e in eps_values]
+
+        with mock.patch.object(simulate, "_BIN_BLOCK", block), warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            for batch in (eps_values, [e for e in eps_values if e != 0.5]):
+                np.testing.assert_array_equal(tail.quantiles(batch), expected(batch))
+            singles = [tail.quantile(e) for e in eps_values]
+            np.testing.assert_array_equal(singles, expected(eps_values))
+        points = [-math.inf, math.inf, math.nan]
+        points += [y for v in np.unique(s).tolist()
+                   for y in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+        for p in points:
+            assert tail.exceed_fraction(p) == float(n - np.searchsorted(s, p, side="right")) / n
+
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 80), min_size=1, max_size=300),
+        repeat=st.sampled_from((1, 400)),
+        eps=st.lists(st.floats(1e-9, 1.0), max_size=6),
+    )
+    def test_count_tail_quantiles_match_a_sort(self, values, repeat, eps):
+        # a batch of quantiles is the quantiles one by one, each an order
+        # statistic of the sorted samples
+        x = np.repeat(np.array(values), repeat)
+        n = len(x)
+        s = np.sort(x).astype(np.float64)
+        tail = CountTail()
+        tail.add(np.bincount(x))
+        eps_values = [1.0, 0.5, 0.5 / n, 1.0 / n] + eps
+        expected = [s[max(n - 1 - math.floor(e * n + 1e-9), 0)] for e in eps_values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            assert tail.quantiles(eps_values) == [tail.quantile(e) for e in eps_values] == expected
 
     def test_integer_tail_warns_and_rejects_as_raw(self):
         counted = CountTail()
@@ -528,6 +597,7 @@ class TestEmpiricalTail:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", InsufficientSamples)
                 q = [tail.quantile(eps) for eps in eps_values]
+                assert np.array(tail.quantiles(eps_values)).tobytes() == np.array(q).tobytes()
             return np.array(q + [tail.exceed_fraction(p) for p in points]).tobytes()
 
         def check(n_parts):
@@ -542,7 +612,6 @@ class TestEmpiricalTail:
             for tail in (filed, given):
                 assert tail.bin_width == 0
                 assert answers(tail, eps_values, points) == np.array(expected).tobytes()
-                assert _spilled(tail)
             return eps_values, points
 
         add(0)
@@ -560,59 +629,70 @@ class TestEmpiricalTail:
             assert answers(tail, eps_values, points) == answers(fresh, eps_values, points)
 
     def test_first_query_keeps_no_sample_in_memory(self):
-        # the first query of a raw tail given arrays sorts the samples in one
-        # array of 8 bytes each, writes it to a file and drops it with the
-        # arrays: the query's peak is that array, and the tail holds no
-        # sample in memory after it
+        # a raw tail given arrays keeps them, and a query adds no copy of
+        # them: at epsilon 1e-3 and 1e-1 its peak is the candidates for the
+        # rank, 16 bytes per sample the quantile may leave above it, plus a
+        # block, sorted where they are; at 0.5 the candidates could reach
+        # all samples, so it sorts one array of 8 bytes each. None keeps
+        # anything once it returns
         n = 1_000_000
-        tracemalloc.start()
-        try:
-            tail = EmpiricalTail()
-            for seed in (1, 2):
-                tail.add(np.random.default_rng(seed).exponential(1.0, n // 2))
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tail.quantile(1e-3)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert before >= 8 * n and _spilled(tail)
-        assert peak - before <= 8 * n + (1 << 20)
-        assert held < 1 << 20
+        cases = [(eps, 16 * (math.floor(eps * n) + 1)) for eps in (1e-3, 1e-1)]
+        for eps, bound in cases + [(0.5, 8 * n)]:
+            tracemalloc.start()
+            try:
+                tail = EmpiricalTail()
+                for seed in (1, 2):
+                    tail.add(np.random.default_rng(seed).exponential(1.0, n // 2))
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tail.quantile(eps)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert before >= 8 * n
+            assert peak - before <= bound + (1 << 20), eps
+            assert held - before < 1 << 16
 
-    def test_failed_spill_keeps_its_errno_and_the_tail(self, tmp_path):
-        # a file size limit below the sorted samples' bytes fails the first
-        # query's write, in a child process that the limit alone constrains:
-        # the OSError carries its errno, no file or descriptor is left, and
-        # with the limit lifted the same tail answers from the same samples
+    def test_raw_query_writes_no_file(self, tmp_path):
+        # with a file size limit of 0 set once the tail holds its samples,
+        # in arrays and in a file slice, a child process's raw queries
+        # answer as they do without the limit, each rank found by selection
+        # or by the sort, and no file appears under TMPDIR
         pytest.importorskip("resource")
         code = (
-            "import errno, os, resource, signal\n"
+            "import os, resource, signal, sys\n"
             "import numpy as np\n"
-            "from agecalc import EmpiricalTail\n"
+            "from agecalc import EmpiricalTail, simulate\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "x = np.random.default_rng(3).exponential(1.0, 100_000)\n"
+            "f = open(sys.argv[1], 'wb+', buffering=0)\n"
+            "simulate._write_at(f, x[60_000:], 0)\n"
             "tail = EmpiricalTail()\n"
-            "tail.add(np.arange(100_000.0)[::-1].copy())\n"
-            "fds = len(os.listdir('/proc/self/fd'))\n"
+            "tail.add(x[:60_000].copy())\n"
+            "tail.add(simulate._FileSlice(f, 0, 40_000, x[60_000:].min(), x[60_000:].max()))\n"
+            "def answers():\n"
+            "    q = tail.quantiles([1.0, 0.5, 1e-1, 1e-3, 1e-5])\n"
+            "    return repr(q + [tail.quantile(0.2), tail.exceed_fraction(2.0)])\n"
             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (8 * 50_000, hard))\n"
-            "try:\n"
-            "    tail.quantile(0.5)\n"
-            "except OSError as exc:\n"
-            "    print(exc.errno)\n"
-            "print(len(os.listdir('/proc/self/fd')) - fds, len(tail._chunks))\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (0, hard))\n"
+            "print(answers())\n"
             "resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))\n"
-            "print(tail.quantile(0.5), tail.exceed_fraction(89_999.5))\n"
+            "print(answers())\n"
+            "s = np.sort(x)\n"
+            "print(repr([float(s[max(len(s) - 1 - round(e * len(s)), 0)])\n"
+            "            for e in (1.0, 0.5, 1e-1, 1e-3, 1e-5, 0.2)]\n"
+            "           + [float(np.count_nonzero(x > 2.0)) / len(x)]))\n"
         )
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         src = os.path.dirname(os.path.dirname(simulate.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp)),
+            [sys.executable, "-c", code, str(tmp_path / "samples")], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp)),
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == [str(errno.EFBIG), "0", "1", "49999.0", "0.1"]
+        limited, free, expected = out.stdout.splitlines()
+        assert limited == free == expected
         assert list(tmp.iterdir()) == []
 
 
@@ -1029,7 +1109,7 @@ class TestRunReplications:
             ).by_name().values()
             for a, b in zip(got, ref):
                 if b is ref[2]:
-                    counts = np.bincount(_read(b._sorted_samples()).astype(np.intp))
+                    counts = np.bincount(np.concatenate(b._chunks).astype(np.intp))
                     assert np.array_equal(a.counts, counts)
                     assert a.n_samples == b.n_samples and a.bin_width == b.bin_width == 0
                 else:
@@ -1154,9 +1234,9 @@ class TestRunReplications:
 
     def test_pooled_raw_tails_match_serial(self):
         # 3 x 19,000 samples per metric stay below the raw limit: the delay
-        # and peak-age tails of either run hold the replication files until
-        # the first query sorts them into a file of their own; the
-        # replications count peak deviation
+        # and peak-age tails of either run hold the replication files, and
+        # answer from them, unchanged, query after query; the replications
+        # count peak deviation
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
@@ -1170,21 +1250,21 @@ class TestRunReplications:
             assert len(mapped) == 3 and all(_file_backed(x) for x in mapped)
             assert len(ref._chunks) == 3 and all(_file_backed(x) for x in ref._chunks)
             assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
+            samples = np.concatenate([_read(x) for x in mapped])
+            assert np.array_equal(samples, np.concatenate([_read(x) for x in ref._chunks]))
             for eps in (1e-1, 1e-2, 1e-3):
                 assert tail.quantile(eps) == ref.quantile(eps)
-            assert len(tail._chunks) == 1 and _spilled(tail)
-            own = os.fstat(tail._chunks[0]._fd)
-            assert not any(os.path.samestat(own, os.fstat(x._fd)) for x in mapped)
-            assert np.array_equal(_read(tail._sorted_samples()), _read(ref._sorted_samples()))
-            for x in (2.0, 10.0, float(np.median(_read(mapped[0])))):
+            assert tail.quantiles((1.0, 0.5, 1e-3)) == ref.quantiles((1.0, 0.5, 1e-3))
+            assert tail._chunks == mapped
+            for x in (2.0, 10.0, float(np.median(samples))):
                 assert tail.exceed_fraction(x) == ref.exceed_fraction(x)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_descriptor_outlives_the_tails(self, monkeypatch, tmp_path, workers):
-        # the tails hold their replication files, and once queried their
-        # sorted files, through descriptors that close when they are
-        # dropped; no file has a name under TMPDIR meanwhile
+        # the tails hold their replication files, 2 descriptors per
+        # replication, which queries neither add to nor close, until the
+        # tails are dropped; no file has a name under TMPDIR meanwhile
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
@@ -1193,8 +1273,9 @@ class TestRunReplications:
         tails = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=workers)
         assert len(os.listdir("/proc/self/fd")) == before + 2 * 3
         for tail in (tails.delay, tails.peak_aoi):
-            tail.quantile(1e-2)
-        assert len(os.listdir("/proc/self/fd")) == before + 2
+            tail.quantiles((0.5, 1e-2))
+            tail.exceed_fraction(2.0)
+        assert len(os.listdir("/proc/self/fd")) == before + 2 * 3
         assert list(tmp_path.iterdir()) == []
         del tails, tail
         gc.collect()
