@@ -248,6 +248,14 @@ class TestEmpiricalTail:
         with pytest.warns(InsufficientSamples) as warned:
             tail.quantile(0.01)
         assert warned[0].filename == __file__  # at the query's caller
+        # a batch warns once per epsilon that 50 samples do not back
+        counted = CountTail()
+        counted.add(np.ones(50, dtype=np.int64))
+        for t in (tail, counted):
+            with pytest.warns(InsufficientSamples) as warned:
+                t.quantiles([0.5, 0.01, 0.001])
+            assert [w.filename for w in warned] == [__file__] * 2
+            assert ["0.01" in str(w.message) for w in warned] == [True, False]
 
     def test_exceed_fraction(self):
         tail = _raw(np.arange(1.0, 11.0))
