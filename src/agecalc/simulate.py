@@ -45,7 +45,7 @@ raw tail answers each query, or each batch of quantiles, in one pass over
 the slices it holds and writes no file: it keeps the candidates for the
 requested ranks, at most 16 bytes per sample a quantile at epsilon may
 leave above it, or sorts all of its samples in one array, 8 bytes per
-sample, when that is no larger.
+sample, when that is no larger or a rank lies below the median.
 
 A file's blocks stay on disk until the last slice of it is dropped: at
 most the replications up to the one that takes the delay and peak-age
@@ -336,47 +336,42 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
 
 
 class _Extremes:
-    """The values of the `need` largest (or smallest) numeric samples
-    offered, kept in one buffer of 2 * need + _BIN_BLOCK floats. Of each
-    block, the samples beyond the bound, the need-th largest (smallest)
-    value kept so far, are appended; when they would not fit, the buffer is
-    partitioned in place down to its `need` extremes, which sets the bound.
-    A sample equal to the bound changes none of the need values, so it is
-    not kept, and neither is a nan, which the caller counts."""
+    """The values of the `need` largest numeric samples offered, kept in one
+    buffer of 2 * need + _BIN_BLOCK floats. Of each block, the samples above
+    the bound, the need-th largest value kept so far, are appended; when
+    they would not fit, the buffer is partitioned in place down to its
+    `need` largest, which sets the bound. A sample equal to the bound
+    changes none of the need values, so it is not kept, and neither is a
+    nan, which the caller counts."""
 
-    def __init__(self, need: int, largest: bool):
-        self.need, self.largest = need, largest
-        self.beyond = np.greater if largest else np.less
-        self.bound = -math.inf if largest else math.inf
+    def __init__(self, need: int):
+        self.need = need
+        self.bound = -math.inf
         self.buf = np.empty(2 * need + _BIN_BLOCK)
         self.fill = 0
 
     def offer(self, x: np.ndarray, mask: np.ndarray) -> None:
-        mask = self.beyond(x, self.bound, out=mask[:len(x)])
+        mask = np.greater(x, self.bound, out=mask[:len(x)])
         k = np.count_nonzero(mask)
         if self.fill + k > len(self.buf):
             # then fill > 2 * need, so the largest need, moved to the front,
             # overlap nothing they are copied from
             kept, cut = self.buf[:self.fill], self.fill - self.need
-            if self.largest:
-                kept.partition(cut)
-                self.buf[:self.need] = kept[cut:]
-                self.bound = float(self.buf[0])
-            else:
-                kept.partition(self.need - 1)
-                self.bound = float(self.buf[self.need - 1])
+            kept.partition(cut)
+            self.buf[:self.need] = kept[cut:]
+            self.bound = float(self.buf[0])
             self.fill = self.need
         np.compress(mask, x, out=self.buf[self.fill:self.fill + k])
         self.fill += k
 
-    def extremes(self) -> np.ndarray:
-        """The need extreme values, the most extreme first, sorted in the
-        buffer itself, which takes no copy of it. Fewer are kept only if
-        the buffer never filled, so the bound is still ±inf, and every
-        numeric sample not kept is that bound."""
+    def largest(self) -> np.ndarray:
+        """The need largest values, the largest first, sorted in the buffer
+        itself, which takes no copy of it. Fewer are kept only if the buffer
+        never filled, so the bound is still -inf, and every numeric sample
+        not kept is -inf."""
         s = self.buf[:self.fill]
         s.sort()
-        s = s[::-1][:self.need] if self.largest else s[:self.need]
+        s = s[::-1][:self.need]
         if len(s) < self.need:
             s = np.append(s, np.full(self.need - len(s), self.bound))
         return s
@@ -399,8 +394,8 @@ class EmpiricalTail:
     fraction counts, and a batch of quantiles (`quantiles`) keeps the
     candidates for its ranks, at most 16 bytes per sample that the smallest
     epsilon lets exceed its quantile, plus a block. A batch whose candidates
-    could reach all the samples sorts them in one array instead, 8 bytes
-    per sample.
+    could reach all the samples, or that asks for a rank below the median,
+    sorts them in one array instead, 8 bytes per sample.
     """
 
     def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
@@ -468,19 +463,17 @@ class EmpiricalTail:
         """s[k] for each rank k of the raw samples s sorted as np.sort sorts
         them, nan last. s[0] is the minimum, unless that marks a nan sample,
         and s[n - 1] the maximum; every other rank k >= n/2 is read from
-        the n - k largest samples, and every one below from the k + 1
-        smallest, both kept in one pass that also counts the nans."""
+        the n - k largest samples, kept in one pass that also counts the
+        nans. A rank below n/2 sorts all the samples instead, and so does a
+        batch whose buffer could hold them all."""
         n = self._n
         known = {n - 1: self._max}
         if not math.isnan(self._min):
             known[0] = self._min
-        top = [k for k in ranks if k not in known and 2 * k >= n]
-        bottom = [k for k in ranks if k not in known and 2 * k < n]
-        needs = [(n - min(top), True)] if top else []
-        needs += [(max(bottom) + 1, False)] if bottom else []
-        if sum(2 * need + _BIN_BLOCK for need, _ in needs) >= n:
-            # the buffers could hold every sample: sort a copy of them all,
-            # so that no caller's array is touched
+        top = [k for k in ranks if k not in known]
+        if top and (2 * min(top) < n or 2 * (n - min(top)) + _BIN_BLOCK >= n):
+            # sort a copy of all the samples, so that no caller's array is
+            # touched
             s, i = np.empty(n), 0
             for x in self._chunks:
                 if isinstance(x, _FileSlice):
@@ -490,16 +483,15 @@ class EmpiricalTail:
                 i += len(x)
             s.sort()
             return [float(s[k]) for k in ranks]
-        sides = [_Extremes(need, largest) for need, largest in needs]
-        nans, has_nan = 0, math.isnan(self._max)
-        if sides:
+        nans = 0
+        if top:
+            side, has_nan = _Extremes(n - min(top)), math.isnan(self._max)
             mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
             for x in self._raw_blocks():
-                for side in sides:
-                    side.offer(x, mask)
+                side.offer(x, mask)
                 if has_nan:
                     nans += np.count_nonzero(np.isnan(x, out=mask[:len(x)]))
-        extremes = {side.largest: side.extremes() for side in sides}
+            largest = side.largest()
         numeric = n - nans  # s[numeric:] are the nans
         values = []
         for k in ranks:
@@ -507,10 +499,8 @@ class EmpiricalTail:
                 values.append(known[k])
             elif k >= numeric:
                 values.append(math.nan)
-            elif 2 * k >= n:
-                values.append(float(extremes[True][numeric - 1 - k]))
             else:
-                values.append(float(extremes[False][k]))
+                values.append(float(largest[numeric - 1 - k]))
         return values
 
     def _at(self, allowed: Sequence[int]) -> List[float]:

@@ -484,7 +484,7 @@ class TestEmpiricalTail:
         # every quantile, alone or in a batch, is an order statistic of
         # np.sort's, and every exceedance fraction the searchsorted count
         # above the point. Blocks of 16 and 256 samples let the candidate
-        # buffers of both sides fill and compact
+        # buffer fill and compact
         rng = np.random.default_rng(order)
         x = np.concatenate((np.repeat(np.array(values), repeat),
                             np.round(rng.standard_normal(bulk), 3)))
@@ -498,7 +498,8 @@ class TestEmpiricalTail:
                 simulate._write_at(f, part, 0)
                 part = simulate._FileSlice(f, 0, len(part), part.min(), part.max())
             tail.add(part)
-        # below 1/n, the largest; near 1, the second and sixth smallest
+        # below 1/n, the largest; near 1, the second and sixth smallest,
+        # ranks below n/2, which sort
         eps_values = [1.0, 0.5, 0.5 / n, 1.0 / n, min(5.5 / n, 1.0), 0.05]
         eps_values += [max((n - k) / n, 0.5 / n) for k in (1.5, 5.5)] + eps
 
