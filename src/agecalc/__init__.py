@@ -50,7 +50,6 @@ from .sweeps import (
     best_event_threshold,
     best_update_interval,
     bound_rows,
-    bound_tail_slope,
     make_model,
     params_for_utilization,
     round_threshold,

@@ -121,7 +121,7 @@ def _coerce(key: str, value: str):
             raise ValueError("must be >= %d, got %d" % (low, n))
         return n
     if key in _LIST_KEYS:
-        return [float(v) for v in value.split(",") if v.strip()]
+        return [float(v) for v in value.split(",")]
     return value
 
 
@@ -198,8 +198,6 @@ def cmd_simulate(args) -> Tuple[List[CsvRow], Optional[Dict]]:
     event_model, service_model = _config_models(cfg)
     policy, flag = _config_policy(cfg, integer_alpha=True)
     eps_list = _config_epsilons(cfg, args.allow_vacuous)
-    if not eps_list:
-        return [], None
     if max(eps_list) > 1:
         raise ConfigError("simulate needs epsilon <= 1, got %g" % max(eps_list))
     samples = args.samples or cfg.get("samples", DEFAULT_SAMPLES)
@@ -229,7 +227,7 @@ def cmd_sweep(args) -> Tuple[List[CsvRow], Optional[Dict]]:
             service_kind=cfg.get("service_kind", "exponential"),
             epsilon=eps_list[0],
             axis=cfg.get("sweep_axis", "utilization"),
-            grid=tuple(cfg.get("grid", [])),
+            grid=tuple(_require(cfg, "grid")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

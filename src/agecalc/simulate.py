@@ -39,13 +39,13 @@ never maps, unlinks the file at once and adds the replications to the
 tails in index order, so no sample array is pickled and the tails are the
 same at any worker count; a pool keeps at most `workers` replications
 submitted beyond the one being added. Each slice knows its array's
-extremes, so the delay and peak-age tails, `EmpiricalTail`s, read an array
-only to bin it or to answer a query, a block at a time into one buffer. A
-raw tail answers each query, or each batch of quantiles, in one pass over
-the slices it holds and writes no file: it keeps the candidates for the
-requested ranks, at most 16 bytes per sample a quantile at epsilon may
-leave above it, or sorts all of its samples in one array, 8 bytes per
-sample, when that is no larger or a rank lies below the median.
+extremes, so the delay and peak-age tails, `EmpiricalTail`s, check that
+every sample is finite without a read, and read an array only to bin it or
+to answer a query, a block at a time into one buffer. A raw tail answers
+each query, or each batch of quantiles, in one pass over the slices it
+holds and writes no file: it selects the largest samples the requested
+ranks need into one buffer of at most all its samples, 16 bytes per sample
+a quantile at epsilon may leave above it, plus a block.
 
 A file's blocks stay on disk until the last slice of it is dropped: at
 most the replications up to the one that takes the delay and peak-age
@@ -282,15 +282,17 @@ def _blocks(samples: _Samples, size: int) -> Iterator[np.ndarray]:
 
 
 def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
-    """Samples per bin of the linspace `edges`, plus a last, overflow bin.
+    """Finite samples per bin of the linspace `edges`, plus a last, overflow
+    bin.
 
     Same bins as searchsorted(edges, x, side="left") - 1 clipped to
     [0, bins], in constant time per sample: guess ceil(x / width) - 1, then
     one step against the true linspace edges corrects the rounding of both
     (exact while the width is a normal float, as edges[k] is k * width
-    rounded). The quotient is clipped before the integer cast so that +inf
-    and huge values land in the overflow bin. Each sample is binned on its
-    own, so doing it in blocks of _BIN_BLOCK changes no count.
+    rounded). The quotient is clipped before the integer cast so that huge
+    values, whose quotient may overflow, land in the overflow bin; bin 0 is
+    open below, so no finite sample steps below it. Each sample is binned
+    on its own, so doing it in blocks of _BIN_BLOCK changes no count.
     """
     bins = len(edges) - 1
     # bin j holds lower[j] < x <= lower[j + 1]; bin 0 is open below and the
@@ -310,7 +312,6 @@ def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
         idx -= 1
         idx += np.greater(x, np.take(upper, idx, out=q), out=step)
         idx -= np.less_equal(x, np.take(lower, idx, out=q), out=step)
-        np.maximum(idx, 0, out=idx)  # only -inf steps below bin 0
         counts += np.bincount(idx, minlength=bins + 1)
     return counts
 
@@ -336,66 +337,73 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
 
 
 class _Extremes:
-    """The values of the `need` largest numeric samples offered, kept in one
-    buffer of 2 * need + _BIN_BLOCK floats. Of each block, the samples above
-    the bound, the need-th largest value kept so far, are appended; when
-    they would not fit, the buffer is partitioned in place down to its
-    `need` largest, which sets the bound. A sample equal to the bound
-    changes none of the need values, so it is not kept, and neither is a
-    nan, which the caller counts."""
+    """The values of the `need` largest of n finite samples offered, kept in
+    one buffer of min(2 * need + _BIN_BLOCK, n) floats. Until the buffer
+    first fills, every array or file slice that fits is copied into it
+    whole, a file slice read straight into it. Otherwise, of each block of
+    the samples, those above the bound, the need-th largest value kept so
+    far, are appended; when they would not fit, the buffer is partitioned
+    in place down to its `need` largest, which sets the bound. A sample
+    equal to the bound changes none of the need values, so it is not
+    kept."""
 
-    def __init__(self, need: int):
+    def __init__(self, need: int, n: int):
         self.need = need
-        self.bound = -math.inf
-        self.buf = np.empty(2 * need + _BIN_BLOCK)
+        self.bound = -math.inf  # below every finite sample
+        self.buf = np.empty(min(2 * need + _BIN_BLOCK, n))
+        self.mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
         self.fill = 0
 
-    def offer(self, x: np.ndarray, mask: np.ndarray) -> None:
-        mask = np.greater(x, self.bound, out=mask[:len(x)])
-        k = np.count_nonzero(mask)
-        if self.fill + k > len(self.buf):
-            # then fill > 2 * need, so the largest need, moved to the front,
-            # overlap nothing they are copied from
-            kept, cut = self.buf[:self.fill], self.fill - self.need
-            kept.partition(cut)
-            self.buf[:self.need] = kept[cut:]
-            self.bound = float(self.buf[0])
-            self.fill = self.need
-        np.compress(mask, x, out=self.buf[self.fill:self.fill + k])
-        self.fill += k
+    def offer(self, samples: _Samples) -> None:
+        m = len(samples)
+        if self.bound == -math.inf and self.fill + m <= len(self.buf):
+            out = self.buf[self.fill:self.fill + m]
+            if isinstance(samples, _FileSlice):
+                samples.read_into(0, out)
+            else:
+                out[:] = samples
+            self.fill += m
+            return
+        for x in _blocks(samples, _BIN_BLOCK):
+            mask = np.greater(x, self.bound, out=self.mask[:len(x)])
+            k = np.count_nonzero(mask)
+            if self.fill + k > len(self.buf):
+                # then the buffer holds 2 * need + _BIN_BLOCK, and
+                # fill > 2 * need, so the largest need, moved to the front,
+                # overlap nothing they are copied from
+                kept, cut = self.buf[:self.fill], self.fill - self.need
+                kept.partition(cut)
+                self.buf[:self.need] = kept[cut:]
+                self.bound = float(self.buf[0])
+                self.fill = self.need
+            np.compress(mask, x, out=self.buf[self.fill:self.fill + k])
+            self.fill += k
 
     def largest(self) -> np.ndarray:
         """The need largest values, the largest first, sorted in the buffer
-        itself, which takes no copy of it. Fewer are kept only if the buffer
-        never filled, so the bound is still -inf, and every numeric sample
-        not kept is -inf."""
+        itself, which takes no copy of it."""
         s = self.buf[:self.fill]
         s.sort()
-        s = s[::-1][:self.need]
-        if len(s) < self.need:
-            s = np.append(s, np.full(self.need - len(s), self.bound))
-        return s
+        return s[::-1][:self.need]
 
 
 class EmpiricalTail:
-    """Empirical complementary CDF of real-valued metric samples.
+    """Empirical complementary CDF of finite real-valued metric samples.
 
-    Holds raw samples up to `raw_limit` and switches to a fixed-width
-    histogram (plus an overflow bin) beyond it, which bins every later `add`;
-    the histogram makes quantiles conservative by at most one `bin_width`.
-    Its edges run from 0 to twice the pooled maximum at the switch, so an
-    `add` that would switch at a maximum of +inf or nan, or bin a nan
-    sample, raises ValueError and leaves the tail as it was; a later +inf
-    lands in the overflow bin. File slices are not read until they are
-    binned or queried, so samples the tail is given in a file stay on disk.
-    While raw, the tail keeps the arrays and slices it was given and
-    answers each query exactly, as a sort of all its samples (nan last)
+    Every sample must be finite: an `add` with a nan or infinite sample
+    raises ValueError and leaves the tail as it was. The tail holds raw
+    samples up to `raw_limit` and switches to a fixed-width histogram (plus
+    an overflow bin) beyond it, which bins every later `add`; the histogram
+    makes quantiles conservative by at most one `bin_width`. Its edges run
+    from 0 to twice the pooled maximum at the switch. File slices are not
+    read until they are binned or queried, so samples the tail is given in
+    a file stay on disk. While raw, the tail keeps the arrays and slices it
+    was given and answers each query exactly, as a sort of all its samples
     would, in at most one pass over them that writes no file: an exceedance
-    fraction counts, and a batch of quantiles (`quantiles`) keeps the
-    candidates for its ranks, at most 16 bytes per sample that the smallest
-    epsilon lets exceed its quantile, plus a block. A batch whose candidates
-    could reach all the samples, or that asks for a rank below the median,
-    sorts them in one array instead, 8 bytes per sample.
+    fraction counts, and a batch of quantiles (`quantiles`) selects the
+    largest samples its ranks need, in one buffer of at most n samples:
+    16 bytes per sample that the smallest epsilon lets exceed its quantile,
+    plus a block.
     """
 
     def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
@@ -419,9 +427,10 @@ class EmpiricalTail:
         return float(self._edges[1] - self._edges[0])
 
     def add(self, samples: _Samples) -> None:
-        """Record samples, a 1-D array or a file slice, whose extremes the
-        slice knows without a read. An array of any other shape raises
-        ValueError and leaves the tail as it was."""
+        """Record finite samples, a 1-D array or a file slice, whose extremes
+        the slice knows without a read. An array of any other shape, or
+        samples whose extremes are not finite (any nan or infinite sample),
+        raise ValueError and leave the tail as it was."""
         if not isinstance(samples, _FileSlice):
             samples = np.asarray(samples, dtype=np.float64)
             if samples.ndim != 1:
@@ -429,16 +438,10 @@ class EmpiricalTail:
         if len(samples) == 0:
             return
         lo, hi = float(samples.min()), float(samples.max())
-        if self._edges is not None and math.isnan(hi):
-            raise ValueError("cannot bin the sample nan")
-        # min() and max() return their first argument against a nan: a nan
-        # extreme, the mark of a nan sample, is kept as it is
-        lo = lo if math.isnan(lo) else min(self._min, lo)
-        hi = hi if math.isnan(hi) else max(self._max, hi)
-        n = self._n + len(samples)
-        if self._edges is None and n > self.raw_limit and (math.isnan(hi) or hi == math.inf):
-            raise ValueError("cannot fix histogram edges at the maximum %r" % (hi,))
-        self._n, self._min, self._max = n, lo, hi
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("samples must be finite, got extremes %r and %r" % (lo, hi))
+        self._n += len(samples)
+        self._min, self._max = min(self._min, lo), max(self._max, hi)
         if self._edges is not None:
             self._counts += _bin(samples, self._edges)
             return
@@ -460,48 +463,19 @@ class EmpiricalTail:
             yield from _blocks(chunk, _BIN_BLOCK)
 
     def _order_statistics(self, ranks: Sequence[int]) -> List[float]:
-        """s[k] for each rank k of the raw samples s sorted as np.sort sorts
-        them, nan last. s[0] is the minimum, unless that marks a nan sample,
-        and s[n - 1] the maximum; every other rank k >= n/2 is read from
-        the n - k largest samples, kept in one pass that also counts the
-        nans. A rank below n/2 sorts all the samples instead, and so does a
-        batch whose buffer could hold them all."""
+        """s[k] for each rank k of the raw samples s sorted. s[0] is the
+        minimum and s[n - 1] the maximum; every other rank k is read from
+        the n - k largest samples, selected in one pass into a copy, so that
+        no caller's array is touched."""
         n = self._n
-        known = {n - 1: self._max}
-        if not math.isnan(self._min):
-            known[0] = self._min
+        known = {0: self._min, n - 1: self._max}
         top = [k for k in ranks if k not in known]
-        if top and (2 * min(top) < n or 2 * (n - min(top)) + _BIN_BLOCK >= n):
-            # sort a copy of all the samples, so that no caller's array is
-            # touched
-            s, i = np.empty(n), 0
-            for x in self._chunks:
-                if isinstance(x, _FileSlice):
-                    x.read_into(0, s[i:i + len(x)])
-                else:
-                    s[i:i + len(x)] = x
-                i += len(x)
-            s.sort()
-            return [float(s[k]) for k in ranks]
-        nans = 0
         if top:
-            side, has_nan = _Extremes(n - min(top)), math.isnan(self._max)
-            mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
-            for x in self._raw_blocks():
-                side.offer(x, mask)
-                if has_nan:
-                    nans += np.count_nonzero(np.isnan(x, out=mask[:len(x)]))
+            side = _Extremes(n - min(top), n)
+            for chunk in self._chunks:
+                side.offer(chunk)
             largest = side.largest()
-        numeric = n - nans  # s[numeric:] are the nans
-        values = []
-        for k in ranks:
-            if k in known:
-                values.append(known[k])
-            elif k >= numeric:
-                values.append(math.nan)
-            else:
-                values.append(float(largest[numeric - 1 - k]))
-        return values
+        return [known[k] if k in known else float(largest[n - 1 - k]) for k in ranks]
 
     def _at(self, allowed: Sequence[int]) -> List[float]:
         if self._edges is None:
@@ -534,8 +508,8 @@ class EmpiricalTail:
             raise ValueError("no samples recorded")
         if self._edges is None:
             # (n - np.searchsorted(s, x, side="right")) / n of the sorted
-            # samples s: the samples not <= x, nan samples too, and none for
-            # a nan x, which sorts past every sample
+            # samples s: the samples not <= x, and none for a nan x, which
+            # sorts past every sample
             if math.isnan(x):
                 return 0.0
             mask = np.empty(min(self._n, _BIN_BLOCK), dtype=bool)

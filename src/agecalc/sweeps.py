@@ -339,19 +339,11 @@ SLOPE_EPS = (1e-9, 1e-8)
 
 
 def _decay_rate(bound_at: Dict[float, float]) -> float:
-    """d(ln eps)/d(bound) between the bounds at the two SLOPE_EPS."""
+    """Decay rate d(ln eps)/d(bound) of a bound curve between its bounds at
+    the two SLOPE_EPS, the deep end of the tail, where the curve approaches
+    its asymptote."""
     eps_lo, eps_hi = SLOPE_EPS
     return (math.log(eps_lo) - math.log(eps_hi)) / (bound_at[eps_lo] - bound_at[eps_hi])
-
-
-def bound_tail_slope(event_model, service_model, policy) -> float:
-    """Decay rate d(ln eps)/d(bound) of the optimized delay bound curve between
-    the two SLOPE_EPS, at the deep end of the tail where the curve approaches
-    its asymptote."""
-    return _decay_rate({
-        eps: optimize_theta(Scenario(event_model, service_model, policy, eps), Metric.DELAY).value
-        for eps in SLOPE_EPS
-    })
 
 
 # Sweep presets, name -> (event kind, event rate, service kind, axis), all at

@@ -20,7 +20,6 @@ from agecalc import (
     TimeTriggered,
     best_event_threshold,
     best_update_interval,
-    bound_tail_slope,
     doi_epsilon_bound,
     envelope_set,
     exact_mm1_tail,
@@ -31,7 +30,7 @@ from agecalc import (
 )
 from agecalc.cli import main
 from agecalc.simulate import _fifo_chunk
-from agecalc.sweeps import FIGURES, make_model
+from agecalc.sweeps import FIGURES, SLOPE_EPS, make_model
 from simulated import arrays
 
 SAMPLE_BUDGET = 10_000_000
@@ -69,10 +68,16 @@ def test_criterion_2_tail_decay_and_dominance():
     def check():
         events = Exponential(0.5)
         service = Exponential(1.0)
-        # decay rate of the optimized bound, measured at the deep end of the
-        # examined window eps in [1e-9, 1e-3] where the curve approaches its
-        # asymptote; must match the exact rate -(mu - lambda) = -0.5 within 5%
-        slope = bound_tail_slope(events, service, EventTriggered(1))
+        # decay rate d(ln eps)/d(bound) of the optimized bound, measured at
+        # the deep end of the examined window eps in [1e-9, 1e-3] where the
+        # curve approaches its asymptote; must match the exact rate
+        # -(mu - lambda) = -0.5 within 5%
+        eps_lo, eps_hi = SLOPE_EPS
+        b_lo, b_hi = (
+            optimize_theta(Scenario(events, service, EventTriggered(1), eps), Metric.DELAY).value
+            for eps in SLOPE_EPS
+        )
+        slope = (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
         assert abs(slope - (-0.5)) / 0.5 <= 0.05, "slope %.5f" % slope
 
         tt = TimeTriggered(2.0)

@@ -16,8 +16,10 @@ import pytest
 from agecalc import (
     EventTriggered,
     Exponential,
+    Metric,
+    Scenario,
     SweepSpec,
-    bound_tail_slope,
+    optimize_theta,
     params_for_utilization,
     round_threshold,
     sweep_rows,
@@ -131,16 +133,18 @@ burn_in = 2000
 
 
 # (command, config) pairs that must be rejected as config errors, even with
-# --allow-vacuous
+# --allow-vacuous; every sweep config has the grid a sweep requires, so that
+# the error is the one named
+GRID = "grid = 0.5\n"
 INVALID_INPUTS = {
-    "sweep-lambda-0": ("sweep", "lambda = 0\nmu = 0.25\n"),
-    "sweep-mu-negative": ("sweep", "lambda = 0.5\nmu = -1\n"),
-    "sweep-mu-inf": ("sweep", "lambda = 0.5\nmu = inf\n"),
+    "sweep-lambda-0": ("sweep", "lambda = 0\nmu = 0.25\n" + GRID),
+    "sweep-mu-negative": ("sweep", "lambda = 0.5\nmu = -1\n" + GRID),
+    "sweep-mu-inf": ("sweep", "lambda = 0.5\nmu = inf\n" + GRID),
     "sweep-lambda-inf-deterministic": (
-        "sweep", "lambda = inf\nmu = 0.25\nevent_kind = deterministic\n"),
-    "sweep-unknown-kind": ("sweep", "lambda = 0.5\nmu = 0.25\nservice_kind = pareto\n"),
-    "sweep-epsilon-inf": ("sweep", "lambda = 0.5\nmu = 0.25\nepsilon = inf\n"),
-    "sweep-couple-alpha": ("sweep", "lambda = 0.5\nmu = 0.25\ncouple_alpha = true\n"),
+        "sweep", "lambda = inf\nmu = 0.25\nevent_kind = deterministic\n" + GRID),
+    "sweep-unknown-kind": ("sweep", "lambda = 0.5\nmu = 0.25\nservice_kind = pareto\n" + GRID),
+    "sweep-epsilon-inf": ("sweep", "lambda = 0.5\nmu = 0.25\nepsilon = inf\n" + GRID),
+    "sweep-couple-alpha": ("sweep", "lambda = 0.5\nmu = 0.25\ncouple_alpha = true\n" + GRID),
     "bound-epsilon-inf": ("bound", BASE_CONFIG.replace("epsilon = 1e-6", "epsilon = 1e-3,inf")),
     "bound-lambda-0-deterministic": ("bound", BASE_CONFIG.replace("lambda = 0.5", "lambda = 0")),
     "bound-lambda-inf": ("bound", SIM_CONFIG.replace("lambda = 0.5", "lambda = inf")),
@@ -238,11 +242,26 @@ class TestCli:
         body = out.read_text()
         assert "alpha_rounded:1.6->2" in body
 
-    def test_sweep_empty_grid_header_only(self, tmp_path):
-        cfg = _write(tmp_path, "sweep.cfg", "lambda = 0.5\nmu = 0.25\ngrid =\n")
-        out = tmp_path / "s.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert out.read_text() == CSV_HEADER + "\n"
+    def test_empty_list_exit_2(self, tmp_path, capsys):
+        # an empty epsilon or grid list, an empty item in one, and a sweep
+        # without a grid are config errors, never a CSV of the header alone
+        cases = [
+            ("bound", BASE_CONFIG.replace("epsilon = 1e-6", "epsilon =")),
+            ("bound", BASE_CONFIG.replace("epsilon = 1e-6", "epsilon = 1e-3,,1e-2")),
+            ("simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon =")),
+            ("simulate", SIM_CONFIG.replace("epsilon = 1e-2,1e-3", "epsilon = 1e-2,")),
+            ("sweep", "lambda = 0.5\nmu = 0.25\ngrid =\n"),
+            ("sweep", "lambda = 0.5\nmu = 0.25\ngrid = 0.5,,0.6\n"),
+            ("sweep", "lambda = 0.5\nmu = 0.25\n"),
+        ]
+        out = tmp_path / "l.csv"
+        for command, text in cases:
+            cfg = _write(tmp_path, "list.cfg", text)
+            argv = [command, "--config", cfg, "--out", str(out)]
+            assert main(argv + (["--workers", "1"] if command == "simulate" else [])) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and ("epsilon" in err or "grid" in err)
+            assert not out.exists()
 
     def test_sweep_grid_values_must_be_positive_exit_2(self, tmp_path, capsys):
         # a zero utilization has no update interval, and a negative interval
@@ -469,7 +488,7 @@ class TestCli:
     def test_figure_fig3_bounds_each_row_once(self, monkeypatch):
         # the tail slope's two bounds, at SLOPE_EPS, are rows of the
         # event-triggered curve: one optimize_theta call per bound row, and
-        # the summary's slope is bound_tail_slope's bit for bit
+        # the summary's slope is that of the two optimized bounds bit for bit
         calls = []
         optimize = sweeps.optimize_theta
 
@@ -481,7 +500,13 @@ class TestCli:
         rows, summary = sweeps.figure_fig3(30_000, 5, 1)
         assert len(calls) == sum(r.source == "bound" for r in rows) == 66
         monkeypatch.undo()
-        slope = bound_tail_slope(Exponential(0.5), Exponential(1.0), EventTriggered(1))
+        eps_lo, eps_hi = sweeps.SLOPE_EPS
+        b_lo, b_hi = (
+            optimize_theta(Scenario(Exponential(0.5), Exponential(1.0), EventTriggered(1), eps),
+                           Metric.DELAY).value
+            for eps in sweeps.SLOPE_EPS
+        )
+        slope = (math.log(eps_lo) - math.log(eps_hi)) / (b_lo - b_hi)
         assert summary["bound_tail_slope"] == slope
 
     def test_figure_fig8_summary_flags_insufficient_samples(self, tmp_path, capsys):
