@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .envelopes import EnvelopeSet, TimeTriggered, TriggerPolicy, envelope_set
-from .models import DistributionModel, Theta
+from .models import MGF_GUARD, DistributionModel, Theta
 
 
 class NoFeasibleTheta(RuntimeError):
@@ -227,7 +227,7 @@ def _theta_limit(scenario: Scenario, metric: Metric) -> float:
         limit = min(limit, scenario.policy.upper_rate_limit(scenario.event_model))
     if math.isinf(limit):
         return _THETA_CAP
-    return limit - 2.0 * 1e-9
+    return limit - 2.0 * MGF_GUARD
 
 
 def _objective(scenario: Scenario, metric: Metric, theta: Theta) -> Theta:

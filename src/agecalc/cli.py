@@ -206,7 +206,7 @@ def cmd_simulate(args) -> Tuple[List[CsvRow], Optional[Dict]]:
     scenario = Scenario(event_model, service_model, policy, min(eps_list))
     try:
         tails = _simulate(scenario, samples, seed, args.workers, burn_in=burn_in)
-    except ValueError as exc:
+    except SampleBudgetError as exc:
         raise ConfigError(str(exc))
     rows = simulation_rows(
         _scenario_id(args.config), scenario, "epsilon", 0.0, tails, eps_list, extra_flag=flag

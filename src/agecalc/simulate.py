@@ -24,35 +24,35 @@ event-triggered chunk grows the event stream in one block, which adds the
 stream's last time once, so it sets the rounding of every delay and peak
 age.
 
-Every replication hands its metrics to the tails through a file in a
+Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
-calling process does: each chunk of its delay and peak-age arrays is
-written at that array's offset, with `os.pwrite`, as soon as the chunk is
-computed, so a replication holds one chunk per array (2^16 updates,
-512 KB), never the whole replication. Peak deviation is an event count, and
-its tail, a `CountTail`, holds one count per value, exact at any sample
-count, so each chunk's deviations are counted past the burn-in instead,
-and the replication returns one count per value, a few hundred integers,
-with each array's length, minimum and maximum. The caller opens each array
-on its own, as a slice of the file that it reads with `os.preadv` and
-never maps, unlinks the file at once and adds the replications to the
-tails in index order, so no sample array is pickled and the tails are the
-same at any worker count; a pool keeps at most `workers` replications
-submitted beyond the one being added. Each slice knows its array's
-extremes, so the delay and peak-age tails, `EmpiricalTail`s, check that
-every sample is finite without a read, and read an array only to bin it or
-to answer a query, a block at a time into one buffer. A raw tail answers
-each query, or each batch of quantiles, in one pass over the slices it
-holds and writes no file: it selects the largest samples the requested
-ranks need into one buffer of at most all its samples, 16 bytes per sample
-a quantile at epsilon may leave above it, plus a block.
+calling process does: its delay and peak-age arrays each have a file of
+their own, to which each chunk is appended as soon as it is computed, so a
+replication holds one chunk per array (2^16 updates, 512 KB), never the
+whole replication. Peak deviation is an event count, and its tail, a
+`CountTail`, holds one count per value, exact at any sample count, so each
+chunk's deviations are counted past the burn-in instead. The replication
+returns one (path, length, min, max) record per array and one count per
+value, a few hundred integers. The caller opens each file as a
+`_FileSlice`, which reads it with `os.preadv`, never maps it and unlinks it
+at once, and adds the replications to the tails in index order, so no
+sample array is pickled and the tails are the same at any worker count; a
+pool keeps at most `workers` replications submitted beyond the one being
+added. Each slice knows its array's extremes, so the delay and peak-age
+tails, `EmpiricalTail`s, check that every sample is finite without a read,
+and read an array only to bin it or to answer a query, a block at a time
+into one buffer. A raw tail answers each query, or each batch of
+quantiles, in one pass over the slices it holds and writes no file: it
+selects the largest samples the requested ranks need into one buffer of at
+most all its samples, 16 bytes per sample a quantile at epsilon may leave
+above it, plus a block.
 
-A file's blocks stay on disk until the last slice of it is dropped: at
-most the replications up to the one that takes the delay and peak-age
-tails past their raw limit, plus `workers` in flight with a pool, at 16
-bytes per update (with the default raw limit and 2M-update replications,
-about 192 MB in one process and 256 MB with 2 workers). A pool forked
-while earlier tails hold files keeps those blocks until its workers exit.
+A file's blocks stay on disk until its slice is dropped: at most the
+replications up to the one that takes the delay and peak-age tails past
+their raw limit, plus `workers` in flight with a pool, at 16 bytes per
+update (with the default raw limit and 2M-update replications, about
+192 MB in one process and 256 MB with 2 workers). A pool forked while
+earlier tails hold files keeps those blocks until its workers exit.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import contextlib
 import math
 import os
 import signal
+import sys
 import tempfile
 import warnings
 import weakref
@@ -227,22 +228,31 @@ def _fifo_chunk(
 
 
 def _histogram_edges(hi: float, bins: int) -> np.ndarray:
-    """Bin edges of a tail whose pooled maximum is hi when it crosses its raw limit."""
-    return np.linspace(0.0, 2.0 * (hi if hi > 0 else 1.0), bins + 1)
+    """Bin edges of a tail whose pooled maximum is hi when it crosses its
+    raw limit: 0 to twice hi, capped at the largest float, so that every
+    edge is finite."""
+    top = min(2.0 * (hi if hi > 0 else 1.0), sys.float_info.max)
+    # bins * (top / bins) may round past the largest float; linspace then
+    # sets the last edge to top itself
+    with np.errstate(over="ignore"):
+        return np.linspace(0.0, top, bins + 1)
 
 
 class _FileSlice:
-    """`n` float64 samples at byte `offset` of an open file that has no name
-    any more, read with `os.preadv` into the caller's arrays, never mapped:
-    what a slice holds stays on disk and in the page cache, outside the
-    process's resident memory. The file is closed when the slice is
-    dropped. `min()` and `max()` return `lo` and `hi`, the samples'
-    extremes as the slice's maker knows them, without a read."""
+    """The `n` float64 samples of the file at `path`, which the slice opens
+    and unlinks at once, read with `os.preadv` into the caller's arrays,
+    never mapped: what a slice holds stays on disk and in the page cache,
+    outside the process's resident memory. The file is closed, and its
+    blocks freed, when the slice is dropped. `min()` and `max()` return `lo`
+    and `hi`, the samples' extremes as the file's writer knows them,
+    without a read."""
 
-    def __init__(self, f: BinaryIO, offset: int, n: int, lo: float, hi: float):
-        self._fd, self._offset, self._n = f.fileno(), offset, n
-        self._lo, self._hi = lo, hi
+    def __init__(self, path: str, n: int, lo: float, hi: float):
+        f = open(path, "rb", buffering=0)
         weakref.finalize(self, f.close)
+        os.unlink(path)
+        self._fd, self._n = f.fileno(), n
+        self._lo, self._hi = lo, hi
 
     def __len__(self) -> int:
         return self._n
@@ -255,7 +265,7 @@ class _FileSlice:
 
     def read_into(self, start: int, out: np.ndarray) -> np.ndarray:
         """Samples start ... start + len(out) - 1 read into `out`, returned."""
-        data, offset = memoryview(out).cast("B"), self._offset + 8 * start
+        data, offset = memoryview(out).cast("B"), 8 * start
         while data:
             got = os.preadv(self._fd, [data], offset)
             if not got:
@@ -336,55 +346,45 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
     return allowed
 
 
-class _Extremes:
-    """The values of the `need` largest of n finite samples offered, kept in
-    one buffer of min(2 * need + _BIN_BLOCK, n) floats. Until the buffer
-    first fills, every array or file slice that fits is copied into it
-    whole, a file slice read straight into it. Otherwise, of each block of
-    the samples, those above the bound, the need-th largest value kept so
-    far, are appended; when they would not fit, the buffer is partitioned
-    in place down to its `need` largest, which sets the bound. A sample
-    equal to the bound changes none of the need values, so it is not
-    kept."""
-
-    def __init__(self, need: int, n: int):
-        self.need = need
-        self.bound = -math.inf  # below every finite sample
-        self.buf = np.empty(min(2 * need + _BIN_BLOCK, n))
-        self.mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
-        self.fill = 0
-
-    def offer(self, samples: _Samples) -> None:
+def _largest(chunks: Sequence[_Samples], need: int, n: int) -> np.ndarray:
+    """The values of the `need` largest of the n finite samples in `chunks`,
+    the largest first, selected in one buffer of min(2 * need + _BIN_BLOCK,
+    n) floats and sorted there, so that no chunk is touched. Until the
+    buffer first fills, every array or file slice that fits is copied into
+    it whole, a file slice read straight into it. Otherwise, of each block
+    of the samples, those above the bound, the need-th largest value kept so
+    far, are appended; when they would not fit, the buffer is partitioned in
+    place down to its `need` largest, which sets the bound. A sample equal
+    to the bound changes none of the need values, so it is not kept."""
+    buf = np.empty(min(2 * need + _BIN_BLOCK, n))
+    mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
+    bound, fill = -math.inf, 0  # below every finite sample
+    for samples in chunks:
         m = len(samples)
-        if self.bound == -math.inf and self.fill + m <= len(self.buf):
-            out = self.buf[self.fill:self.fill + m]
+        if bound == -math.inf and fill + m <= len(buf):
+            out = buf[fill:fill + m]
             if isinstance(samples, _FileSlice):
                 samples.read_into(0, out)
             else:
                 out[:] = samples
-            self.fill += m
-            return
+            fill += m
+            continue
         for x in _blocks(samples, _BIN_BLOCK):
-            mask = np.greater(x, self.bound, out=self.mask[:len(x)])
-            k = np.count_nonzero(mask)
-            if self.fill + k > len(self.buf):
+            above = np.greater(x, bound, out=mask[:len(x)])
+            k = np.count_nonzero(above)
+            if fill + k > len(buf):
                 # then the buffer holds 2 * need + _BIN_BLOCK, and
                 # fill > 2 * need, so the largest need, moved to the front,
                 # overlap nothing they are copied from
-                kept, cut = self.buf[:self.fill], self.fill - self.need
+                kept, cut = buf[:fill], fill - need
                 kept.partition(cut)
-                self.buf[:self.need] = kept[cut:]
-                self.bound = float(self.buf[0])
-                self.fill = self.need
-            np.compress(mask, x, out=self.buf[self.fill:self.fill + k])
-            self.fill += k
-
-    def largest(self) -> np.ndarray:
-        """The need largest values, the largest first, sorted in the buffer
-        itself, which takes no copy of it."""
-        s = self.buf[:self.fill]
-        s.sort()
-        return s[::-1][:self.need]
+                buf[:need] = kept[cut:]
+                bound, fill = float(buf[0]), need
+            np.compress(above, x, out=buf[fill:fill + k])
+            fill += k
+    s = buf[:fill]
+    s.sort()
+    return s[::-1][:need]
 
 
 class EmpiricalTail:
@@ -395,15 +395,15 @@ class EmpiricalTail:
     samples up to `raw_limit` and switches to a fixed-width histogram (plus
     an overflow bin) beyond it, which bins every later `add`; the histogram
     makes quantiles conservative by at most one `bin_width`. Its edges run
-    from 0 to twice the pooled maximum at the switch. File slices are not
-    read until they are binned or queried, so samples the tail is given in
-    a file stay on disk. While raw, the tail keeps the arrays and slices it
-    was given and answers each query exactly, as a sort of all its samples
-    would, in at most one pass over them that writes no file: an exceedance
-    fraction counts, and a batch of quantiles (`quantiles`) selects the
-    largest samples its ranks need, in one buffer of at most n samples:
-    16 bytes per sample that the smallest epsilon lets exceed its quantile,
-    plus a block.
+    from 0 to twice the pooled maximum at the switch, capped at the largest
+    float. File slices are not read until they are binned or queried, so
+    samples the tail is given in a file stay on disk. While raw, the tail
+    keeps the arrays and slices it was given and answers each query
+    exactly, as a sort of all its samples would, in at most one pass over
+    them that writes no file: an exceedance fraction counts, and a batch of
+    quantiles (`quantiles`) selects the largest samples its ranks need, in
+    one buffer of at most n samples: 16 bytes per sample that the smallest
+    epsilon lets exceed its quantile, plus a block.
     """
 
     def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
@@ -458,28 +458,18 @@ class EmpiricalTail:
         while chunks:
             self._counts += _bin(chunks.pop(0), self._edges)
 
-    def _raw_blocks(self) -> Iterator[np.ndarray]:
-        for chunk in self._chunks:
-            yield from _blocks(chunk, _BIN_BLOCK)
-
-    def _order_statistics(self, ranks: Sequence[int]) -> List[float]:
-        """s[k] for each rank k of the raw samples s sorted. s[0] is the
-        minimum and s[n - 1] the maximum; every other rank k is read from
-        the n - k largest samples, selected in one pass into a copy, so that
-        no caller's array is touched."""
-        n = self._n
-        known = {0: self._min, n - 1: self._max}
-        top = [k for k in ranks if k not in known]
-        if top:
-            side = _Extremes(n - min(top), n)
-            for chunk in self._chunks:
-                side.offer(chunk)
-            largest = side.largest()
-        return [known[k] if k in known else float(largest[n - 1 - k]) for k in ranks]
-
     def _at(self, allowed: Sequence[int]) -> List[float]:
         if self._edges is None:
-            return self._order_statistics([max(self._n - 1 - a, 0) for a in allowed])
+            # s[k] of the samples s sorted, at each rank k = n - 1 - allowed
+            # (0 at least). s[0] is the minimum and s[n - 1] the maximum;
+            # every other rank k is read from the n - k largest samples
+            n = self._n
+            ranks = [max(n - 1 - a, 0) for a in allowed]
+            known = {0: self._min, n - 1: self._max}
+            top = [k for k in ranks if k not in known]
+            if top:
+                largest = _largest(self._chunks, n - min(top), n)
+            return [known[k] if k in known else float(largest[n - 1 - k]) for k in ranks]
         above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
         # smallest upper edge whose strict exceedance is within the
         # allowance; j = _BINS is inside the overflow bin
@@ -515,7 +505,7 @@ class EmpiricalTail:
             mask = np.empty(min(self._n, _BIN_BLOCK), dtype=bool)
             at_most = sum(
                 np.count_nonzero(np.less_equal(b, x, out=mask[:len(b)]))
-                for b in self._raw_blocks()
+                for chunk in self._chunks for b in _blocks(chunk, _BIN_BLOCK)
             )
             return float(self._n - at_most) / self._n
         j = int(np.searchsorted(self._edges, x, side="left")) - 1
@@ -647,14 +637,17 @@ def _simulate_chunks(
         done += m
 
 
-def _write_at(f: BinaryIO, x: np.ndarray, offset: int) -> None:
+def _append(f: BinaryIO, x: np.ndarray) -> None:
     # write(), not a writable mapping, so that a full disk raises OSError
     # here instead of killing the process with SIGBUS on a page fault; and
-    # not ndarray.tofile, whose OSError drops the errno
+    # not ndarray.tofile, whose OSError drops the errno. `f` is unbuffered,
+    # so a short write is retried and the write that fails raises its errno
     data = memoryview(x).cast("B")
     while data:
-        written = os.pwrite(f.fileno(), data, offset)
-        data, offset = data[written:], offset + written
+        data = data[f.write(data):]
+
+
+_Array = Tuple[str, int, float, float]  # (path, length, min, max) of a sample file
 
 
 def _simulate_to_file(
@@ -665,45 +658,37 @@ def _simulate_to_file(
     burn_in: int,
     path: str,
     chunk: int = _CHUNK,
-) -> Tuple[str, List[Tuple[int, float, float]], np.ndarray]:
-    """One replication's burned-in delay and peak-age arrays written to
-    `path`, back to back, and its burned-in peak deviations counted
-    (counts[v] of the value v). Returns the path, each array's
-    (length, min, max) and the counts, all that a pool pickles, so the
-    caller need not read an array to learn them.
+) -> Tuple[List[_Array], np.ndarray]:
+    """One replication's burned-in delay and peak-age arrays, each written
+    to a file of its own, `path` + ".delay" and `path` + ".peak_aoi", and its
+    burned-in peak deviations counted (counts[v] of the value v). Returns
+    each array's (path, length, min, max) and the counts, all that a pool
+    pickles, so the caller need not read an array to learn them. An array
+    that holds a nan reports a nan extreme.
 
-    Each chunk is written at its offsets, and its deviations counted, as
+    Each chunk is appended to its files, and its deviations counted, as
     soon as it is computed, so a replication holds one chunk per array,
     never the whole of it."""
+    names = (path + ".delay", path + ".peak_aoi")
     lengths = (n_updates - burn_in, n_updates - 1 - burn_in)
-    starts = (0, 8 * lengths[0])
-    extremes = [[math.inf, -math.inf] for _ in lengths]
+    lo, hi = [math.inf] * 2, [-math.inf] * 2
     doi = CountTail()
-    with open(path, "wb", buffering=0) as f:
+    with (
+        open(names[0], "wb", buffering=0) as delay,
+        open(names[1], "wb", buffering=0) as peak_aoi,
+    ):
         chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
         for done, (t, a, dev) in chunks:
             peak = max(done - 1, 0)  # the update of the chunk's first peak
             doi.add(np.bincount(dev[max(burn_in - peak, 0):]))
-            for x, first, start, ext in zip((t, a), (done, peak), starts, extremes):
+            for k, (x, first, f) in enumerate(((t, done, delay), (a, peak, peak_aoi))):
                 # the first burn_in values of each array are not written
                 x = x[max(burn_in - first, 0):]
                 if len(x):
-                    _write_at(f, x, start + 8 * (max(first, burn_in) - burn_in))
-                    ext[0] = min(ext[0], float(x.min()))
-                    ext[1] = max(ext[1], float(x.max()))
-    return path, [(n, lo, hi) for n, (lo, hi) in zip(lengths, extremes)], doi.counts
-
-
-def _opened(path: str, shapes: Sequence[Tuple[int, float, float]]) -> List[_FileSlice]:
-    """The arrays _simulate_to_file wrote, each a slice of the file, with
-    its extremes, through a descriptor of its own. The file is unlinked at
-    once; its blocks are freed when the last of the slices is dropped."""
-    slices, offset = [], 0
-    for n, lo, hi in shapes:
-        slices.append(_FileSlice(open(path, "rb", buffering=0), offset, n, lo, hi))
-        offset += 8 * n
-    os.unlink(path)
-    return slices
+                    _append(f, x)
+                    # np.minimum and np.maximum keep a nan; min() and max() drop it
+                    lo[k], hi[k] = np.minimum(lo[k], x.min()), np.maximum(hi[k], x.max())
+    return list(zip(names, lengths, map(float, lo), map(float, hi))), doi.counts
 
 
 def ProcessPoolExecutor(**options):
@@ -732,9 +717,9 @@ def _sigterm_held() -> Iterator[None]:
 
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
-) -> Iterator[Tuple[str, List[Tuple[int, float, float]], np.ndarray]]:
+) -> Iterator[Tuple[List[_Array], np.ndarray]]:
     """_simulate_to_file's results for replications 0 ... n_reps - 1, in
-    index order, each written to a file in `tmp` by a worker. At most
+    index order, each written to files in `tmp` by a worker. At most
     `workers` replications are submitted beyond the one being yielded, so a
     failed run stops after at most that many more."""
     futures = deque()
@@ -765,7 +750,7 @@ def run_replications(
     counted per integer value where each chunk is simulated, and the
     peak-deviation tail merges each replication's counts: exact at any
     sample count, in any order. Every replication hands its delay and
-    peak-age arrays over through a file, 16 bytes per update, in a
+    peak-age arrays over through a file per array, 16 bytes per update, in a
     directory under TMPDIR that is removed when the call returns or raises.
     With workers > 1, a pool of min(workers, n_reps) processes runs the
     replications, at most `workers` ahead of the one being added, so a
@@ -805,11 +790,10 @@ def run_replications(
                     _simulate_to_file(*args, r, burn_in, os.path.join(tmp, str(r)))
                     for r in range(n_reps)
                 )
-        for path, shapes, counts in replications:
+        for arrays, counts in replications:
             tails.peak_doi.add(counts)
-            # each slice is dropped once its tail has it: one that was binned
-            # closes its descriptor before the next is read
-            slices = _opened(path, shapes)
-            for tail in (tails.delay, tails.peak_aoi):
-                tail.add(slices.pop(0))
+            # only its tail holds a slice: one that was binned closes its
+            # file before the next is opened
+            for tail, array in zip((tails.delay, tails.peak_aoi), arrays):
+                tail.add(_FileSlice(*array))
     return tails

@@ -1,5 +1,6 @@
-"""A replication in full, for the tests: `arrays` collects every chunk the
-simulator yields into whole delay, peak-age and peak-deviation arrays."""
+"""Replications for the tests: `arrays` collects every chunk the simulator
+yields into whole delay, peak-age and peak-deviation arrays, and
+`nan_in_second_service_draw` makes a sampler whose draws hold a nan."""
 
 import numpy as np
 
@@ -17,3 +18,21 @@ def arrays(scenario, n, seed, replication, burn_in, chunk=_CHUNK):
         a[lo:lo + len(da)] = da
         f[lo:lo + len(dev)] = dev
     return t[burn_in:], a[burn_in:], f[burn_in:]
+
+
+def nan_in_second_service_draw(sample):
+    """`sample` with one nan put into the second service draw of each
+    process that calls it, the second call without `out`: the event stream
+    draws into its store, the service draws into a new array."""
+    service_draws = 0
+
+    def poisoned(model, rng, k, out=None):
+        nonlocal service_draws
+        x = sample(model, rng, k, out=out)
+        if out is None:
+            service_draws += 1
+            if service_draws == 2:
+                x[k // 2] = np.nan
+        return x
+
+    return poisoned

@@ -24,9 +24,10 @@ from agecalc import (
     round_threshold,
     sweep_rows,
 )
-from agecalc import cli, sweeps
+from agecalc import cli, simulate, sweeps
 from agecalc.cli import CSV_HEADER, build_parser, main, parse_config
 from agecalc.sweeps import EVENT_TRIGGERED, FIGURES, SWEEP_FIGURES, TIME_TRIGGERED
+from simulated import nan_in_second_service_draw
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -340,6 +341,20 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n.csv")]) == 2
         assert "burn_in" in capsys.readouterr().err
 
+    def test_simulator_nan_exit_3_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        # a nan from the simulator is an internal numerical failure, not a
+        # config error: the tails refuse it, the run exits 3, and no CSV is
+        # written
+        monkeypatch.setattr(simulate, "sample", nan_in_second_service_draw(simulate.sample))
+        cfg = _write(
+            tmp_path, "tt.cfg",
+            "lambda = 0.5\nmu = 1\npolicy = time\nw = 2\nepsilon = 1e-3\nsamples = 200000\n",
+        )
+        out = tmp_path / "n.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 3
+        assert "ValueError: samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_below_one_exit_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "mm1.cfg", SIM_CONFIG)
         for workers in ("0", "-3"):
@@ -569,7 +584,7 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_os_error_in_a_worker_exit_2_in_one_line(self, tmp_path, workers):
-        # a 1 MB file size limit fails the first chunk writes, in the workers
+        # a 1 MB file size limit fails the third chunk writes, in the workers
         # or in the one process, as a full TMPDIR does: one line, no
         # traceback, and no file left behind
         resource = pytest.importorskip("resource")
@@ -587,9 +602,10 @@ class TestCli:
         assert (tmp_path / "out").read_text() == "" and list(tmp.iterdir()) == []
 
     def test_raw_queries_pass_a_file_size_limit(self, tmp_path):
-        # three 2M-update replications, each file 32 MB, pass a 40 MB file
-        # size limit, and the raw tails' queries write nothing: the run
-        # exits 0 with the CSV of a run without the limit, and no file left
+        # three 2M-update replications, each array's file 16 MB, pass a
+        # 40 MB file size limit, and the raw tails' queries write nothing:
+        # the run exits 0 with the CSV of a run without the limit, and no
+        # file left
         resource = pytest.importorskip("resource")
 
         def limit_file_size():

@@ -47,10 +47,9 @@ from agecalc.simulate import (
     _bin,
     _fifo_chunk,
     _histogram_edges,
-    _opened,
     _simulate_to_file,
 )
-from simulated import arrays
+from simulated import arrays, nan_in_second_service_draw
 
 
 def _file_backed(x):
@@ -75,9 +74,10 @@ def _read(s):
 
 def _filed(x):
     """The samples of x as a slice of an unnamed file, with x's extremes."""
-    f = tempfile.TemporaryFile(buffering=0)
-    simulate._write_at(f, x, 0)
-    return simulate._FileSlice(f, 0, len(x), x.min(), x.max())
+    fd, path = tempfile.mkstemp()
+    with open(fd, "wb", buffering=0) as f:
+        simulate._append(f, x)
+    return simulate._FileSlice(path, len(x), x.min(), x.max())
 
 
 BIG = float(np.finfo(np.float64).max)  # the largest finite sample
@@ -297,7 +297,7 @@ class TestEmpiricalTail:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        hi=st.one_of(st.sampled_from((0.0, -3.0)), st.floats(1e-300, 1e300)),
+        hi=st.one_of(st.sampled_from((0.0, -3.0)), st.floats(1e-300, BIG)),
         bins=st.integers(1, 20_000),
         on_edges=st.lists(
             st.tuples(st.integers(0, 20_000), st.sampled_from((-1, 0, 1))), max_size=60
@@ -310,13 +310,16 @@ class TestEmpiricalTail:
         # bin count, and a tail switching at hi bins every later add with
         # the edges of _BINS bins
         edges = _histogram_edges(hi, bins)
-        top = edges[-1]
+        top = float(edges[-1])
         nudge = {-1: -math.inf, 0: None, 1: math.inf}
+        # the edges and their 1-ulp neighbours, which stop at the largest float
         x = [
-            edges[k % (bins + 1)] if d == 0 else np.nextafter(edges[k % (bins + 1)], nudge[d])
+            edges[k % (bins + 1)] if d == 0
+            else min(math.nextafter(edges[k % (bins + 1)], nudge[d]), BIG)
             for k, d in on_edges
         ]
-        x += [0.0, -0.0, -1.0, -top, 1.5 * top, 2.0 * top, 1e300, BIG, -BIG] + others
+        x += [0.0, -0.0, -1.0, -top, min(1.5 * top, BIG), min(2.0 * top, BIG), 1e300, BIG, -BIG]
+        x += others
         x = np.array(x, dtype=np.float64)
         ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
         ref = np.bincount(ref, minlength=bins + 1)
@@ -353,6 +356,19 @@ class TestEmpiricalTail:
         low = EmpiricalTail(raw_limit=1)
         low.add(np.array([-3.0, -BIG]))
         assert low.bin_width == 2.0 / _BINS and low._counts[0] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_switch_at_any_finite_maximum(self):
+        # twice a maximum above half the largest float overflows: the edges
+        # stop at the largest float, so the switch warns of no overflow and
+        # the bin width and quantiles stay finite
+        tail = EmpiricalTail(raw_limit=1)
+        tail.add(np.array([1e308, 1.0]))
+        assert math.isfinite(tail.bin_width) and tail.bin_width > 0
+        assert tail._edges[-1] == BIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSamples)
+            assert all(math.isfinite(q) for q in tail.quantiles([1.0, 0.5]))
 
     def test_rejects_samples_that_are_not_finite(self):
         # a nan, +inf or -inf sample, in an array or a file slice, in an add
@@ -421,13 +437,13 @@ class TestEmpiricalTail:
         tail = EmpiricalTail(raw_limit=150_000)
         tail.add(first.copy())
         given = tail._chunks[0]
-        path = str(tmp_path / "first")
         parts = [first[:40_000], first[40_000:]]
-        with open(path, "wb") as f:
-            for p in parts:
-                p.tofile(f)
+        for k, p in enumerate(parts):
+            p.tofile(tmp_path / str(k))
         mapped = EmpiricalTail(raw_limit=150_000)
-        slices = _opened(path, [(len(p), p.min(), p.max()) for p in parts])
+        slices = [simulate._FileSlice(str(tmp_path / str(k)), len(p), p.min(), p.max())
+                  for k, p in enumerate(parts)]
+        assert list(tmp_path.iterdir()) == []
         for x in slices:
             assert _file_backed(x)
             mapped.add(x)
@@ -601,9 +617,9 @@ class TestEmpiricalTail:
         special = [0.0, -0.0, -1e300, 1e300]
         # ties just below the maximum, among the ranks that quantiles select
         special += [1e300] * 3 if stage == "raw-with-ties" else []
-        # the switch fixes the bin edges at twice the maximum, which must be
-        # a finite float
-        special += [] if stage == "histogram" else [BIG]
+        # the switch fixes the bin edges at twice the maximum, capped at the
+        # largest float
+        special += [BIG]
         parts = [np.round(rng.exponential(1.0, 1_500), 2) for _ in range(3)]
         parts[0] = np.concatenate((parts[0][:700], special, parts[0][700:]))
         limit = 4_000 if stage == "histogram" else 10_000
@@ -612,8 +628,7 @@ class TestEmpiricalTail:
         def add(k):
             path = str(tmp_path / str(k))
             parts[k].tofile(path)
-            (x,) = _opened(path, [(len(parts[k]), parts[k].min(), parts[k].max())])
-            filed.add(x)
+            filed.add(simulate._FileSlice(path, len(parts[k]), parts[k].min(), parts[k].max()))
             given.add(parts[k].copy())
             fresh.add(parts[k].copy())
 
@@ -689,11 +704,12 @@ class TestEmpiricalTail:
             "from agecalc import EmpiricalTail, simulate\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
             "x = np.random.default_rng(3).exponential(1.0, 100_000)\n"
-            "f = open(sys.argv[1], 'wb+', buffering=0)\n"
-            "simulate._write_at(f, x[60_000:], 0)\n"
+            "y = x[60_000:]\n"
+            "with open(sys.argv[1], 'wb', buffering=0) as f:\n"
+            "    simulate._append(f, y)\n"
             "tail = EmpiricalTail()\n"
             "tail.add(x[:60_000].copy())\n"
-            "tail.add(simulate._FileSlice(f, 0, 40_000, x[60_000:].min(), x[60_000:].max()))\n"
+            "tail.add(simulate._FileSlice(sys.argv[1], len(y), y.min(), y.max()))\n"
             "def answers():\n"
             "    q = tail.quantiles([1.0, 0.5, 1e-1, 1e-3, 1e-5])\n"
             "    return repr(q + [tail.quantile(0.2), tail.exceed_fraction(2.0)])\n"
@@ -1318,20 +1334,20 @@ class TestRunReplications:
         run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=workers)
         assert list(tmp.iterdir()) == []
 
-        write, writes = simulate._write_at, collections.Counter()
+        append, writes = simulate._append, collections.Counter()
 
-        def full_disk_in_0(f, x, offset):
+        def full_disk_in_0(f, x):
             # each process counts the writes of the replications it runs;
-            # the third write to replication 0 is its second chunk's first
-            name = os.path.basename(f.name)
+            # the third write of replication 0 is its second chunk's delays
+            name = os.path.basename(f.name).split(".")[0]
             (seen / name).touch()
             writes[name] += 1
             if name == "0" and writes[name] > 2:
                 assert os.path.getsize(f.name) > 0  # the first chunk is on disk
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), f.name)
-            write(f, x, offset)
+            append(f, x)
 
-        monkeypatch.setattr(simulate, "_write_at", full_disk_in_0)
+        monkeypatch.setattr(simulate, "_append", full_disk_in_0)
         n_reps = 40
         with pytest.raises(OSError) as raised:
             # two chunks per replication
@@ -1346,6 +1362,19 @@ class TestRunReplications:
         simulated = {int(p.name) for p in seen.iterdir()}
         assert 0 in simulated and n_reps - 1 not in simulated
         assert len(simulated) <= (workers + 1 if workers > 1 else 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_sample_fails_the_run(self, monkeypatch, tmp_path, workers):
+        # a nan service time makes every later delay and peak age of its
+        # replication nan: the replication reports nan extremes, which the
+        # tails refuse without a read, so the run raises and leaves no file
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(simulate, "sample", nan_in_second_service_draw(simulate.sample))
+        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            # two chunks per replication
+            run_replications(scenario, _CHUNK + 40_000, 2, 5, burn_in=1_000, workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "policy", [TimeTriggered(2.0), EventTriggered(3)], ids=["time", "event"]
@@ -1365,21 +1394,20 @@ class TestRunReplications:
         ],
     )
     def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
-        # chunks of 1,024: the file, written chunk by chunk at each array's
-        # offset, holds the burned-in delay and peak-age arrays of the
-        # chunks _simulate_chunks yields bit for bit, 16 B per update, the
+        # chunks of 1,024: each array's file, appended to chunk by chunk,
+        # holds the burned-in delay or peak-age array of the chunks
+        # _simulate_chunks yields bit for bit, 8 B per update each, the
         # reported extremes are theirs, and the counts are those of the
         # burned-in deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
         delay, aoi, doi = arrays(scenario, n, 99, 1, burn_in, chunk=1_024)
         path = str(tmp_path / "1")
-        got_path, shapes, counts = _simulate_to_file(
-            scenario, n, 99, 1, burn_in, path, chunk=1_024
-        )
-        assert got_path == path
-        with open(path, "rb") as f:
-            assert f.read() == delay.tobytes() + aoi.tobytes()
-        assert os.path.getsize(path) == 8 * (2 * n - 1 - 2 * burn_in)
+        records, counts = _simulate_to_file(scenario, n, 99, 1, burn_in, path, chunk=1_024)
+        assert [name for name, _, _, _ in records] == [path + ".delay", path + ".peak_aoi"]
+        for (name, _, _, _), x in zip(records, (delay, aoi)):
+            with open(name, "rb") as f:
+                assert f.read() == x.tobytes()
+        shapes = [record[1:] for record in records]
         expected = [(len(x), x.min(), x.max()) for x in (delay, aoi)]
         assert np.array(shapes).tobytes() == np.array(expected).tobytes()
         lengths = [length for length, _, _ in shapes]
@@ -1436,7 +1464,7 @@ class TestRunReplications:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == [str(errno.EFBIG)]
-        assert path.stat().st_size == limit
+        assert (tmp_path / "0.delay").stat().st_size == limit
 
     def test_event_store_holds_one_chunk_of_events(self, tmp_path):
         # at threshold 16 a chunk takes 16 * _CHUNK events, which the store
