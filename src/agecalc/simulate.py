@@ -40,19 +40,14 @@ sample array is pickled and the tails are the same at any worker count; a
 pool keeps at most `workers` replications submitted beyond the one being
 added. Each slice knows its array's extremes, so the delay and peak-age
 tails, `EmpiricalTail`s, check that every sample is finite without a read,
-and read an array only to bin it or to answer a query, a block at a time
-into one buffer. A raw tail answers each query, or each batch of
-quantiles, in one pass over the slices it holds and writes no file: it
-selects the largest samples the requested ranks need into one buffer of at
-most all its samples, 16 bytes per sample a quantile at epsilon may leave
-above it, plus a block.
+and read an array only to answer a query, a block at a time into one
+buffer. Every query is exact and writes no file; a batch of quantiles
+takes all its ranks by one sample-select in buffers of a fixed size.
 
-A file's blocks stay on disk until its slice is dropped: at most the
-replications up to the one that takes the delay and peak-age tails past
-their raw limit, plus `workers` in flight with a pool, at 16 bytes per
-update (with the default raw limit and 2M-update replications, about
-192 MB in one process and 256 MB with 2 workers). A pool forked while
-earlier tails hold files keeps those blocks until its workers exit.
+A file's blocks stay on disk until its slice is dropped: all the
+replications the tails hold, at 16 bytes per update (about 160 MB for
+10M updates). A pool forked while earlier tails hold files keeps those
+blocks until its workers exit.
 """
 
 from __future__ import annotations
@@ -61,13 +56,12 @@ import contextlib
 import math
 import os
 import signal
-import sys
 import tempfile
 import warnings
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 # numpy loads numpy.random on first use; loaded with this module, it is never
@@ -84,11 +78,14 @@ STREAM_SERVICE = 1
 
 _BLOCK = 1 << 16
 _CHUNK = 1 << 16
-_BIN_BLOCK = 1 << 15  # samples binned per pass: the temporaries stay in L2
+_SCAN_BLOCK = 1 << 14  # samples a tail query reads and compares at once: they stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000
-DEFAULT_RAW_LIMIT = 10_000_000  # raw samples a tail keeps before it bins them
-_BINS = 10_000  # histogram bins below the overflow bin
+_GATHER = 1 << 16  # samples a quantile query gathers between its pivots: 512 KB
+_SUBSAMPLE = 1 << 13  # samples read at random to place a query's first pivots
+_WINDOW = 16  # consecutive samples per random read
+_DEVIATIONS = 3.0  # binomial deviations between a rank and each of its pivots
+_SELECT_KEY = 0x5E1EC7  # Philox key of the random reads: they set no answer
 
 
 class InsufficientSamples(UserWarning):
@@ -227,17 +224,6 @@ def _fifo_chunk(
 # Empirical tails
 
 
-def _histogram_edges(hi: float, bins: int) -> np.ndarray:
-    """Bin edges of a tail whose pooled maximum is hi when it crosses its
-    raw limit: 0 to twice hi, capped at the largest float, so that every
-    edge is finite."""
-    top = min(2.0 * (hi if hi > 0 else 1.0), sys.float_info.max)
-    # bins * (top / bins) may round past the largest float; linspace then
-    # sets the last edge to top itself
-    with np.errstate(over="ignore"):
-        return np.linspace(0.0, top, bins + 1)
-
-
 class _FileSlice:
     """The `n` float64 samples of the file at `path`, which the slice opens
     and unlinks at once, read with `os.preadv` into the caller's arrays,
@@ -291,41 +277,6 @@ def _blocks(samples: _Samples, size: int) -> Iterator[np.ndarray]:
         yield samples.read_into(i, buf[:min(size, n - i)])
 
 
-def _bin(samples: _Samples, edges: np.ndarray) -> np.ndarray:
-    """Finite samples per bin of the linspace `edges`, plus a last, overflow
-    bin.
-
-    Same bins as searchsorted(edges, x, side="left") - 1 clipped to
-    [0, bins], in constant time per sample: guess ceil(x / width) - 1, then
-    one step against the true linspace edges corrects the rounding of both
-    (exact while the width is a normal float, as edges[k] is k * width
-    rounded). The quotient is clipped before the integer cast so that huge
-    values, whose quotient may overflow, land in the overflow bin; bin 0 is
-    open below, so no finite sample steps below it. Each sample is binned
-    on its own, so doing it in blocks of _BIN_BLOCK changes no count.
-    """
-    bins = len(edges) - 1
-    # bin j holds lower[j] < x <= lower[j + 1]; bin 0 is open below and the
-    # last bin (overflow) open above
-    lower = np.concatenate(([-math.inf], edges[1:], [math.inf]))
-    upper = lower[1:]
-    counts = np.zeros(bins + 1, dtype=np.int64)
-    m = min(len(samples), _BIN_BLOCK)
-    q_buf, idx_buf, step_buf = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool)
-    for x in _blocks(samples, _BIN_BLOCK):
-        q, idx, step = q_buf[:len(x)], idx_buf[:len(x)], step_buf[:len(x)]
-        with np.errstate(over="ignore"):
-            np.divide(x, edges[1], out=q)
-        np.ceil(q, out=q)
-        np.clip(q, 1.0, bins + 1.0, out=q)
-        np.copyto(idx, q, casting="unsafe")
-        idx -= 1
-        idx += np.greater(x, np.take(upper, idx, out=q), out=step)
-        idx -= np.less_equal(x, np.take(lower, idx, out=q), out=step)
-        counts += np.bincount(idx, minlength=bins + 1)
-    return counts
-
-
 def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
     """floor(epsilon * n + 1e-9) for each epsilon, the samples its quantile
     may leave above it; warns InsufficientSamples at the query's caller for
@@ -346,85 +297,140 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
     return allowed
 
 
-def _largest(chunks: Sequence[_Samples], need: int, n: int) -> np.ndarray:
-    """The values of the `need` largest of the n finite samples in `chunks`,
-    the largest first, selected in one buffer of min(2 * need + _BIN_BLOCK,
-    n) floats and sorted there, so that no chunk is touched. Until the
-    buffer first fills, every array or file slice that fits is copied into
-    it whole, a file slice read straight into it. Otherwise, of each block
-    of the samples, those above the bound, the need-th largest value kept so
-    far, are appended; when they would not fit, the buffer is partitioned in
-    place down to its `need` largest, which sets the bound. A sample equal
-    to the bound changes none of the need values, so it is not kept."""
-    buf = np.empty(min(2 * need + _BIN_BLOCK, n))
-    mask = np.empty(min(n, _BIN_BLOCK), dtype=bool)
-    bound, fill = -math.inf, 0  # below every finite sample
-    for samples in chunks:
-        m = len(samples)
-        if bound == -math.inf and fill + m <= len(buf):
-            out = buf[fill:fill + m]
-            if isinstance(samples, _FileSlice):
-                samples.read_into(0, out)
+def _read_into(samples: _Samples, start: int, out: np.ndarray) -> np.ndarray:
+    """Samples start ... start + len(out) - 1 of an array or a file slice,
+    copied into `out`, returned."""
+    if isinstance(samples, _FileSlice):
+        return samples.read_into(start, out)
+    out[:] = samples[start:start + len(out)]
+    return out
+
+
+def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[float]:
+    """s[k] of the n finite samples s in `chunks` sorted, for each rank k, in
+    buffers of one size at any n and ranks: up to _GATHER samples are
+    partitioned in one buffer, and more searched by sample-select (Floyd and
+    Rivest, CACM 18(3), 1975).
+
+    Each rank keeps an interval (lo, hi) that holds it, with the counts of
+    the samples at or below lo and below hi. A round places pivots a <= b a
+    few binomial deviations either side of the rank in a sorted subsample of
+    its interval. One pass then counts the samples below and at every pivot,
+    sorting each block's samples from the lowest pivot up, and gathers those
+    strictly between a and b into the rank's part of one buffer, sized by its
+    expected gather. The rank is then a pivot, a gathered sample, or in the
+    side of a pivot its interval narrows to. When the gathers would overfill
+    the buffer, every t-th sample between the pivots is kept instead, as the
+    next subsample. The first subsample is random windows of the samples,
+    which a rank that falls outside its pivots takes up again; those reads
+    use a fixed key and set the number of passes, never an answer.
+    """
+    buf = np.empty(min(n, _GATHER))
+    if n <= len(buf):
+        fill = 0
+        for samples in chunks:
+            fill += len(_read_into(samples, 0, buf[fill:fill + len(samples)]))
+        buf.partition(ranks)
+        return [float(buf[k]) for k in ranks]
+    first = np.empty(_SUBSAMPLE)
+    ends = np.cumsum([len(samples) for samples in chunks])
+    rng = np.random.Generator(np.random.Philox(key=_SELECT_KEY))
+    at = np.sort(rng.integers(0, n, len(first) // _WINDOW))
+    fill = 0
+    for p, i in zip(at.tolist(), np.searchsorted(ends, at, side="right").tolist()):
+        w = min(_WINDOW, len(chunks[i]))
+        start = min(p - int(ends[i]) + len(chunks[i]), len(chunks[i]) - w)
+        fill += len(_read_into(chunks[i], start, first[fill:fill + w]))
+    first = first[:fill]
+    first.sort()
+    sorted_block, mask = np.empty(min(n, _SCAN_BLOCK)), np.empty(min(n, _SCAN_BLOCK), dtype=bool)
+    # rank: (lo, samples at or below lo, hi, samples below hi, subsample or None)
+    todo = {k: (-math.inf, 0, math.inf, n, None) for k in ranks}
+    found = {}
+    while todo:
+        plan = []  # (rank, a, b, samples expected strictly between a and b)
+        for k, (lo, c_lo, hi, c_hi, sub) in todo.items():
+            if sub is None:
+                sub = first[np.searchsorted(first, lo, "right"):np.searchsorted(first, hi, "left")]
+            m, q = len(sub), (k - c_lo) / (c_hi - c_lo)
+            dev = _DEVIATIONS * math.sqrt(m * q * (1.0 - q)) + 1.0
+            ia, ib = math.floor(q * m - dev), math.ceil(q * m + dev)
+            if ia < 0 and ib >= m > 0:  # a subsample point cuts the interval
+                ia = m // 2
+            a = float(sub[ia]) if ia >= 0 else lo
+            b = float(sub[ib]) if ib < m else hi
+            plan.append((k, a, b, (c_hi - c_lo) * (min(ib, m) - max(ia, -1)) / (m + 1)))
+        # every sample between a rank's pivots is gathered while the gathers
+        # expected fill at most half the buffer; otherwise every step-th
+        total = sum(e for *_, e in plan)
+        step = max(1, math.ceil(2 * total / len(buf)))
+        sizes = [1 + int((len(buf) - len(plan)) * e / total) for *_, e in plan]
+        starts = np.cumsum([0] + sizes).tolist()
+        fills, skips = list(starts[:-1]), [0] * len(plan)
+        pivots = np.array([p for _, a, b, _ in plan for p in (a, b)])
+        low, below = pivots.min(), 0
+        lt, le = np.zeros((2, len(pivots)), dtype=np.int64)
+        for samples in chunks:
+            for x in _blocks(samples, _SCAN_BLOCK):
+                keep = np.greater_equal(x, low, out=mask[:len(x)])
+                s = np.compress(keep, x, out=sorted_block[:np.count_nonzero(keep)])
+                s.sort()
+                below += len(x) - len(s)
+                left, right = (np.searchsorted(s, pivots, side) for side in ("left", "right"))
+                lt += left
+                le += right
+                for i, (j0, j1) in enumerate(zip(right[::2].tolist(), left[1::2].tolist())):
+                    taken = s[j0 + skips[i]:j1:step]
+                    skips[i] = (skips[i] - max(j1 - j0, 0)) % step
+                    taken = taken[:starts[i + 1] - fills[i]]
+                    buf[fills[i]:fills[i] + len(taken)] = taken
+                    fills[i] += len(taken)
+        lt, le = (lt + below).tolist(), (le + below).tolist()
+        for i, (k, a, b, _) in enumerate(plan):
+            lo, c_lo, hi, c_hi, _ = todo.pop(k)
+            lt_a, le_a, lt_b, le_b = lt[2 * i], le[2 * i], lt[2 * i + 1], le[2 * i + 1]
+            got = buf[starts[i]:fills[i]]
+            if k < lt_a:
+                todo[k] = (lo, c_lo, a, lt_a, None)
+            elif k >= le_b:
+                todo[k] = (b, le_b, hi, c_hi, None)
+            elif k < le_a:
+                found[k] = a
+            elif k >= lt_b:
+                found[k] = b
+            elif step == 1 and len(got) == lt_b - le_a:
+                got.partition(k - le_a)
+                found[k] = float(got[k - le_a])
             else:
-                out[:] = samples
-            fill += m
-            continue
-        for x in _blocks(samples, _BIN_BLOCK):
-            above = np.greater(x, bound, out=mask[:len(x)])
-            k = np.count_nonzero(above)
-            if fill + k > len(buf):
-                # then the buffer holds 2 * need + _BIN_BLOCK, and
-                # fill > 2 * need, so the largest need, moved to the front,
-                # overlap nothing they are copied from
-                kept, cut = buf[:fill], fill - need
-                kept.partition(cut)
-                buf[:need] = kept[cut:]
-                bound, fill = float(buf[0]), need
-            np.compress(above, x, out=buf[fill:fill + k])
-            fill += k
-    s = buf[:fill]
-    s.sort()
-    return s[::-1][:need]
+                got.sort()
+                todo[k] = (a, le_a, b, lt_b, got)
+    return [found[k] for k in ranks]
 
 
 class EmpiricalTail:
     """Empirical complementary CDF of finite real-valued metric samples.
 
     Every sample must be finite: an `add` with a nan or infinite sample
-    raises ValueError and leaves the tail as it was. The tail holds raw
-    samples up to `raw_limit` and switches to a fixed-width histogram (plus
-    an overflow bin) beyond it, which bins every later `add`; the histogram
-    makes quantiles conservative by at most one `bin_width`. Its edges run
-    from 0 to twice the pooled maximum at the switch, capped at the largest
-    float. File slices are not read until they are binned or queried, so
-    samples the tail is given in a file stay on disk. While raw, the tail
-    keeps the arrays and slices it was given and answers each query
-    exactly, as a sort of all its samples would, in at most one pass over
-    them that writes no file: an exceedance fraction counts, and a batch of
-    quantiles (`quantiles`) selects the largest samples its ranks need, in
-    one buffer of at most n samples: 16 bytes per sample that the smallest
-    epsilon lets exceed its quantile, plus a block.
+    raises ValueError and leaves the tail as it was. The tail keeps the
+    arrays and file slices it was given, and reads a file slice only to
+    answer a query, so samples given in a file stay on disk. Every query is
+    exact, as a sort of all the samples would answer it, and writes no
+    file: an exceedance fraction counts in one pass, and a batch of
+    quantiles (`quantiles`) takes its ranks by one selection (`_select`),
+    whose buffers have a fixed size at any epsilon and sample count.
     """
 
-    def __init__(self, raw_limit: int = DEFAULT_RAW_LIMIT):
-        self.raw_limit = raw_limit
+    bin_width = 0.0  # exact: no sample is binned
+
+    def __init__(self) -> None:
         self._chunks: List[_Samples] = []
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
-        self._edges: Optional[np.ndarray] = None
-        self._counts: Optional[np.ndarray] = None
 
     @property
     def n_samples(self) -> int:
         return self._n
-
-    @property
-    def bin_width(self) -> float:
-        """Quantile resolution: 0 while raw samples are kept."""
-        if self._edges is None:
-            return 0.0
-        return float(self._edges[1] - self._edges[0])
 
     def add(self, samples: _Samples) -> None:
         """Record finite samples, a 1-D array or a file slice, whose extremes
@@ -442,42 +448,19 @@ class EmpiricalTail:
             raise ValueError("samples must be finite, got extremes %r and %r" % (lo, hi))
         self._n += len(samples)
         self._min, self._max = min(self._min, lo), max(self._max, hi)
-        if self._edges is not None:
-            self._counts += _bin(samples, self._edges)
-            return
         self._chunks.append(samples)
-        if self._n > self.raw_limit:
-            self._to_histogram()
-
-    def _to_histogram(self) -> None:
-        self._edges = _histogram_edges(self._max, _BINS)
-        self._counts = np.zeros(_BINS + 1, dtype=np.int64)  # last bin = overflow
-        # free each raw chunk once binned, so the memory or file it holds is
-        # released while the rest are binned
-        chunks, self._chunks = self._chunks, []
-        while chunks:
-            self._counts += _bin(chunks.pop(0), self._edges)
 
     def _at(self, allowed: Sequence[int]) -> List[float]:
-        if self._edges is None:
-            # s[k] of the samples s sorted, at each rank k = n - 1 - allowed
-            # (0 at least). s[0] is the minimum and s[n - 1] the maximum;
-            # every other rank k is read from the n - k largest samples
-            n = self._n
-            ranks = [max(n - 1 - a, 0) for a in allowed]
-            known = {0: self._min, n - 1: self._max}
-            top = [k for k in ranks if k not in known]
-            if top:
-                largest = _largest(self._chunks, n - min(top), n)
-            return [known[k] if k in known else float(largest[n - 1 - k]) for k in ranks]
-        above = np.cumsum(self._counts[::-1])[::-1]  # above[j] = samples in bins >= j
-        # smallest upper edge whose strict exceedance is within the
-        # allowance; j = _BINS is inside the overflow bin
-        found = np.searchsorted(-above[1:], [-a for a in allowed], side="left")
-        return [
-            self._max if j >= _BINS else max(float(self._edges[j + 1]), self._min)
-            for j in found.tolist()
-        ]
+        # s[k] of the samples s sorted, at each rank k = n - 1 - allowed (0
+        # at least). s[0] is the minimum and s[n - 1] the maximum; every
+        # other rank is selected
+        n = self._n
+        ranks = [max(n - 1 - a, 0) for a in allowed]
+        known = {0: self._min, n - 1: self._max}
+        rest = [k for k in ranks if k not in known]
+        if rest:
+            known.update(zip(rest, _select(self._chunks, n, rest)))
+        return [known[k] for k in ranks]
 
     def quantile(self, epsilon: float) -> float:
         """Smallest recorded value exceeded by at most a fraction epsilon.
@@ -487,30 +470,24 @@ class EmpiricalTail:
         return self._at(_allowances((epsilon,), self._n))[0]
 
     def quantiles(self, epsilons: Sequence[float]) -> List[float]:
-        """[quantile(e) for e in epsilons], with one pass over the raw
-        samples at most, or one cumulative count of the histogram."""
+        """[quantile(e) for e in epsilons], from one selection."""
         return self._at(_allowances(epsilons, self._n))
 
     def exceed_fraction(self, x: float) -> float:
-        """Fraction of samples strictly greater than x (upper estimate of at
-        most one bin in histogram mode)."""
+        """Fraction of samples strictly greater than x."""
         if self._n == 0:
             raise ValueError("no samples recorded")
-        if self._edges is None:
-            # (n - np.searchsorted(s, x, side="right")) / n of the sorted
-            # samples s: the samples not <= x, and none for a nan x, which
-            # sorts past every sample
-            if math.isnan(x):
-                return 0.0
-            mask = np.empty(min(self._n, _BIN_BLOCK), dtype=bool)
-            at_most = sum(
-                np.count_nonzero(np.less_equal(b, x, out=mask[:len(b)]))
-                for chunk in self._chunks for b in _blocks(chunk, _BIN_BLOCK)
-            )
-            return float(self._n - at_most) / self._n
-        j = int(np.searchsorted(self._edges, x, side="left")) - 1
-        j = min(max(j, 0), _BINS)
-        return float(self._counts[j:].sum()) / self._n
+        # (n - np.searchsorted(s, x, side="right")) / n of the sorted samples
+        # s: the samples not <= x, and none for a nan x, which sorts past
+        # every sample
+        if math.isnan(x):
+            return 0.0
+        mask = np.empty(min(self._n, _SCAN_BLOCK), dtype=bool)
+        at_most = sum(
+            np.count_nonzero(np.less_equal(b, x, out=mask[:len(b)]))
+            for chunk in self._chunks for b in _blocks(chunk, _SCAN_BLOCK)
+        )
+        return float(self._n - at_most) / self._n
 
 
 class CountTail:
@@ -739,19 +716,19 @@ def run_replications(
     base_seed: int,
     burn_in: int = DEFAULT_BURN_IN,
     workers: int = 1,
-    raw_limit: int = DEFAULT_RAW_LIMIT,
 ) -> MetricTails:
     """Simulate n_reps independent replications and pool their metric tails.
 
     Results are bit-identical for a given base seed regardless of the worker
     count: each replication derives its own streams from the base seed, and
     every replication's delay and peak-age arrays are added to the tails in
-    index order, which bin them once past raw_limit. Peak deviations are
-    counted per integer value where each chunk is simulated, and the
-    peak-deviation tail merges each replication's counts: exact at any
-    sample count, in any order. Every replication hands its delay and
-    peak-age arrays over through a file per array, 16 bytes per update, in a
-    directory under TMPDIR that is removed when the call returns or raises.
+    index order. Peak deviations are counted per integer value where each
+    chunk is simulated, and the peak-deviation tail merges each
+    replication's counts: exact at any sample count, in any order. Every
+    replication hands its delay and peak-age arrays over through a file per
+    array, 16 bytes per update, in a directory under TMPDIR that is removed
+    when the call returns or raises; the tails keep each file open, its name
+    removed, and its blocks on disk until they are dropped.
     With workers > 1, a pool of min(workers, n_reps) processes runs the
     replications, at most `workers` ahead of the one being added, so a
     failed run simulates at most that many beyond it; otherwise this
@@ -769,7 +746,7 @@ def run_replications(
     if workers < 1:
         raise ValueError("workers must be >= 1, got %d" % workers)
 
-    tails = MetricTails(EmpiricalTail(raw_limit), EmpiricalTail(raw_limit), CountTail())
+    tails = MetricTails(EmpiricalTail(), EmpiricalTail(), CountTail())
     workers = min(workers, n_reps)
     args = (scenario, n_updates, base_seed)
     with contextlib.ExitStack() as stack:
@@ -792,8 +769,6 @@ def run_replications(
                 )
         for arrays, counts in replications:
             tails.peak_doi.add(counts)
-            # only its tail holds a slice: one that was binned closes its
-            # file before the next is opened
             for tail, array in zip((tails.delay, tails.peak_aoi), arrays):
                 tail.add(_FileSlice(*array))
     return tails

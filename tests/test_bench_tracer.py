@@ -32,19 +32,19 @@ def test_tracer_finds_every_binding_it_wraps():
 
 
 def test_tracer_reads_every_tail_of_a_run():
-    # the tracer notes each run's tails (their bin widths) and derives its
-    # per-layer figures from the spans: a tail without `bin_width`, or a
-    # figure that no longer computes, fails here
+    # the tracer notes each run's tails (their bin widths, 0 for tails that
+    # are exact) and derives its per-layer figures from the spans: a tail
+    # without `bin_width`, or a figure that no longer computes, fails here
     t = _load_tracer().Tracer()
     scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-2)
     with t.job():
-        tails = simulate.run_replications(scenario, 3_000, 2, 1, burn_in=100, raw_limit=4_000)
+        tails = simulate.run_replications(scenario, 3_000, 2, 1, burn_in=100)
         tails.peak_doi.quantile(0.1)
         # the tracer wraps EmpiricalTail's queries alone
         tails.delay.quantile(0.1)
     metrics = t.layer_metrics()
-    # delay and peak age switch to histograms; peak deviation counts values
-    assert t.tail_stats == [(2, tails.delay.bin_width)]
-    assert metrics["simulate.histogram_tails"] == 2.0
-    assert metrics["simulate.bin_width"] == tails.delay.bin_width > 0
+    # no tail bins a sample
+    assert t.tail_stats == [(0, 0.0)]
+    assert metrics["simulate.histogram_tails"] == 0.0
+    assert metrics["simulate.bin_width"] == 0.0
     assert metrics["simulate.tail_add_s"] > 0 and metrics["simulate.tail_query_s"] > 0

@@ -37,16 +37,13 @@ from agecalc import (
 from agecalc import simulate
 from agecalc.sweeps import EPS_GRID, SIM_EPS
 from agecalc.simulate import (
-    _BIN_BLOCK,
-    _BINS,
     _BLOCK,
     _CHUNK,
     _COUNT_BLOCK,
+    _SCAN_BLOCK,
     STREAM_EVENTS,
     STREAM_SERVICE,
-    _bin,
     _fifo_chunk,
-    _histogram_edges,
     _simulate_to_file,
 )
 from simulated import arrays, nan_in_second_service_draw
@@ -85,9 +82,7 @@ BIG = float(np.finfo(np.float64).max)  # the largest finite sample
 
 def _state(tail):
     """All that an add may change of an EmpiricalTail."""
-    counts = None if tail._counts is None else tail._counts.tolist()
-    chunks = [id(c) for c in tail._chunks]
-    return tail.n_samples, tail._min, tail._max, tail.bin_width, counts, chunks
+    return tail.n_samples, tail._min, tail._max, [id(c) for c in tail._chunks]
 
 
 def _traced_peak(fn):
@@ -280,109 +275,17 @@ class TestEmpiricalTail:
         assert tail.exceed_fraction(10.0) == 0.0
         assert tail.exceed_fraction(0.0) == 1.0
 
-    def test_histogram_mode_close_to_raw(self):
-        rng = np.random.default_rng(21)
-        data = rng.exponential(1.0, 50_000)
-        raw = _raw(data)
-        binned = EmpiricalTail(raw_limit=10_000)
-        for chunk in np.split(data, 5):
-            binned.add(chunk)
-        assert binned.bin_width > 0
-        for eps in (0.1, 1e-2, 1e-3):
-            assert abs(binned.quantile(eps) - raw.quantile(eps)) <= binned.bin_width + 1e-12
-        assert binned.quantile(1.0) >= data.min()
-        x = raw.quantile(1e-2)
-        assert binned.exceed_fraction(x) >= raw.exceed_fraction(x) - 1e-12
-        assert binned.exceed_fraction(x) <= raw.exceed_fraction(x) + 2e-2
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        hi=st.one_of(st.sampled_from((0.0, -3.0)), st.floats(1e-300, BIG)),
-        bins=st.integers(1, 20_000),
-        on_edges=st.lists(
-            st.tuples(st.integers(0, 20_000), st.sampled_from((-1, 0, 1))), max_size=60
-        ),
-        others=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60),
-    )
-    def test_histogram_bins_match_searchsorted(self, hi, bins, on_edges, others):
-        # hi is the pooled maximum when the raw limit is crossed: _bin bins
-        # finite samples, up to the largest floats, as searchsorted at any
-        # bin count, and a tail switching at hi bins every later add with
-        # the edges of _BINS bins
-        edges = _histogram_edges(hi, bins)
-        top = float(edges[-1])
-        nudge = {-1: -math.inf, 0: None, 1: math.inf}
-        # the edges and their 1-ulp neighbours, which stop at the largest float
-        x = [
-            edges[k % (bins + 1)] if d == 0
-            else min(math.nextafter(edges[k % (bins + 1)], nudge[d]), BIG)
-            for k, d in on_edges
-        ]
-        x += [0.0, -0.0, -1.0, -top, min(1.5 * top, BIG), min(2.0 * top, BIG), 1e300, BIG, -BIG]
-        x += others
-        x = np.array(x, dtype=np.float64)
-        ref = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins)
-        ref = np.bincount(ref, minlength=bins + 1)
-        assert np.array_equal(_bin(x, edges), ref)
-        tail = EmpiricalTail(raw_limit=1)
-        tail.add(np.array([hi, hi]))
-        assert np.array_equal(tail._edges, _histogram_edges(hi, _BINS))
-        before = tail._counts.copy()
-        tail.add(x)
-        assert np.array_equal(tail._counts - before, _bin(x, tail._edges))
-
-    @pytest.mark.parametrize("stage", ["switch", "binned"])
-    def test_refuses_a_sample_it_cannot_bin(self, stage):
-        # the edges run from 0 to twice the maximum at the switch, so an add
-        # that would switch with a nan or infinite sample, or bin one, raises
-        # and leaves the tail as it was. Every finite sample bins: a
-        # nonpositive maximum gives edges up to 2, and samples above the
-        # last edge, up to the largest float, land in the overflow bin
-        tail = EmpiricalTail(raw_limit=4)
-        tail.add(np.array([1.0, 2.0]))
-        if stage == "binned":
-            tail.add(np.array([1.0, 2.0, 3.0]))
-        bad = [[1.0, 2.0, math.inf], [1.0, 2.0, math.nan], [math.nan, math.inf, 1.0],
-               [-math.inf, 1.0, 2.0]]
-        for x in bad:
-            before = _state(tail)
-            with pytest.raises(ValueError, match="finite"):
-                tail.add(np.array(x))
-            assert _state(tail) == before
-        if stage == "binned":
-            tail.add(np.array([1e300, BIG]))
-            assert tail._counts[-1] == 2 and tail.n_samples == 7
-            return
-        low = EmpiricalTail(raw_limit=1)
-        low.add(np.array([-3.0, -BIG]))
-        assert low.bin_width == 2.0 / _BINS and low._counts[0] == 2
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_switch_at_any_finite_maximum(self):
-        # twice a maximum above half the largest float overflows: the edges
-        # stop at the largest float, so the switch warns of no overflow and
-        # the bin width and quantiles stay finite
-        tail = EmpiricalTail(raw_limit=1)
-        tail.add(np.array([1e308, 1.0]))
-        assert math.isfinite(tail.bin_width) and tail.bin_width > 0
-        assert tail._edges[-1] == BIG
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InsufficientSamples)
-            assert all(math.isfinite(q) for q in tail.quantiles([1.0, 0.5]))
-
     def test_rejects_samples_that_are_not_finite(self):
-        # a nan, +inf or -inf sample, in an array or a file slice, in an add
-        # that keeps the tail raw, one that would switch it and one after
-        # the switch: add raises before it changes the tail, which answers
-        # as it did
-        tail = EmpiricalTail(raw_limit=1_000)
+        # a nan, +inf or -inf sample, in an array or a file slice, after one
+        # add and after two: add raises before it changes the tail, which
+        # answers as it did
+        tail = EmpiricalTail()
 
         def state():
             return _state(tail), tail.quantiles([1.0, 0.5, 0.1]), tail.exceed_fraction(300.5)
 
-        for raw in (True, False):
-            tail.add(np.arange(1.0, 601.0))  # the second add switches
-            assert (tail.bin_width == 0) == raw
+        for _ in range(2):
+            tail.add(np.arange(1.0, 601.0))
             before = state()
             for bad in (math.nan, math.inf, -math.inf):
                 for size in (2, 500):
@@ -393,54 +296,17 @@ class TestEmpiricalTail:
                             tail.add(samples)
                         assert state() == before
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        hi=st.floats(1e-300, 1e300),
-        bins=st.integers(1, 20_000),
-        seed=st.integers(0, 2**32 - 1),
-        on_edges=st.lists(
-            st.tuples(st.integers(0, 20_000), st.sampled_from((-1, 0, 1))), max_size=8
-        ),
-        gap=st.integers(0, 5),
-    )
-    def test_block_boundaries_keep_the_bins(self, hi, bins, seed, on_edges, gap):
-        # more than two blocks of samples, with edge values, their 1-ulp
-        # neighbours, the largest floats and values above 2 * max on both
-        # sides of every block boundary, given as an array and as a file slice
-        edges = simulate._histogram_edges(hi, bins)
-        top = edges[-1]
-        nudge = {-1: -math.inf, 0: None, 1: math.inf}
-        values = [BIG, -BIG, -0.0, np.nextafter(top, math.inf), 1.5 * top, 1e300]
-        values += [
-            edges[k % (bins + 1)] if d == 0 else np.nextafter(edges[k % (bins + 1)], nudge[d])
-            for k, d in on_edges
-        ]
-        x = np.random.default_rng(seed).uniform(-0.1 * top, 1.1 * top, 2 * _BIN_BLOCK + 1_000)
-        for boundary in (_BIN_BLOCK, 2 * _BIN_BLOCK):
-            for i, v in enumerate(values):
-                x[boundary - 1 - gap - i] = v
-                x[boundary + gap + i] = v
-        ref = np.bincount(np.clip(np.searchsorted(edges, x, side="left") - 1, 0, bins),
-                          minlength=bins + 1)
-        assert np.array_equal(_bin(x, edges), ref)
-        assert np.array_equal(_bin(_filed(x), edges), ref)
-
     def test_raw_tail_keeps_the_chunks_it_was_given(self, tmp_path):
-        # a raw tail answers from the caller's arrays and file slices
-        # themselves: a query copies, sorts and writes none of them, and
-        # crossing raw_limit later bins them as a tail never queried does
-        rng = np.random.default_rng(31)
-        first, second = rng.exponential(1.0, 100_000), rng.exponential(1.0, 100_000)
-        fresh = EmpiricalTail(raw_limit=150_000)
-        fresh.add(first.copy())
-        fresh.add(second.copy())
-        tail = EmpiricalTail(raw_limit=150_000)
+        # a tail answers from the caller's arrays and file slices
+        # themselves: a query copies, sorts and writes none of them
+        first = np.random.default_rng(31).exponential(1.0, 100_000)
+        tail = EmpiricalTail()
         tail.add(first.copy())
         given = tail._chunks[0]
         parts = [first[:40_000], first[40_000:]]
         for k, p in enumerate(parts):
             p.tofile(tmp_path / str(k))
-        mapped = EmpiricalTail(raw_limit=150_000)
+        mapped = EmpiricalTail()
         slices = [simulate._FileSlice(str(tmp_path / str(k)), len(p), p.min(), p.max())
                   for k, p in enumerate(parts)]
         assert list(tmp_path.iterdir()) == []
@@ -456,13 +322,6 @@ class TestEmpiricalTail:
         assert tail._chunks == [given] and mapped._chunks == slices
         assert np.array_equal(given, first) and not os.listdir(tmp_path)
         assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
-        tail.add(second.copy())  # crosses raw_limit: the chunks are binned
-        assert tail.bin_width == fresh.bin_width > 0
-        assert np.array_equal(tail._counts, fresh._counts)
-        for eps in (1e-1, 1e-2, 1e-3):
-            assert tail.quantile(eps) == fresh.quantile(eps)
-        assert tail.quantiles(eps_values) == fresh.quantiles(eps_values)
-        assert tail.exceed_fraction(2.0) == fresh.exceed_fraction(2.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -505,39 +364,60 @@ class TestEmpiricalTail:
         ),
         repeat=st.sampled_from((1, 5, 40)),
         bulk=st.sampled_from((0, 150, 600)),
+        shape=st.sampled_from(("shuffled", "shuffled", "sorted", "reversed", "periodic",
+                               "two-valued", "all-equal", "signed-zeros", "tiny", "huge")),
         order=st.integers(0, 2**32 - 1),
         cuts=st.lists(st.integers(0, 5_000), max_size=4),
         filed=st.lists(st.booleans(), min_size=5, max_size=5),
         eps=st.lists(st.floats(1e-6, 1.0), max_size=4),
-        block=st.sampled_from((16, 256, _BIN_BLOCK)),
+        block=st.sampled_from((16, 256, _SCAN_BLOCK)),
+        budget=st.sampled_from(((64, 32, 1.0), (512, 64, 0.0), (1 << 16, 1 << 13, 3.0))),
     )
-    def test_raw_queries_match_a_sort(self, values, repeat, bulk, order, cuts, filed, eps,
-                                      block):
+    def test_raw_queries_match_a_sort(self, values, repeat, bulk, shape, order, cuts, filed,
+                                      eps, block, budget):
         # random multisets of finite samples with ties, ±0 and the largest
-        # floats, plus a bulk of mostly distinct samples, shuffled and cut
-        # into arrays and file slices:
-        # every quantile, alone or in a batch, is an order statistic of
-        # np.sort's, and every exceedance fraction the searchsorted count
-        # above the point. Blocks of 16 and 256 samples let the candidate
-        # buffer fill and compact
+        # floats, plus a bulk of mostly distinct samples, shuffled or
+        # sorted either way; or as many samples in a period of the values, unshuffled,
+        # as a deterministic scenario's delays, half and half two values,
+        # one value or ±0; or the two samples [1e-321, 0.0] or [1e308, 1.0].
+        # Cut into arrays and file slices, every quantile, alone or in a
+        # batch, is an order statistic of np.sort's, and every exceedance
+        # fraction the searchsorted count above the point. Blocks of 16 and
+        # 256 samples, a gather budget of 64 or 512 samples, a first
+        # subsample of 32 or 64 and pivots 0 or 1 deviation from their rank
+        # take the selection through several rounds, gathers that overflow,
+        # pivots that miss their rank and pivots tied with it
         rng = np.random.default_rng(order)
         x = np.concatenate((np.repeat(np.array(values), repeat),
                             np.round(rng.standard_normal(bulk), 3)))
-        x = rng.permutation(x)
+        x = {
+            "shuffled": rng.permutation(x),
+            "periodic": np.resize(values, len(x)),
+            "sorted": np.sort(x),
+            "reversed": np.sort(x)[::-1].copy(),
+            "two-valued": rng.permutation(np.resize([1.0, 2.0], len(x))),
+            "all-equal": np.full(len(x), 3.25),
+            "signed-zeros": rng.permutation(np.resize([0.0, -0.0], len(x))),
+            "tiny": np.array([1e-321, 0.0]),
+            "huge": np.array([1e308, 1.0]),
+        }[shape]
         n = len(x)
         s = np.sort(x)
         tail = EmpiricalTail()
         for part, as_file in zip(np.split(x, sorted(c % (n + 1) for c in cuts)), filed):
             tail.add(_filed(part) if as_file and len(part) else part)
         # below 1/n, the largest; near 1, the second and sixth smallest,
-        # ranks below n/2, whose candidates are all the samples
+        # ranks below n/2, whose pivots may start at the lowest sample
         eps_values = [1.0, 0.5, 0.5 / n, 1.0 / n, min(5.5 / n, 1.0), 0.05]
         eps_values += [max((n - k) / n, 0.5 / n) for k in (1.5, 5.5)] + eps
 
         def expected(eps_values):
             return [s[max(n - 1 - math.floor(e * n + 1e-9), 0)] for e in eps_values]
 
-        with mock.patch.object(simulate, "_BIN_BLOCK", block), warnings.catch_warnings():
+        gather, subsample, deviations = budget
+        with mock.patch.multiple(simulate, _SCAN_BLOCK=block, _GATHER=gather,
+                                 _SUBSAMPLE=subsample, _DEVIATIONS=deviations), \
+                warnings.catch_warnings():
             warnings.simplefilter("ignore", InsufficientSamples)
             for batch in (eps_values, [e for e in eps_values if e != 0.5]):
                 np.testing.assert_array_equal(tail.quantiles(batch), expected(batch))
@@ -607,30 +487,25 @@ class TestEmpiricalTail:
         qs = [tail.quantile(e) for e in (1e-3, 1e-2, 0.1, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(qs, qs[1:]))
 
-    @pytest.mark.parametrize("stage", ["raw", "raw-with-ties", "later-add", "histogram"])
+    @pytest.mark.parametrize("stage", ["raw", "raw-with-ties", "later-add"])
     def test_file_backed_tail_answers_as_in_memory(self, tmp_path, stage):
-        # the same samples given as file slices and as arrays: each raw
-        # answer is that of a sort and a search of all the samples in memory,
-        # bit for bit, before and after a later add, and across the switch
-        # both bin as a tail given arrays and never queried
+        # the same samples given as file slices and as arrays: each answer
+        # is that of a sort and a search of all the samples in memory, bit
+        # for bit, before and after a later add
         rng = np.random.default_rng(41)
         special = [0.0, -0.0, -1e300, 1e300]
         # ties just below the maximum, among the ranks that quantiles select
         special += [1e300] * 3 if stage == "raw-with-ties" else []
-        # the switch fixes the bin edges at twice the maximum, capped at the
-        # largest float
         special += [BIG]
         parts = [np.round(rng.exponential(1.0, 1_500), 2) for _ in range(3)]
         parts[0] = np.concatenate((parts[0][:700], special, parts[0][700:]))
-        limit = 4_000 if stage == "histogram" else 10_000
-        filed, given, fresh = (EmpiricalTail(raw_limit=limit) for _ in range(3))
+        filed, given = EmpiricalTail(), EmpiricalTail()
 
         def add(k):
             path = str(tmp_path / str(k))
             parts[k].tofile(path)
             filed.add(simulate._FileSlice(path, len(parts[k]), parts[k].min(), parts[k].max()))
             given.add(parts[k].copy())
-            fresh.add(parts[k].copy())
 
         def answers(tail, eps_values, points):
             with warnings.catch_warnings():
@@ -649,34 +524,21 @@ class TestEmpiricalTail:
             expected = [s[max(n - 1 - math.floor(eps * n + 1e-9), 0)] for eps in eps_values]
             expected += [float(n - np.searchsorted(s, p, side="right")) / n for p in points]
             for tail in (filed, given):
-                assert tail.bin_width == 0
                 assert answers(tail, eps_values, points) == np.array(expected).tobytes()
-            return eps_values, points
 
         add(0)
         add(1)
-        eps_values, points = check(2)
-        if stage.startswith("raw"):
-            return
-        add(2)
+        check(2)
         if stage == "later-add":
+            add(2)
             check(3)
-            return
-        assert filed.bin_width == given.bin_width == fresh.bin_width > 0
-        for tail in (filed, given):
-            assert np.array_equal(tail._counts, fresh._counts) and tail._chunks == []
-            assert answers(tail, eps_values, points) == answers(fresh, eps_values, points)
 
     def test_first_query_keeps_no_sample_in_memory(self):
-        # a raw tail given arrays keeps them, and a query adds no copy of
-        # them: at epsilon 1e-3 and 1e-1 its peak is the candidates for the
-        # rank, 16 bytes per sample the quantile may leave above it, plus a
-        # block, sorted where they are; at 0.5 the candidates could reach
-        # all samples, so its buffer holds them all, 8 bytes each. None keeps
-        # anything once it returns
+        # a tail given arrays keeps them, and a query adds no copy of them:
+        # at any epsilon its buffers have one fixed size, within 1 MiB, and
+        # none keeps anything once it returns
         n = 1_000_000
-        cases = [(eps, 16 * (math.floor(eps * n) + 1)) for eps in (1e-3, 1e-1)]
-        for eps, bound in cases + [(0.5, 8 * n)]:
+        for eps in (0.5, 1e-1, 1e-3):
             tracemalloc.start()
             try:
                 tail = EmpiricalTail()
@@ -689,7 +551,7 @@ class TestEmpiricalTail:
             finally:
                 tracemalloc.stop()
             assert before >= 8 * n
-            assert peak - before <= bound + (1 << 20), eps
+            assert peak - before <= 1 << 20, eps
             assert held - before < 1 << 16
 
     def test_raw_query_writes_no_file(self, tmp_path):
@@ -1013,52 +875,21 @@ class TestRunReplications:
             assert a.delay.quantile(eps) == b.delay.quantile(eps)
             assert a.peak_aoi.quantile(eps) == b.peak_aoi.quantile(eps)
 
-    def test_workers_do_not_change_histogram_tails(self):
-        # 4 x 19,000 samples per metric: the raw limit is crossed while the
-        # second replication is merged, and the bin edges (from the maximum
-        # of the first two) would differ if the last two were merged first
-        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        runs = [
-            run_replications(
-                scenario, 20_000, 4, 3, burn_in=1_000, workers=w, raw_limit=30_000
-            ).by_name()
-            for w in (1, 2)
-        ]
-        for name in ("delay", "peak_aoi"):
-            a, b = runs[0][name], runs[1][name]
-            assert a.bin_width > 0
-            assert a.bin_width == b.bin_width
-            assert np.array_equal(a._counts, b._counts)
-            for eps in (1e-1, 1e-2, 1e-3):
-                assert a.quantile(eps) == b.quantile(eps)
-        # peak deviation counts each value: the same counts at either worker
-        # count, and the quantiles of a raw tail of the same samples
-        a, b = runs[0]["peak_doi"], runs[1]["peak_doi"]
-        raw = EmpiricalTail()
-        for r in range(4):
-            raw.add(arrays(scenario, 20_000, 3, r, 1_000)[2])
-        assert a.bin_width == b.bin_width == 0
-        assert np.array_equal(a.counts, b.counts)
-        for eps in (1e-1, 1e-2, 1e-3):
-            assert a.quantile(eps) == b.quantile(eps) == raw.quantile(eps)
-
     def test_workers_do_not_change_deviation_counts(self):
         # event-triggered, a burn-in past the first chunk and a run that is
-        # no multiple of it, 3 x 19,999 peak samples against a raw limit of
-        # 30,000: delay and peak age switch to histograms at replication 1,
-        # and peak deviation keeps one exact count per value at any worker
-        # count, the counts of the reference arrays' deviations
+        # no multiple of it, 3 x 19,999 peak samples: peak deviation keeps
+        # one exact count per value at any worker count, the counts of the
+        # reference arrays' deviations
         scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(8), 1e-3)
         burn_in = _CHUNK + 1_000
         n = burn_in + 20_000
         runs = [
-            run_replications(scenario, n, 3, 5, burn_in=burn_in, workers=w, raw_limit=30_000)
+            run_replications(scenario, n, 3, 5, burn_in=burn_in, workers=w)
             for w in (1, 2, 3)
         ]
         deviations = np.concatenate([arrays(scenario, n, 5, r, burn_in)[2] for r in range(3)])
         reference = np.bincount(deviations.astype(np.intp))
         a = runs[0]
-        assert a.delay.bin_width > 0 and a.peak_aoi.bin_width > 0
         for b in runs:
             assert b.peak_doi.n_samples == 3 * 19_999
             assert isinstance(b.peak_doi, CountTail)  # no sample is kept
@@ -1127,56 +958,16 @@ class TestRunReplications:
             ("result", 3), ("result", 4),
         ]
 
-    def test_tails_switching_apart_match_raw_adds(self):
-        # 2,000 delay and 1,999 peak samples per replication against a raw
-        # limit of 3,999: delay switches to a histogram at replication 1, peak
-        # age at replication 2, and 3 and 4 are binned where they run.
-        # With seed 11, replication 2 holds every metric's largest sample so
-        # far, so edges that missed it, or delay edges set anew at
-        # replication 2, would differ from the reference. Peak deviation
-        # never switches: its counts are those of a raw tail's samples.
-        scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        n, burn_in, reps, limit, seed = 2_001, 1, 5, 3_999, 11
-        ref = [EmpiricalTail(raw_limit=limit) for _ in range(2)] + [EmpiricalTail()]
-        for r in range(reps):
-            for tail, x in zip(ref, arrays(scenario, n, seed, r, burn_in)):
-                if r == 2:
-                    assert x.max() > tail._max
-                tail.add(x)
-        for workers in (1, 2):
-            got = run_replications(
-                scenario, n, reps, seed, burn_in=burn_in, workers=workers, raw_limit=limit
-            ).by_name().values()
-            for a, b in zip(got, ref):
-                if b is ref[2]:
-                    counts = np.bincount(np.concatenate(b._chunks).astype(np.intp))
-                    assert np.array_equal(a.counts, counts)
-                    assert a.n_samples == b.n_samples and a.bin_width == b.bin_width == 0
-                else:
-                    assert b.bin_width > 0
-                    assert np.array_equal(a._counts, b._counts)
-                    assert (a.n_samples, a._min, a._max, a.bin_width) == (
-                        b.n_samples, b._min, b._max, b.bin_width
-                    )
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", InsufficientSamples)
-                    for eps in (1e-1, 1e-2, 1e-3):
-                        assert a.quantile(eps) == b.quantile(eps)
-
     def test_pooled_results_are_small(self, monkeypatch):
-        # 149,000 samples per metric (1.2 MB) and a raw limit of 200,000: the
-        # second replication switches the delay and peak-age tails to
-        # histograms. No result carries a sample array: every replication
-        # hands its delays and peak ages over as a file, which those tails
-        # hold as read-only file slices until the switch bins them, and the
-        # parent bins the later ones as a serial run does; the workers count
-        # the peak deviations
+        # 149,000 samples per metric (1.2 MB) and replication: no result
+        # carries a sample array. Every replication hands its delays and
+        # peak ages over as a file, which those tails hold as read-only file
+        # slices and answer from as a serial run's tails do; the workers
+        # count the peak deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
-        run = functools.partial(
-            run_replications, scenario, 150_000, 4, 3, burn_in=1_000, raw_limit=200_000
-        )
+        run = functools.partial(run_replications, scenario, 150_000, 4, 3, burn_in=1_000)
         serial = run(workers=1)
-        sizes, switched = {}, []
+        sizes = {}
 
         class InlinePool:
             def __init__(self, max_workers, **options):
@@ -1191,26 +982,17 @@ class TestRunReplications:
                 sizes[args[3]] = len(pickle.dumps(future.result()))
                 return future
 
-        to_histogram = simulate.EmpiricalTail._to_histogram
-
-        def checked_to_histogram(tail):
-            switched.append([_file_backed(x) for x in tail._chunks])
-            to_histogram(tail)
-
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", checked_to_histogram)
         pooled = run(workers=2)
         assert sorted(sizes) == [0, 1, 2, 3]
         assert max(sizes.values()) < 64 * 1024
-        assert switched == [[True, True]] * 2  # peak deviation never switches
         assert np.array_equal(pooled.peak_doi.counts, serial.peak_doi.counts)
         for name in ("delay", "peak_aoi"):
             tail, ref = pooled.by_name()[name], serial.by_name()[name]
-            assert tail.bin_width > 0
-            assert np.array_equal(tail._counts, ref._counts)
-            assert (tail.n_samples, tail._min, tail._max, tail.bin_width) == (
-                ref.n_samples, ref._min, ref._max, ref.bin_width
-            )
+            assert len(tail._chunks) == 4 and all(_file_backed(x) for x in tail._chunks)
+            assert (tail.n_samples, tail._min, tail._max) == (ref.n_samples, ref._min, ref._max)
+            eps_values = (0.5, 1e-1, 1e-2, 1e-3, 1e-4)
+            assert tail.quantiles(eps_values) == ref.quantiles(eps_values)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -1224,59 +1006,48 @@ class TestRunReplications:
     )
     def test_pooled_extremes_match_serial(self, monkeypatch, scenario):
         # a pooled tail takes each array's extremes from the worker, not from
-        # the array: they, and the bin edges the switch fixes from them, are
-        # a serial run's bit for bit
-        run = functools.partial(
-            run_replications, scenario, 30_000, 4, 3, burn_in=1_000, raw_limit=50_000
-        )
+        # the array: they, and the quantiles, are a serial run's bit for bit
+        run = functools.partial(run_replications, scenario, 30_000, 4, 3, burn_in=1_000)
         serial = run(workers=1)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
         pooled = run(workers=2)
         assert np.array_equal(pooled.peak_doi.counts, serial.peak_doi.counts)
         for name in ("delay", "peak_aoi"):
             tail, ref = pooled.by_name()[name], serial.by_name()[name]
-            assert ref.bin_width > 0
-            got = np.array([tail._min, tail._max, tail.bin_width])
-            assert got.tobytes() == np.array([ref._min, ref._max, ref.bin_width]).tobytes()
-            assert np.array_equal(tail._counts, ref._counts)
+            eps_values = (0.5, 1e-1, 1e-2, 1e-3, 1e-4)
+            got = np.array([tail._min, tail._max] + tail.quantiles(eps_values))
+            want = np.array([ref._min, ref._max] + ref.quantiles(eps_values))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads the kernel's per-process RSS"
     )
     def test_parent_reads_no_page_it_only_stores(self, monkeypatch):
-        # 1,000,000 samples (8 MB) per metric and replication; the fourth
-        # replication takes the delay and peak-age tails past a raw limit of
-        # 3,500,000. Until then they hold the first three as file slices
-        # they have not read, since the workers report the extremes, so none
-        # of those pages is resident; binning reads each array a block at a
-        # time into a buffer and maps no page. The file holds no deviation,
-        # which the workers count
+        # 1,000,000 samples (8 MB) per metric and replication: the delay and
+        # peak-age tails hold the four replications as file slices they have
+        # not read, since the workers report the extremes, so none of those
+        # pages is resident; a query reads each array a block at a time into
+        # a buffer and maps no page. The file holds no deviation, which the
+        # workers count
         array = 8 * 1_000_000
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
-        run_replications(scenario, 20_000, 3, 3, burn_in=1_000, workers=2, raw_limit=30_000)
-        to_histogram = simulate.EmpiricalTail._to_histogram
-        rises = []
-
-        def measured_to_histogram(tail):
-            rises.append(_file_resident_bytes() - base)
-            to_histogram(tail)
-
-        monkeypatch.setattr(simulate.EmpiricalTail, "_to_histogram", measured_to_histogram)
+        warm = run_replications(scenario, 20_000, 4, 3, burn_in=1_000, workers=2)
+        warm.delay.quantiles((0.5, 1e-3))
         base = _file_resident_bytes()
-        tails = run_replications(
-            scenario, 1_001_000, 4, 3, burn_in=1_000, workers=2, raw_limit=3_500_000
-        )
-        rises.append(_file_resident_bytes() - base)
-        assert tails.delay.bin_width > 0 and tails.peak_aoi.bin_width > 0
-        assert len(rises) == 3  # peak deviation never switches
+        tails = run_replications(scenario, 1_001_000, 4, 3, burn_in=1_000, workers=2)
+        rises = [_file_resident_bytes() - base]
+        for tail in (tails.delay, tails.peak_aoi):
+            tail.quantiles((0.5,) + SIM_EPS)
+            tail.exceed_fraction(5.0)
+            rises.append(_file_resident_bytes() - base)
         assert max(rises) < array
 
     def test_pooled_raw_tails_match_serial(self):
-        # 3 x 19,000 samples per metric stay below the raw limit: the delay
-        # and peak-age tails of either run hold the replication files, and
-        # answer from them, unchanged, query after query; the replications
-        # count peak deviation
+        # 3 x 19,000 samples per metric: the delay and peak-age tails of
+        # either run hold the replication files, and answer from them,
+        # unchanged, query after query; the replications count peak
+        # deviation
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         serial = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=1)
         pooled = run_replications(scenario, 20_000, 3, 5, burn_in=1_000, workers=2)
@@ -1289,7 +1060,7 @@ class TestRunReplications:
             mapped = list(tail._chunks)
             assert len(mapped) == 3 and all(_file_backed(x) for x in mapped)
             assert len(ref._chunks) == 3 and all(_file_backed(x) for x in ref._chunks)
-            assert tail.bin_width == 0 and tail.n_samples == ref.n_samples
+            assert tail.n_samples == ref.n_samples
             samples = np.concatenate([_read(x) for x in mapped])
             assert np.array_equal(samples, np.concatenate([_read(x) for x in ref._chunks]))
             for eps in (1e-1, 1e-2, 1e-3):
