@@ -57,6 +57,9 @@ class TimeTriggered:
     def check_simulable(self) -> None:
         """Every interval can be simulated."""
 
+    def reserve(self, events, first: int, m: int) -> None:
+        """Nothing: the updates read no event ahead of a count."""
+
     def arrivals(self, events, first: int, m: int) -> np.ndarray:
         """Arrival times of the m updates from 1-based index `first` on."""
         return self.interval * np.arange(first, first + m, dtype=np.float64)
@@ -103,6 +106,11 @@ class EventTriggered:
             raise ValueError(
                 "simulation needs an integer event threshold, got %r" % (self.threshold,)
             )
+
+    def reserve(self, events, first: int, m: int) -> None:
+        """Generate the events of the m updates from 1-based index `first`
+        on in one block, which `arrivals` then reads piece by piece."""
+        events.reserve(int(self.threshold) * (first - 1 + m))
 
     def arrivals(self, events, first: int, m: int) -> np.ndarray:
         """Arrival times of the m updates from 1-based index `first` on:

@@ -15,23 +15,28 @@ vectorized form through the equivalent running-maximum identity.
 Everything is deterministic given a base seed: replication r draws its event
 and service streams from Philox generators keyed by
 SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
-events and 1 for service. Event times are generated lazily in blocks and
-discarded once no later update reads them, so memory stays bounded at any
-sample count. A replication runs in chunks of _CHUNK updates. The chunk
-size is part of the seed contract, as the block size is: it changes no
-draw, but the FIFO adds its running service total once per chunk, and an
-event-triggered chunk grows the event stream in one block, which adds the
-stream's last time once, so it sets the rounding of every delay and peak
-age.
+events and 1 for service. A replication runs in chunks of _CHUNK updates,
+and its event stream grows in blocks (_BLOCK events, or what a take lacks
+if that is more). The chunk and the block schedule are the seed contract:
+they change no draw, but the FIFO adds its running service total once per
+chunk, an event-triggered chunk adds its events to the stream in one block
+up front, and a block adds the stream's last time once, so they set the
+rounding of every delay and peak age. The pieces each chunk is simulated
+in are not: at most _PIECE updates and about _PIECE_EVENTS events, which
+the stream draws lazily, carrying each block's running sum from draw to
+draw, and discards once no later piece reads them. So a replication's
+working set is one piece's arrays and a store of _STORE events, under
+4 MiB at any sample count and any events per update; the store grows
+only when the queue's backlog spans more events than it holds.
 
 Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
 calling process does: its delay and peak-age arrays each have a file of
-their own, to which each chunk is appended as soon as it is computed, so a
-replication holds one chunk per array (2^16 updates, 512 KB), never the
-whole replication. Peak deviation is an event count, and its tail, a
+their own, to which each piece is appended as soon as it is computed, so a
+replication holds one piece per array (at most 2^14 updates, 128 KB), never
+the whole replication. Peak deviation is an event count, and its tail, a
 `CountTail`, holds one count per value, exact at any sample count, so each
-chunk's deviations are counted past the burn-in instead. The replication
+piece's deviations are counted past the burn-in instead. The replication
 returns one (path, length, min, max) record per array and one count per
 value, a few hundred integers. The caller opens each file as a
 `_FileSlice`, which reads it with `os.preadv`, never maps it and unlinks it
@@ -78,6 +83,12 @@ STREAM_SERVICE = 1
 
 _BLOCK = 1 << 16
 _CHUNK = 1 << 16
+_PIECE = 1 << 14  # updates simulated at once, at most
+_PIECE_EVENTS = 1 << 17  # events the updates of a piece sample, on average
+_DRAW = 1 << 14  # events a count draws at once
+# events the store holds at least: twice a piece's window with its draws, so
+# the window moves to the front of the store about every other piece
+_STORE = 2 * (_PIECE_EVENTS + 2 * _DRAW)
 _SCAN_BLOCK = 1 << 14  # samples a tail query reads and compares at once: they stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000
@@ -108,15 +119,27 @@ class EventStream:
     Events are addressed by their global 1-based index, and every query is
     positional: `take(start, k)` returns the times of events start+1 ...
     start+k, `count_upto(ts)` returns the number of events at or before each
-    time of a nondecreasing array, and `discard(count)` releases events
+    time of a nondecreasing array, `reserve(count)` generates events 1 ...
+    count without reading them, and `discard(count)` releases events
     1 ... count, which no later query may read.
 
-    Events live in one store, written once where they are generated: the
+    Events are generated in blocks: a `take` or `reserve` that lacks events
+    adds one block of what it lacks, at least _BLOCK events, and a
+    `count_upto` that passes the last event adds blocks of _BLOCK. An event
+    time is its block's base, the last time of the block before, plus the
+    running sum of the block's draws, so the block sizes set the rounding
+    of every time: they are part of the seed contract. A block is drawn
+    lazily, only as far as a query reads, in draws of at most _DRAW events
+    for a count. Split draws are the same draws, and each draw carries the
+    block's running sum into its first element before summing in place, so
+    every time has the bits of a whole-block draw.
+
+    Drawn events live in one store, written once where they are drawn: the
     live window `_store[_lo:_hi]` holds the events from global 1-based index
-    `_first` on. Discarded events leave the window; when new events do not
-    fit after it, the window moves to the front of the store if that copy
-    is no larger than the discarded prefix, and otherwise into a new store
-    with a quarter of headroom.
+    `_first` on. Discarded events leave the window; when a draw does not fit
+    after it, the window moves to the front of the store if that copy is no
+    larger than the discarded prefix, and otherwise into a new store with a
+    quarter of headroom, at least _STORE events.
     """
 
     def __init__(self, model: DistributionModel, seed: Union[int, np.random.Generator]):
@@ -128,27 +151,51 @@ class EventStream:
         self._store = np.empty(0)
         self._lo = self._hi = 0
         self._first = 1  # global 1-based index of _store[_lo]
-        self._generated = 0
-        self._last_time = 0.0
+        self._generated = 0  # events of every block added
+        self._undrawn: deque = deque()  # events of each block not drawn yet
+        self._base = 0.0  # the time the block being drawn adds to its sums
+        self._sum = 0.0  # the running sum of its draws so far
+        self._last_time = 0.0  # of the last event drawn
 
-    def _grow(self, k: int) -> None:
+    def _drawn(self) -> int:
+        return self._first - 1 + self._hi - self._lo
+
+    def _draw(self, k: int) -> None:
+        """Draw the next k of the events generated into the store."""
         live = self._hi - self._lo
         if self._hi + k > len(self._store):
             if live <= self._lo and live + k <= len(self._store):
                 store = self._store
             else:
-                store = np.empty((live + k) * 5 // 4)
+                store = np.empty(max((live + k) * 5 // 4, _STORE))
             store[:live] = self._store[self._lo:self._hi]
             self._store, self._lo, self._hi = store, 0, live
-        # draw into the store, cumsum in place, then += _last_time: the
-        # operands of _last_time + cumsum(draws), so the same bits, with no
-        # array besides the store
-        block = sample(self.model, self.rng, k, out=self._store[self._hi:self._hi + k])
-        np.cumsum(block, out=block)
-        block += self._last_time
-        self._last_time = float(block[-1])
-        self._hi += k
-        self._generated += k
+        while k:
+            n = min(k, self._undrawn[0])
+            # draw into the store, carry the running sum into the first
+            # draw, cumsum in place, then += base: the operands of
+            # base + cumsum(block draws), so the same bits, with no array
+            # besides the store
+            x = sample(self.model, self.rng, n, out=self._store[self._hi:self._hi + n])
+            x[0] += self._sum
+            np.cumsum(x, out=x)
+            self._sum = float(x[-1])
+            x += self._base
+            self._last_time = float(x[-1])
+            self._hi += n
+            k -= n
+            self._undrawn[0] -= n
+            if not self._undrawn[0]:
+                self._undrawn.popleft()
+                self._base, self._sum = self._last_time, 0.0
+
+    def reserve(self, count: int) -> None:
+        """Generate events 1 ... count, in one block of those missing (at
+        least _BLOCK), without drawing them yet."""
+        if self._generated < count:
+            k = max(count - self._generated, _BLOCK)
+            self._undrawn.append(k)
+            self._generated += k
 
     def take(self, start: int, k: int) -> np.ndarray:
         """Times of events start+1 ... start+k.
@@ -159,8 +206,9 @@ class EventStream:
         """
         if start < self._first - 1:
             raise ValueError("take(%d, ...) reads discarded events" % start)
-        while self._generated < start + k:
-            self._grow(max(start + k - self._generated, _BLOCK))
+        self.reserve(start + k)
+        if self._drawn() < start + k:
+            self._draw(start + k - self._drawn())
         i0 = self._lo + start - (self._first - 1)
         return self._store[i0:i0 + k]
 
@@ -176,14 +224,17 @@ class EventStream:
             return counts
         t = float(times[-1])
         while self._last_time <= t:
-            self._grow(_BLOCK)
+            if not self._undrawn:
+                self.reserve(self._generated + _BLOCK)
+            self._draw(min(self._undrawn[0], _DRAW))
         live = self._store[self._lo:self._hi]
         # anchors: the counts at every _COUNT_BLOCK-th time and at the last
         # one. The counts of the times from one anchor to the next lie
         # between theirs, so each block searches only the events in between,
         # a slice that stays in L2, and the counts are exactly those of a
         # search of the whole window.
-        anchors = np.searchsorted(live, times[np.r_[0:n:_COUNT_BLOCK, n - 1]], side="right")
+        at = np.minimum(np.arange(0, n + _COUNT_BLOCK, _COUNT_BLOCK), n - 1)
+        anchors = np.searchsorted(live, times[at], side="right")
         anchors = anchors.tolist()
         for b, i in enumerate(range(0, n, _COUNT_BLOCK)):
             lo, hi = anchors[b], anchors[b + 1]
@@ -192,9 +243,12 @@ class EventStream:
         return counts
 
     def discard(self, count: int) -> None:
-        """Forget events 1 ... count, which must all have been generated."""
+        """Forget events 1 ... count, which must all have been generated;
+        those not drawn yet are drawn first."""
         if count > self._generated:
             raise ValueError("discard(%d) past the %d events generated" % (count, self._generated))
+        if count > self._drawn():
+            self._draw(count - self._drawn())
         k = count - (self._first - 1)
         if k > 0:
             self._lo += k
@@ -206,18 +260,27 @@ def _fifo_chunk(
     service: np.ndarray,
     service_sum: float,
     run_max: float,
+    local: float = 0.0,
 ) -> Tuple[np.ndarray, float, float]:
+    """Departures of the updates at these arrivals with these service
+    times, and the running service sum and maximum to carry to the next
+    updates, from a queue whose running service total is service_sum plus
+    the sum `local` of the chunk's earlier updates."""
     # D(n) = S(n) + max_{v<=n} (A(v) - S(v) + L(v)) with S the running service
-    # total; run_max carries the maximum across chunk boundaries.
-    s = np.cumsum(service)
+    # total: service_sum, added once per chunk, plus a sum carried from piece
+    # to piece in the first element; run_max carries the maximum across
+    # pieces and chunks.
+    s = service.copy()
+    s[0] += local
+    np.cumsum(s, out=s)
+    local = float(s[-1])
     s += service_sum
-    service_sum = float(s[-1])
     g = arrivals - s
     g += service
     np.maximum.accumulate(g, out=g)
     np.maximum(g, run_max, out=g)
     s += g  # the departures
-    return s, service_sum, float(g[-1])
+    return s, local, float(g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +369,32 @@ def _read_into(samples: _Samples, start: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_between(
+    x: np.ndarray, low: float, high: float, out: np.ndarray, mask: np.ndarray
+) -> Tuple[np.ndarray, int, int]:
+    """The samples of x from low to high sorted, where low is -inf or high
+    is +inf, and the numbers of samples below low and of those equal to low
+    left out, which are counted, not sorted: all of them when more than an
+    eighth of x is at or above low, where they may be most of it, and none
+    otherwise. The samples are compressed into `out` by way of `mask`, two
+    buffers at least as long as x."""
+    mask = mask[:len(x)]
+    below = ties = 0
+    if high < math.inf:
+        keep = np.less_equal(x, high, out=mask)
+        kept = np.count_nonzero(keep)
+    else:
+        keep = np.greater_equal(x, low, out=mask)
+        kept = np.count_nonzero(keep)
+        below = len(x) - kept
+        if kept > len(x) // 8:
+            keep = np.greater(x, low, out=mask)
+            ties, kept = kept - np.count_nonzero(keep), np.count_nonzero(keep)
+    s = np.compress(keep, x, out=out[:kept])
+    s.sort()
+    return s, below, ties
+
+
 def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[float]:
     """s[k] of the n finite samples s in `chunks` sorted, for each rank k, in
     buffers of one size at any n and ranks: up to _GATHER samples are
@@ -316,14 +405,16 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
     the samples at or below lo and below hi. A round places pivots a <= b a
     few binomial deviations either side of the rank in a sorted subsample of
     its interval. One pass then counts the samples below and at every pivot,
-    sorting each block's samples from the lowest pivot up, and gathers those
-    strictly between a and b into the rank's part of one buffer, sized by its
-    expected gather. The rank is then a pivot, a gathered sample, or in the
-    side of a pivot its interval narrows to. When the gathers would overfill
-    the buffer, every t-th sample between the pivots is kept instead, as the
-    next subsample. The first subsample is random windows of the samples,
-    which a rank that falls outside its pivots takes up again; those reads
-    use a fixed key and set the number of passes, never an answer.
+    sorting each block's samples above the lowest pivot (those up to the
+    highest upper pivot, for the ranks whose lower pivot is -inf), and
+    gathers those strictly between a and b into the rank's part of one
+    buffer, sized by its expected gather. The rank is then a pivot, a
+    gathered sample, or in the side of a pivot its interval narrows to.
+    When the gathers would overfill the buffer, every t-th sample between
+    the pivots is kept instead, as the next subsample. The first subsample
+    is random windows of the samples, which a rank that falls outside its
+    pivots takes up again; those reads use a fixed key and set the number
+    of passes, never an answer.
     """
     buf = np.empty(min(n, _GATHER))
     if n <= len(buf):
@@ -360,6 +451,7 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
             a = float(sub[ia]) if ia >= 0 else lo
             b = float(sub[ib]) if ib < m else hi
             plan.append((k, a, b, (c_hi - c_lo) * (min(ib, m) - max(ia, -1)) / (m + 1)))
+        plan.sort(key=lambda rank: rank[1] > -math.inf)
         # every sample between a rank's pivots is gathered while the gathers
         # expected fill at most half the buffer; otherwise every step-th
         total = sum(e for *_, e in plan)
@@ -368,24 +460,41 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
         starts = np.cumsum([0] + sizes).tolist()
         fills, skips = list(starts[:-1]), [0] * len(plan)
         pivots = np.array([p for _, a, b, _ in plan for p in (a, b)])
-        low, below = pivots.min(), 0
         lt, le = np.zeros((2, len(pivots)), dtype=np.int64)
+        # a pass sorts each block's samples in a window (low, high]: for the
+        # ranks whose lower pivot is -inf, first in the plan, those up to
+        # their highest upper pivot; for the others those above their lowest
+        # lower pivot, below and at which the samples are counted, not sorted
+        bottom = sum(a == -math.inf for _, a, _, _ in plan)
+        groups = [  # plan indices, their pivots' slice, window, samples below and at low
+            (range(i, j), slice(2 * i, 2 * j), low, high, [0, 0])
+            for i, j, low, high in (
+                (0, bottom, -math.inf, pivots[1:2 * bottom:2].max(initial=-math.inf)),
+                (bottom, len(plan), pivots[2 * bottom::2].min(initial=math.inf), math.inf),
+            )
+            if i < j
+        ]
         for samples in chunks:
             for x in _blocks(samples, _SCAN_BLOCK):
-                keep = np.greater_equal(x, low, out=mask[:len(x)])
-                s = np.compress(keep, x, out=sorted_block[:np.count_nonzero(keep)])
-                s.sort()
-                below += len(x) - len(s)
-                left, right = (np.searchsorted(s, pivots, side) for side in ("left", "right"))
-                lt += left
-                le += right
-                for i, (j0, j1) in enumerate(zip(right[::2].tolist(), left[1::2].tolist())):
-                    taken = s[j0 + skips[i]:j1:step]
-                    skips[i] = (skips[i] - max(j1 - j0, 0)) % step
-                    taken = taken[:starts[i + 1] - fills[i]]
-                    buf[fills[i]:fills[i] + len(taken)] = taken
-                    fills[i] += len(taken)
-        lt, le = (lt + below).tolist(), (le + below).tolist()
+                for group, at, low, high, counted in groups:
+                    s, below, ties = _sorted_between(x, low, high, sorted_block, mask)
+                    counted[0] += below
+                    counted[1] += ties
+                    left, right = (
+                        np.searchsorted(s, pivots[at], side) for side in ("left", "right")
+                    )
+                    lt[at] += left
+                    le[at] += right
+                    for i, j0, j1 in zip(group, right[::2].tolist(), left[1::2].tolist()):
+                        taken = s[j0 + skips[i]:j1:step]
+                        skips[i] = (skips[i] - max(j1 - j0, 0)) % step
+                        taken = taken[:starts[i + 1] - fills[i]]
+                        buf[fills[i]:fills[i] + len(taken)] = taken
+                        fills[i] += len(taken)
+        for _, at, low, _, (below, ties) in groups:
+            lt[at] += below + ties * (pivots[at] > low)
+            le[at] += below + ties
+        lt, le = lt.tolist(), le.tolist()
         for i, (k, a, b, _) in enumerate(plan):
             lo, c_lo, hi, c_hi, _ = todo.pop(k)
             lt_a, le_a, lt_b, le_b = lt[2 * i], le[2 * i], lt[2 * i + 1], le[2 * i + 1]
@@ -566,13 +675,21 @@ def _simulate_chunks(
     replication: int,
     chunk: int,
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """One replication, chunk by chunk, without burn-in.
+    """One replication, piece by piece, without burn-in.
 
-    For the chunk of updates done ... done + m - 1 (0-based), yields done and
+    The run is cut into chunks of `chunk` updates, which set where the FIFO
+    adds its running service total and, at event-triggered sampling, the
+    block of events each chunk adds to the stream up front; both set the
+    rounding, so the chunk is part of the seed contract. Each chunk is
+    simulated in pieces of at most _PIECE updates and about _PIECE_EVENTS
+    events, which change no byte: the stream draws each block as the
+    pieces read it, and the FIFO carries its sums from piece to piece.
+
+    For the piece of updates done ... done + m - 1 (0-based), yields done and
     three arrays: its m delays, and the peak ages and peak deviations (event
     counts) of updates max(done - 1, 0) ... done + m - 2, as a peak needs the
-    next update's departure. The arrays are buffers of one chunk, which the
-    next chunk overwrites.
+    next update's departure. The arrays are buffers of one piece, which the
+    next piece overwrites.
     """
     policy = scenario.policy
     policy.check_simulable()
@@ -580,38 +697,43 @@ def _simulate_chunks(
         scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
-    size = min(chunk, n_updates)
-    t_buf, a_buf, f_buf = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    per_update = policy.spacing(scenario.event_model) / scenario.event_model.mean
+    piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), chunk, n_updates)
+    t_buf, a_buf, f_buf = np.empty(piece), np.empty(piece), np.empty(piece, dtype=np.intp)
 
-    service_sum, run_max = 0.0, -math.inf
+    service_sum, local, run_max = 0.0, 0.0, -math.inf
     arr_last = 0.0
     count_last = 0
     done = 0
     while done < n_updates:
-        m = min(chunk, n_updates - done)
-        first = done + 1  # 1-based index of the chunk's first update
-        # no later query reads the events the previous chunk's last update sampled
-        events.discard(count_last)
-        arr = policy.arrivals(events, first, m)
-        service = sample(scenario.service_model, rng_service, m)
-        dep, service_sum, run_max = _fifo_chunk(arr, service, service_sum, run_max)
-        carry = 1 if done > 0 else 0
-        t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
+        end = done + min(chunk, n_updates - done)
+        policy.reserve(events, done + 1, end - done)
+        while done < end:
+            m = min(piece, end - done)
+            first = done + 1  # 1-based index of the piece's first update
+            # no later query reads the events the previous piece's last update sampled
+            events.discard(count_last)
+            arr = policy.arrivals(events, first, m)
+            service = sample(scenario.service_model, rng_service, m)
+            dep, local, run_max = _fifo_chunk(arr, service, service_sum, run_max, local)
+            carry = 1 if done > 0 else 0
+            t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
 
-        np.subtract(dep, arr, out=t_out)
+            np.subtract(dep, arr, out=t_out)
 
-        ca = policy.sampled_counts(events, arr, first)
-        cd = events.count_upto(dep)
+            ca = policy.sampled_counts(events, arr, first)
+            cd = events.count_upto(dep)
 
-        if carry:
-            a_out[0] = dep[0] - arr_last
-            f_out[0] = cd[0] - count_last
-        np.subtract(dep[1:], arr[:-1], out=a_out[carry:])
-        np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
-        arr_last = float(arr[-1])
-        count_last = int(ca[-1])
-        yield done, (t_out, a_out, f_out)
-        done += m
+            if carry:
+                a_out[0] = dep[0] - arr_last
+                f_out[0] = cd[0] - count_last
+            np.subtract(dep[1:], arr[:-1], out=a_out[carry:])
+            np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
+            arr_last = float(arr[-1])
+            count_last = int(ca[-1])
+            yield done, (t_out, a_out, f_out)
+            done += m
+        service_sum, local = service_sum + local, 0.0
 
 
 def _append(f: BinaryIO, x: np.ndarray) -> None:
@@ -643,29 +765,35 @@ def _simulate_to_file(
     pickles, so the caller need not read an array to learn them. An array
     that holds a nan reports a nan extreme.
 
-    Each chunk is appended to its files, and its deviations counted, as
-    soon as it is computed, so a replication holds one chunk per array,
-    never the whole of it."""
+    Each piece is appended to its files, and its deviations counted, as
+    soon as it is computed, so a replication holds one piece per array,
+    never the whole of it; the counts reach a `CountTail` once, in the
+    caller."""
     names = (path + ".delay", path + ".peak_aoi")
     lengths = (n_updates - burn_in, n_updates - 1 - burn_in)
-    lo, hi = [math.inf] * 2, [-math.inf] * 2
-    doi = CountTail()
+    lows, highs = ([], []), ([], [])
+    counts = np.zeros(0, dtype=np.int64)
     with (
         open(names[0], "wb", buffering=0) as delay,
         open(names[1], "wb", buffering=0) as peak_aoi,
     ):
-        chunks = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
-        for done, (t, a, dev) in chunks:
-            peak = max(done - 1, 0)  # the update of the chunk's first peak
-            doi.add(np.bincount(dev[max(burn_in - peak, 0):]))
+        pieces = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
+        for done, (t, a, dev) in pieces:
+            peak = max(done - 1, 0)  # the update of the piece's first peak
+            found = np.bincount(dev[max(burn_in - peak, 0):])
+            if len(found) > len(counts):
+                counts = np.pad(counts, (0, len(found) - len(counts)))
+            counts[:len(found)] += found
             for k, (x, first, f) in enumerate(((t, done, delay), (a, peak, peak_aoi))):
                 # the first burn_in values of each array are not written
                 x = x[max(burn_in - first, 0):]
                 if len(x):
                     _append(f, x)
-                    # np.minimum and np.maximum keep a nan; min() and max() drop it
-                    lo[k], hi[k] = np.minimum(lo[k], x.min()), np.maximum(hi[k], x.max())
-    return list(zip(names, lengths, map(float, lo), map(float, hi))), doi.counts
+                    lows[k].append(x.min())
+                    highs[k].append(x.max())
+    # np.min and np.max keep a nan; Python's min() and max() drop it
+    extremes = [(float(np.min(lo)), float(np.max(hi))) for lo, hi in zip(lows, highs)]
+    return [(name, n, *ext) for name, n, ext in zip(names, lengths, extremes)], counts
 
 
 def ProcessPoolExecutor(**options):

@@ -41,6 +41,7 @@ from agecalc.simulate import (
     _CHUNK,
     _COUNT_BLOCK,
     _SCAN_BLOCK,
+    _STORE,
     STREAM_EVENTS,
     STREAM_SERVICE,
     _fifo_chunk,
@@ -415,6 +416,9 @@ class TestEmpiricalTail:
             return [s[max(n - 1 - math.floor(e * n + 1e-9), 0)] for e in eps_values]
 
         gather, subsample, deviations = budget
+        # a rank among the lowest n / subsample samples: its first lower
+        # pivot is -inf, below every subsample point
+        eps_values.append(1.0 - 0.5 / subsample)
         with mock.patch.multiple(simulate, _SCAN_BLOCK=block, _GATHER=gather,
                                  _SUBSAMPLE=subsample, _DEVIATIONS=deviations), \
                 warnings.catch_warnings():
@@ -428,6 +432,45 @@ class TestEmpiricalTail:
                    for y in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
         for p in points:
             assert tail.exceed_fraction(p) == float(n - np.searchsorted(s, p, side="right")) / n
+
+    @staticmethod
+    def _sorted_sizes(monkeypatch):
+        """The number of samples each block of a query's passes sorts."""
+        sizes, between = [], simulate._sorted_between
+
+        def recording(x, low, high, out, mask):
+            s, below, ties = between(x, low, high, out, mask)
+            sizes.append(len(s))
+            return s, below, ties
+
+        monkeypatch.setattr(simulate, "_sorted_between", recording)
+        return sizes
+
+    def test_ties_with_the_lowest_pivot_are_counted_not_sorted(self, monkeypatch):
+        # past the gather budget, a tail of one value, as a deterministic
+        # scenario's delays, or of two with both ranks at the larger: every
+        # sample at the lowest pivot is counted, and the passes sort none
+        sizes = self._sorted_sizes(monkeypatch)
+        n = 200_000
+        for x in (np.full(n, 4.0), np.resize([1.0, 4.0], n)):
+            sizes.clear()
+            assert _raw(x).quantiles([1e-3, 0.25]) == [4.0, 4.0]
+            assert sizes and sum(sizes) == 0
+
+    def test_ranks_near_the_bottom_sort_only_samples_below_them(self, monkeypatch):
+        # ranks among the lowest n / _SUBSAMPLE samples start from -inf as
+        # their lower pivot: their passes sort the samples up to their
+        # upper pivots, not all of them, alone or in a batch with a rank
+        # near the top
+        sizes = self._sorted_sizes(monkeypatch)
+        n = 1_000_000
+        x = np.random.default_rng(3).exponential(1.0, n)
+        s = np.sort(x)
+        for batch in ([1 - 1e-6], [1 - 1e-5, 1 - 1e-4], [1 - 1e-5, 1e-3]):
+            sizes.clear()
+            expected = [s[n - 1 - math.floor(e * n + 1e-9)] for e in batch]
+            assert _raw(x).quantiles(batch) == expected
+            assert sum(sizes) < n // 20
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -646,7 +689,7 @@ class TestEventStream:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
+        model=st.sampled_from((Exponential(1.0), Deterministic(0.5), Erlang(3, 1.5))),
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(
             st.one_of(
@@ -656,40 +699,67 @@ class TestEventStream:
                     st.floats(0, 2e5) | st.integers(0, 400_000).map(lambda i: i / 2),
                     max_size=8,
                 )),
+                st.tuples(st.just("reserve"), st.integers(0, 4 * _BLOCK)),
                 st.tuples(st.just("discard"), st.integers(0, 3 * _BLOCK)),
             ),
             max_size=20,
         ),
+        draw=st.sampled_from((61, 1_000, simulate._DRAW)),
+        store=st.sampled_from((16, simulate._STORE)),
     )
-    def test_interleaved_queries_match_searchsorted(self, model, seed, ops):
-        # half-integer times tie with the deterministic events, whose sums
-        # are exact; exponential event times are summed per block, so the
-        # reference agrees with the stream to rounding and only exact ties
-        # with them could count differently
-        n_ref = sum(sum(arg) for op, arg in ops if op == "take") + 3 * int(2e5 / model.mean)
-        full = EventStream(model, seed).take(0, n_ref).copy()
-        stream = EventStream(model, seed)
-        # discarded: events 1 ... discarded are gone; known: events up to
-        # this index have been generated (taken or counted)
-        discarded, known = 0, 0
-        for op, arg in ops:
+    def test_interleaved_queries_match_searchsorted(self, model, seed, ops, draw, store):
+        # the blocks are drawn lazily, in draws of at most `draw` events for
+        # a count, into a store of at least `store`: every take returns, bit
+        # for bit, the events of a stream that draws each block it adds
+        # whole, and every count is a search of them. Half-integer times tie
+        # with the deterministic events, whose sums are exact
+        blocks = []
+
+        class Recording(EventStream):
+            def reserve(self, count):
+                generated = self._generated
+                super().reserve(count)
+                if self._generated > generated:
+                    blocks.append(self._generated - generated)
+
+        stream = Recording(model, seed)
+        # discarded: events 1 ... discarded are gone, the last at time
+        # floor; known: events up to this index have been generated (taken,
+        # counted or reserved)
+        discarded, floor, known, answers = 0, 0.0, 0, []
+        with mock.patch.multiple(simulate, _DRAW=draw, _STORE=store):
+            for op, arg in ops:
+                if op == "take":
+                    offset, k = arg
+                    start = discarded + offset
+                    answers.append((op, start, stream.take(start, k).copy()))
+                    known = max(known, start + k)
+                elif op == "count":
+                    times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
+                    answers.append((op, times, stream.count_upto(times)))
+                    known = max(known, int(answers[-1][2].max(initial=0)))
+                elif op == "reserve":
+                    stream.reserve(arg)
+                    known = max(known, arg)
+                else:
+                    count = min(arg, known)
+                    if count > discarded:
+                        floor = float(stream.take(count - 1, 1)[0])
+                        discarded = count
+                    stream.discard(count)
+        # the same blocks, each drawn whole: base + cumsum(draws)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        full, base = [np.empty(0)], 0.0
+        for k in blocks:
+            full.append(base + np.cumsum(model.sample(rng, k)))
+            base = float(full[-1][-1])
+        full = np.concatenate(full)
+        for op, arg, got in answers:
             if op == "take":
-                offset, k = arg
-                start = discarded + offset
-                got = stream.take(start, k)
-                assert np.allclose(got, full[start:start + k], rtol=1e-12, atol=0)
-                known = max(known, start + k)
-            elif op == "count":
-                floor = full[discarded - 1] if discarded else 0.0
-                times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
-                assert full[-1] > times.max(initial=0.0)
-                expected = np.searchsorted(full, times, side="right")
-                assert np.array_equal(stream.count_upto(times), expected)
-                known = max(known, int(expected.max(initial=0)))
+                assert got.tobytes() == full[arg:arg + len(got)].tobytes()
             else:
-                count = min(arg, known)
-                stream.discard(count)
-                discarded = max(discarded, count)
+                expected = np.searchsorted(full, arg, side="right")
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -727,17 +797,18 @@ class TestEventStream:
 
     def test_take_view_lives_until_the_next_call(self):
         stream = EventStream(Exponential(1.0), 8)
-        first = stream.take(0, _BLOCK - 10)
+        first = stream.take(0, _STORE - 10)
         kept = first.copy()
-        assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(0, _BLOCK - 10))
-        # the next block lands where the discarded events were: a view kept
-        # across calls changes, which is why EventTriggered.arrivals copies
-        stream.discard(_BLOCK - 10)
-        second = stream.take(_BLOCK - 10, _BLOCK)
+        assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(0, _STORE - 10))
+        # the next draw, too large for the room after the window, lands
+        # where the discarded events were: a view kept across calls
+        # changes, which is why EventTriggered.arrivals copies
+        stream.discard(_STORE - 10)
+        second = stream.take(_STORE - 10, _STORE)
         assert np.shares_memory(first, second)
         assert not np.array_equal(first, kept)
-        # update _BLOCK // 2 arrives with event _BLOCK, past the discard
-        arrivals = EventTriggered(2).arrivals(stream, _BLOCK // 2, 10)
+        # update _STORE // 2 arrives with event _STORE, past the discard
+        arrivals = EventTriggered(2).arrivals(stream, _STORE // 2, 10)
         assert not np.shares_memory(arrivals, stream._store)
 
 
@@ -825,9 +896,9 @@ class TestRunReplications:
         moves = set()
 
         class SpyStream(EventStream):
-            def _grow(self, k):
+            def _draw(self, k):
                 store, lo = self._store, self._lo
-                super()._grow(k)
+                super()._draw(k)
                 if self._store is not store and len(store):
                     moves.add("reallocate")
                 elif lo and not self._lo:
@@ -847,6 +918,9 @@ class TestRunReplications:
             # gamma draws: a chunk's counts span two blocks; takes of 16 * 5_000
             (Erlang(3, 1.5), TimeTriggered(13.0), Exponential(0.25), 20_000, n),
             (Erlang(3, 1.5), EventTriggered(16), Exponential(0.05), 5_000, n),
+            # an overloaded queue (utilization 2): its departures run ever
+            # further past its arrivals, so the store must grow
+            (Exponential(1.0), EventTriggered(16), Exponential(1.0 / 32.0), 5_000, n),
             # the chunk every run uses, over three chunks
             (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), _CHUNK, long),
             (Exponential(0.5), EventTriggered(16), Exponential(0.05), _CHUNK, long),
@@ -1109,12 +1183,12 @@ class TestRunReplications:
 
         def full_disk_in_0(f, x):
             # each process counts the writes of the replications it runs;
-            # the third write of replication 0 is its second chunk's delays
+            # the third write of replication 0 is its second piece's delays
             name = os.path.basename(f.name).split(".")[0]
             (seen / name).touch()
             writes[name] += 1
             if name == "0" and writes[name] > 2:
-                assert os.path.getsize(f.name) > 0  # the first chunk is on disk
+                assert os.path.getsize(f.name) > 0  # the first piece is on disk
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), f.name)
             append(f, x)
 
@@ -1207,11 +1281,11 @@ class TestRunReplications:
         assert whole - serial >= 8 * (n - 1) - 8 * _CHUNK
 
     def test_failed_chunk_write_keeps_its_errno(self, tmp_path):
-        # a file size limit of half the first delay chunk's bytes fails that
-        # chunk's write part way, as a full disk does: the short write is
-        # followed by one that raises, and the OSError carries its errno
-        # (ndarray.tofile's has none). The limit is set in a child process,
-        # which it alone constrains.
+        # a file size limit of half a chunk's delay bytes fails the delay
+        # write that crosses it part way, as a full disk does: the short
+        # write is followed by one that raises, and the OSError carries its
+        # errno (ndarray.tofile's has none). The limit is set in a child
+        # process, which it alone constrains.
         pytest.importorskip("resource")
         limit = 8 * (_CHUNK - 1_000) // 2
         code = (
@@ -1237,16 +1311,69 @@ class TestRunReplications:
         assert out.stdout.split() == [str(errno.EFBIG)]
         assert (tmp_path / "0.delay").stat().st_size == limit
 
-    def test_event_store_holds_one_chunk_of_events(self, tmp_path):
-        # at threshold 16 a chunk takes 16 * _CHUNK events, which the store
-        # holds with a quarter of headroom: 10 MiB in 2^16-update chunks, and
-        # with every other chunk buffer the replication stays under 16 MiB,
-        # where a 2^18-update chunk's store alone would take 40 MiB
-        scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(16), 1e-3)
+    @pytest.mark.parametrize(
+        "policy, rate",
+        [(EventTriggered(16), 1.0), (EventTriggered(200), 1.0),
+         (TimeTriggered(8.0), 1.0), (TimeTriggered(200.0), 1.0)],
+        ids=["event-16", "event-200", "time-8", "time-200"],
+    )
+    def test_working_set_is_bounded(self, tmp_path, policy, rate):
+        # 8 to 200 events per update, three chunks: a replication draws,
+        # counts and writes pieces of at most _PIECE updates and about
+        # _PIECE_EVENTS events into a store of _STORE events, so its peak
+        # stays under 4 MiB at any events per update, where the whole
+        # chunk's events took 15 MiB at threshold 16 and 130 MiB at 200
+        scenario = Scenario(Exponential(rate), Exponential(0.25), policy, 1e-3)
         peak = _traced_peak(
             lambda: _simulate_to_file(scenario, 3 * _CHUNK, 5, 0, 1_000, str(tmp_path / "0"))
         )
-        assert peak < 16 << 20
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "events, policy, service, n",
+        [
+            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 2_600),
+            (Deterministic(2.0), TimeTriggered(3.0), Deterministic(1.5), 2_600),
+            (Erlang(3, 1.5), TimeTriggered(7.0), Erlang(2, 0.5), 2_600),
+            (Exponential(1.0), EventTriggered(16), Exponential(0.05), 2_600),
+            (Deterministic(0.5), EventTriggered(3), Exponential(0.5), 2_600),
+            (Erlang(3, 1.5), EventTriggered(5), Deterministic(3.0), 2_600),
+            # utilization 0.95: departures run past the event block of
+            # their chunk well before its last update
+            (Exponential(1.0), EventTriggered(4), Exponential(1.0 / 3.8), 3_000),
+        ],
+    )
+    def test_piece_sizes_change_no_byte(self, tmp_path, monkeypatch, events, policy,
+                                        service, n):
+        # pieces of 7 updates or 50 events, counts that draw 13 events at a
+        # time into a store that must move and grow, against the default
+        # pieces, over chunks of 1,000 updates and blocks of 512 events:
+        # the arrays, the files, their extremes and the deviation counts
+        # are the same bytes
+        scenario = Scenario(events, service, policy, 1e-3)
+        monkeypatch.setattr(simulate, "_BLOCK", 512)
+        runs = []
+        for limits in ((simulate._PIECE, simulate._PIECE_EVENTS, simulate._DRAW, simulate._STORE),
+                       (7, 50, 13, 64)):
+            with mock.patch.multiple(simulate, **dict(zip(("_PIECE", "_PIECE_EVENTS", "_DRAW",
+                                                            "_STORE"), limits))):
+                got = list(arrays(scenario, n, 99, 3, burn_in=0, chunk=1_000))
+                path = str(tmp_path / str(len(runs)))
+                records, counts = _simulate_to_file(scenario, n, 99, 3, 100, path, chunk=1_000)
+            for name, *shape in records:
+                with open(name, "rb") as f:
+                    got += [np.frombuffer(f.read()), np.array(shape)]
+            runs.append(got + [counts])
+        for x, y in zip(*runs):
+            assert x.tobytes() == y.tobytes()
+        if n == 3_000:
+            # deviation j counts the events up to update j + 2's departure
+            # less the alpha * (j + 1) its own update sampled: in each chunk
+            # an update before the last departs past the chunk's last event
+            alpha = int(policy.threshold)
+            reach = runs[0][2] + alpha * np.arange(1, n)
+            for end in (1_000, 2_000):
+                assert reach[:end - 2].max() > alpha * end
 
     @pytest.mark.parametrize("policy", [TimeTriggered(13.0), EventTriggered(16)])
     def test_chunk_size_changes_no_draw(self, monkeypatch, policy):
