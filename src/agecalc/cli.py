@@ -204,6 +204,8 @@ def cmd_simulate(args) -> Tuple[List[CsvRow], Optional[Dict]]:
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     burn_in = cfg.get("burn_in", DEFAULT_BURN_IN)
     scenario = Scenario(event_model, service_model, policy, min(eps_list))
+    if scenario.utilization >= 1:
+        raise ConfigError("simulate needs utilization < 1, got %g" % scenario.utilization)
     try:
         tails = _simulate(scenario, samples, seed, args.workers, burn_in=burn_in)
     except SampleBudgetError as exc:

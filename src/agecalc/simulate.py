@@ -38,16 +38,17 @@ the whole replication. Peak deviation is an event count, and its tail, a
 `CountTail`, holds one count per value, exact at any sample count, so each
 piece's deviations are counted past the burn-in instead. The replication
 returns one (path, length, min, max) record per array and one count per
-value, a few hundred integers. The caller opens each file as a
+value, a few hundred integers. The caller adds the replications to the
+tails in index order, so no sample array is pickled and the tails are the
+same at any worker count; a pool keeps at most `workers` replications
+submitted beyond the one being added. The delay and peak-age tails,
+`EmpiricalTail`s, take each record as it is: `add` opens its file as a
 `_FileSlice`, which reads it with `os.preadv`, never maps it and unlinks it
-at once, and adds the replications to the tails in index order, so no
-sample array is pickled and the tails are the same at any worker count; a
-pool keeps at most `workers` replications submitted beyond the one being
-added. Each slice knows its array's extremes, so the delay and peak-age
-tails, `EmpiricalTail`s, check that every sample is finite without a read,
-and read an array only to answer a query, a block at a time into one
-buffer. Every query is exact and writes no file; a batch of quantiles
-takes all its ranks by one sample-select in buffers of a fixed size.
+at once, and checks from the recorded extremes, without a read, that
+every sample is finite. A tail reads an array only to answer a query, a
+block at a time into one buffer. Every query is exact and writes no file;
+a batch of quantiles takes all its ranks by one sample-select in buffers
+of a fixed size.
 
 A file's blocks stay on disk until its slice is dropped: all the
 replications the tails hold, at 16 bytes per update (about 160 MB for
@@ -287,30 +288,24 @@ def _fifo_chunk(
 # Empirical tails
 
 
+_Record = Tuple[str, int, float, float]  # (path, length, min, max) of a sample file
+
+
 class _FileSlice:
     """The `n` float64 samples of the file at `path`, which the slice opens
     and unlinks at once, read with `os.preadv` into the caller's arrays,
     never mapped: what a slice holds stays on disk and in the page cache,
     outside the process's resident memory. The file is closed, and its
-    blocks freed, when the slice is dropped. `min()` and `max()` return `lo`
-    and `hi`, the samples' extremes as the file's writer knows them,
-    without a read."""
+    blocks freed, when the slice is dropped."""
 
-    def __init__(self, path: str, n: int, lo: float, hi: float):
+    def __init__(self, path: str, n: int):
         f = open(path, "rb", buffering=0)
         weakref.finalize(self, f.close)
         os.unlink(path)
         self._fd, self._n = f.fileno(), n
-        self._lo, self._hi = lo, hi
 
     def __len__(self) -> int:
         return self._n
-
-    def min(self) -> float:
-        return self._lo
-
-    def max(self) -> float:
-        return self._hi
 
     def read_into(self, start: int, out: np.ndarray) -> np.ndarray:
         """Samples start ... start + len(out) - 1 read into `out`, returned."""
@@ -323,18 +318,10 @@ class _FileSlice:
         return out
 
 
-_Samples = Union[np.ndarray, _FileSlice]
-
-
-def _blocks(samples: _Samples, size: int) -> Iterator[np.ndarray]:
-    """The samples in consecutive blocks of `size`: views of an array, or
-    reads of a file slice into one reused buffer, each valid until the next
-    block is taken."""
+def _blocks(samples: _FileSlice, size: int) -> Iterator[np.ndarray]:
+    """The samples in consecutive blocks of `size`, read into one reused
+    buffer, each valid until the next block is taken."""
     n = len(samples)
-    if isinstance(samples, np.ndarray):
-        for i in range(0, n, size):
-            yield samples[i:i + size]
-        return
     buf = np.empty(min(size, n))
     for i in range(0, n, size):
         yield samples.read_into(i, buf[:min(size, n - i)])
@@ -360,54 +347,39 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
     return allowed
 
 
-def _read_into(samples: _Samples, start: int, out: np.ndarray) -> np.ndarray:
-    """Samples start ... start + len(out) - 1 of an array or a file slice,
-    copied into `out`, returned."""
-    if isinstance(samples, _FileSlice):
-        return samples.read_into(start, out)
-    out[:] = samples[start:start + len(out)]
-    return out
-
-
-def _sorted_between(
-    x: np.ndarray, low: float, high: float, out: np.ndarray, mask: np.ndarray
+def _sorted_above(
+    x: np.ndarray, low: float, out: np.ndarray, mask: np.ndarray
 ) -> Tuple[np.ndarray, int, int]:
-    """The samples of x from low to high sorted, where low is -inf or high
-    is +inf, and the numbers of samples below low and of those equal to low
-    left out, which are counted, not sorted: all of them when more than an
-    eighth of x is at or above low, where they may be most of it, and none
-    otherwise. The samples are compressed into `out` by way of `mask`, two
-    buffers at least as long as x."""
+    """The samples of x at or above low sorted, and the numbers of samples
+    below low and of those equal to low left out of the sort, which are
+    counted instead: all those equal to low when more than an eighth of x
+    is at or above low, where they may be most of it, and none otherwise.
+    The samples are compressed into `out` by way of `mask`, two buffers at
+    least as long as x."""
     mask = mask[:len(x)]
-    below = ties = 0
-    if high < math.inf:
-        keep = np.less_equal(x, high, out=mask)
-        kept = np.count_nonzero(keep)
-    else:
-        keep = np.greater_equal(x, low, out=mask)
-        kept = np.count_nonzero(keep)
-        below = len(x) - kept
-        if kept > len(x) // 8:
-            keep = np.greater(x, low, out=mask)
-            ties, kept = kept - np.count_nonzero(keep), np.count_nonzero(keep)
+    keep = np.greater_equal(x, low, out=mask)
+    kept = np.count_nonzero(keep)
+    below, ties = len(x) - kept, 0
+    if kept > len(x) // 8:
+        keep = np.greater(x, low, out=mask)
+        ties, kept = kept - np.count_nonzero(keep), np.count_nonzero(keep)
     s = np.compress(keep, x, out=out[:kept])
     s.sort()
     return s, below, ties
 
 
-def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[float]:
-    """s[k] of the n finite samples s in `chunks` sorted, for each rank k, in
-    buffers of one size at any n and ranks: up to _GATHER samples are
-    partitioned in one buffer, and more searched by sample-select (Floyd and
-    Rivest, CACM 18(3), 1975).
+def _select(chunks: Sequence[_FileSlice], n: int, ranks: Sequence[int]) -> List[float]:
+    """s[k] of the n finite samples s in `chunks` sorted, for each rank k, by
+    sample-select (Floyd and Rivest, CACM 18(3), 1975) in buffers of one
+    size at any n and ranks.
 
     Each rank keeps an interval (lo, hi) that holds it, with the counts of
     the samples at or below lo and below hi. A round places pivots a <= b a
     few binomial deviations either side of the rank in a sorted subsample of
     its interval. One pass then counts the samples below and at every pivot,
-    sorting each block's samples above the lowest pivot (those up to the
-    highest upper pivot, for the ranks whose lower pivot is -inf), and
-    gathers those strictly between a and b into the rank's part of one
+    sorting each block's samples above the lowest lower pivot (those below
+    it, and where they are many those at it, are counted: `_sorted_above`),
+    and gathers those strictly between a and b into the rank's part of one
     buffer, sized by its expected gather. The rank is then a pivot, a
     gathered sample, or in the side of a pivot its interval narrows to.
     When the gathers would overfill the buffer, every t-th sample between
@@ -417,12 +389,6 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
     of passes, never an answer.
     """
     buf = np.empty(min(n, _GATHER))
-    if n <= len(buf):
-        fill = 0
-        for samples in chunks:
-            fill += len(_read_into(samples, 0, buf[fill:fill + len(samples)]))
-        buf.partition(ranks)
-        return [float(buf[k]) for k in ranks]
     first = np.empty(_SUBSAMPLE)
     ends = np.cumsum([len(samples) for samples in chunks])
     rng = np.random.Generator(np.random.Philox(key=_SELECT_KEY))
@@ -431,7 +397,7 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
     for p, i in zip(at.tolist(), np.searchsorted(ends, at, side="right").tolist()):
         w = min(_WINDOW, len(chunks[i]))
         start = min(p - int(ends[i]) + len(chunks[i]), len(chunks[i]) - w)
-        fill += len(_read_into(chunks[i], start, first[fill:fill + w]))
+        fill += len(chunks[i].read_into(start, first[fill:fill + w]))
     first = first[:fill]
     first.sort()
     sorted_block, mask = np.empty(min(n, _SCAN_BLOCK)), np.empty(min(n, _SCAN_BLOCK), dtype=bool)
@@ -451,7 +417,6 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
             a = float(sub[ia]) if ia >= 0 else lo
             b = float(sub[ib]) if ib < m else hi
             plan.append((k, a, b, (c_hi - c_lo) * (min(ib, m) - max(ia, -1)) / (m + 1)))
-        plan.sort(key=lambda rank: rank[1] > -math.inf)
         # every sample between a rank's pivots is gathered while the gathers
         # expected fill at most half the buffer; otherwise every step-th
         total = sum(e for *_, e in plan)
@@ -460,40 +425,25 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
         starts = np.cumsum([0] + sizes).tolist()
         fills, skips = list(starts[:-1]), [0] * len(plan)
         pivots = np.array([p for _, a, b, _ in plan for p in (a, b)])
+        low = pivots[::2].min()
         lt, le = np.zeros((2, len(pivots)), dtype=np.int64)
-        # a pass sorts each block's samples in a window (low, high]: for the
-        # ranks whose lower pivot is -inf, first in the plan, those up to
-        # their highest upper pivot; for the others those above their lowest
-        # lower pivot, below and at which the samples are counted, not sorted
-        bottom = sum(a == -math.inf for _, a, _, _ in plan)
-        groups = [  # plan indices, their pivots' slice, window, samples below and at low
-            (range(i, j), slice(2 * i, 2 * j), low, high, [0, 0])
-            for i, j, low, high in (
-                (0, bottom, -math.inf, pivots[1:2 * bottom:2].max(initial=-math.inf)),
-                (bottom, len(plan), pivots[2 * bottom::2].min(initial=math.inf), math.inf),
-            )
-            if i < j
-        ]
+        below = ties = 0
         for samples in chunks:
             for x in _blocks(samples, _SCAN_BLOCK):
-                for group, at, low, high, counted in groups:
-                    s, below, ties = _sorted_between(x, low, high, sorted_block, mask)
-                    counted[0] += below
-                    counted[1] += ties
-                    left, right = (
-                        np.searchsorted(s, pivots[at], side) for side in ("left", "right")
-                    )
-                    lt[at] += left
-                    le[at] += right
-                    for i, j0, j1 in zip(group, right[::2].tolist(), left[1::2].tolist()):
-                        taken = s[j0 + skips[i]:j1:step]
-                        skips[i] = (skips[i] - max(j1 - j0, 0)) % step
-                        taken = taken[:starts[i + 1] - fills[i]]
-                        buf[fills[i]:fills[i] + len(taken)] = taken
-                        fills[i] += len(taken)
-        for _, at, low, _, (below, ties) in groups:
-            lt[at] += below + ties * (pivots[at] > low)
-            le[at] += below + ties
+                s, block_below, block_ties = _sorted_above(x, low, sorted_block, mask)
+                below += block_below
+                ties += block_ties
+                left, right = (np.searchsorted(s, pivots, side) for side in ("left", "right"))
+                lt += left
+                le += right
+                for i, (j0, j1) in enumerate(zip(right[::2].tolist(), left[1::2].tolist())):
+                    taken = s[j0 + skips[i]:j1:step]
+                    skips[i] = (skips[i] - max(j1 - j0, 0)) % step
+                    taken = taken[:starts[i + 1] - fills[i]]
+                    buf[fills[i]:fills[i] + len(taken)] = taken
+                    fills[i] += len(taken)
+        lt += below + ties * (pivots > low)
+        le += below + ties
         lt, le = lt.tolist(), le.tolist()
         for i, (k, a, b, _) in enumerate(plan):
             lo, c_lo, hi, c_hi, _ = todo.pop(k)
@@ -519,20 +469,21 @@ def _select(chunks: Sequence[_Samples], n: int, ranks: Sequence[int]) -> List[fl
 class EmpiricalTail:
     """Empirical complementary CDF of finite real-valued metric samples.
 
-    Every sample must be finite: an `add` with a nan or infinite sample
-    raises ValueError and leaves the tail as it was. The tail keeps the
-    arrays and file slices it was given, and reads a file slice only to
-    answer a query, so samples given in a file stay on disk. Every query is
-    exact, as a sort of all the samples would answer it, and writes no
-    file: an exceedance fraction counts in one pass, and a batch of
-    quantiles (`quantiles`) takes its ranks by one selection (`_select`),
-    whose buffers have a fixed size at any epsilon and sample count.
+    The tail takes the samples of a replication's array as the
+    (path, length, min, max) record of its file (`add`), keeps the file as a
+    `_FileSlice`, and reads it only to answer a query, so the samples stay
+    on disk. Every sample must be finite: a record whose extremes are not
+    raises ValueError and leaves the tail as it was. Every query is exact,
+    as a sort of all the samples would answer it, and writes no file: an
+    exceedance fraction counts in one pass, and a batch of quantiles
+    (`quantiles`) takes its ranks by one selection (`_select`), whose
+    buffers have a fixed size at any epsilon and sample count.
     """
 
     bin_width = 0.0  # exact: no sample is binned
 
     def __init__(self) -> None:
-        self._chunks: List[_Samples] = []
+        self._chunks: List[_FileSlice] = []
         self._n = 0
         self._min = math.inf
         self._max = -math.inf
@@ -541,21 +492,17 @@ class EmpiricalTail:
     def n_samples(self) -> int:
         return self._n
 
-    def add(self, samples: _Samples) -> None:
-        """Record finite samples, a 1-D array or a file slice, whose extremes
-        the slice knows without a read. An array of any other shape, or
-        samples whose extremes are not finite (any nan or infinite sample),
-        raise ValueError and leave the tail as it was."""
-        if not isinstance(samples, _FileSlice):
-            samples = np.asarray(samples, dtype=np.float64)
-            if samples.ndim != 1:
-                raise ValueError("samples must be a 1-D array, got shape %r" % (samples.shape,))
-        if len(samples) == 0:
-            return
-        lo, hi = float(samples.min()), float(samples.max())
+    def add(self, record: _Record) -> None:
+        """Record the samples of the file a (path, length, min, max) record
+        names, as `_simulate_to_file` returns it. The file is opened and its
+        name unlinked at once, whatever follows; a record whose extremes are
+        not finite (a nan or infinite sample) raises ValueError and leaves
+        the tail as it was."""
+        path, n, lo, hi = record
+        samples = _FileSlice(path, n)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("samples must be finite, got extremes %r and %r" % (lo, hi))
-        self._n += len(samples)
+        self._n += n
         self._min, self._max = min(self._min, lo), max(self._max, hi)
         self._chunks.append(samples)
 
@@ -673,11 +620,10 @@ def _simulate_chunks(
     n_updates: int,
     base_seed: int,
     replication: int,
-    chunk: int,
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """One replication, piece by piece, without burn-in.
 
-    The run is cut into chunks of `chunk` updates, which set where the FIFO
+    The run is cut into chunks of _CHUNK updates, which set where the FIFO
     adds its running service total and, at event-triggered sampling, the
     block of events each chunk adds to the stream up front; both set the
     rounding, so the chunk is part of the seed contract. Each chunk is
@@ -698,7 +644,7 @@ def _simulate_chunks(
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
     per_update = policy.spacing(scenario.event_model) / scenario.event_model.mean
-    piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), chunk, n_updates)
+    piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), _CHUNK, n_updates)
     t_buf, a_buf, f_buf = np.empty(piece), np.empty(piece), np.empty(piece, dtype=np.intp)
 
     service_sum, local, run_max = 0.0, 0.0, -math.inf
@@ -706,7 +652,7 @@ def _simulate_chunks(
     count_last = 0
     done = 0
     while done < n_updates:
-        end = done + min(chunk, n_updates - done)
+        end = done + min(_CHUNK, n_updates - done)
         policy.reserve(events, done + 1, end - done)
         while done < end:
             m = min(piece, end - done)
@@ -746,9 +692,6 @@ def _append(f: BinaryIO, x: np.ndarray) -> None:
         data = data[f.write(data):]
 
 
-_Array = Tuple[str, int, float, float]  # (path, length, min, max) of a sample file
-
-
 def _simulate_to_file(
     scenario: Scenario,
     n_updates: int,
@@ -756,8 +699,7 @@ def _simulate_to_file(
     replication: int,
     burn_in: int,
     path: str,
-    chunk: int = _CHUNK,
-) -> Tuple[List[_Array], np.ndarray]:
+) -> Tuple[List[_Record], np.ndarray]:
     """One replication's burned-in delay and peak-age arrays, each written
     to a file of its own, `path` + ".delay" and `path` + ".peak_aoi", and its
     burned-in peak deviations counted (counts[v] of the value v). Returns
@@ -777,7 +719,7 @@ def _simulate_to_file(
         open(names[0], "wb", buffering=0) as delay,
         open(names[1], "wb", buffering=0) as peak_aoi,
     ):
-        pieces = _simulate_chunks(scenario, n_updates, base_seed, replication, chunk)
+        pieces = _simulate_chunks(scenario, n_updates, base_seed, replication)
         for done, (t, a, dev) in pieces:
             peak = max(done - 1, 0)  # the update of the piece's first peak
             found = np.bincount(dev[max(burn_in - peak, 0):])
@@ -822,7 +764,7 @@ def _sigterm_held() -> Iterator[None]:
 
 def _pooled(
     pool: ProcessPoolExecutor, tmp: str, args: tuple, n_reps: int, burn_in: int, workers: int
-) -> Iterator[Tuple[List[_Array], np.ndarray]]:
+) -> Iterator[Tuple[List[_Record], np.ndarray]]:
     """_simulate_to_file's results for replications 0 ... n_reps - 1, in
     index order, each written to files in `tmp` by a worker. At most
     `workers` replications are submitted beyond the one being yielded, so a
@@ -861,8 +803,14 @@ def run_replications(
     replications, at most `workers` ahead of the one being added, so a
     failed run simulates at most that many beyond it; otherwise this
     process runs each in turn.
+
+    A scenario of utilization 1 or more raises ValueError before it runs:
+    its backlog grows without end, so its tails describe no steady state,
+    and the event store grows with the backlog.
     """
     scenario.policy.check_simulable()
+    if scenario.utilization >= 1:
+        raise ValueError("utilization %g >= 1: the queue is unstable" % scenario.utilization)
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0, got %d" % burn_in)
     if n_updates < burn_in + 2:
@@ -895,8 +843,8 @@ def run_replications(
                     _simulate_to_file(*args, r, burn_in, os.path.join(tmp, str(r)))
                     for r in range(n_reps)
                 )
-        for arrays, counts in replications:
+        for records, counts in replications:
             tails.peak_doi.add(counts)
-            for tail, array in zip((tails.delay, tails.peak_aoi), arrays):
-                tail.add(_FileSlice(*array))
+            for tail, record in zip((tails.delay, tails.peak_aoi), records):
+                tail.add(record)
     return tails

@@ -4,15 +4,15 @@ yields into whole delay, peak-age and peak-deviation arrays, and
 
 import numpy as np
 
-from agecalc.simulate import _CHUNK, _simulate_chunks
+from agecalc.simulate import _simulate_chunks
 
 
-def arrays(scenario, n, seed, replication, burn_in, chunk=_CHUNK):
+def arrays(scenario, n, seed, replication, burn_in):
     """A replication's burned-in arrays (delay, peak_aoi, peak_doi) in full,
     the deviations as floats, copied from each chunk _simulate_chunks yields:
     the reference for what _simulate_to_file writes and counts."""
     t, a, f = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    for done, (dt, da, dev) in _simulate_chunks(scenario, n, seed, replication, chunk):
+    for done, (dt, da, dev) in _simulate_chunks(scenario, n, seed, replication):
         lo = max(done - 1, 0)
         t[done:done + len(dt)] = dt
         a[lo:lo + len(da)] = da

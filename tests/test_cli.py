@@ -341,6 +341,19 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n.csv")]) == 2
         assert "burn_in" in capsys.readouterr().err
 
+    def test_unstable_queue_exit_2_writes_no_csv(self, tmp_path, capsys):
+        # utilization 2, which bound flags infeasible: simulate refuses the
+        # config before a run, with the utilization in the message
+        cfg = _write(
+            tmp_path, "u2.cfg",
+            "lambda = 1\nmu = 0.03125\npolicy = event\nalpha = 16\nepsilon = 1e-3\n"
+            "samples = 100000\n",
+        )
+        out = tmp_path / "u2.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert "simulate needs utilization < 1, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulator_nan_exit_3_writes_no_csv(self, tmp_path, capsys, monkeypatch):
         # a nan from the simulator is an internal numerical failure, not a
         # config error: the tails refuse it, the run exits 3, and no CSV is

@@ -58,24 +58,27 @@ def _file_backed(x):
     return read_only and os.fstat(x._fd).st_nlink == 0
 
 
+def _filed(x):
+    """The samples of x in a new file under TMPDIR, as the (path, length,
+    min, max) record a replication returns for it, with nan-keeping
+    extremes."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    fd, path = tempfile.mkstemp()
+    with open(fd, "wb", buffering=0) as f:
+        simulate._append(f, x)
+    return path, len(x), float(np.min(x)), float(np.max(x))
+
+
 def _raw(samples):
-    """A raw tail of the samples."""
+    """A raw tail of the samples, given in one file."""
     tail = EmpiricalTail()
-    tail.add(np.asarray(samples))
+    tail.add(_filed(samples))
     return tail
 
 
 def _read(s):
     """All the samples of a file slice, in an array."""
     return s.read_into(0, np.empty(len(s)))
-
-
-def _filed(x):
-    """The samples of x as a slice of an unnamed file, with x's extremes."""
-    fd, path = tempfile.mkstemp()
-    with open(fd, "wb", buffering=0) as f:
-        simulate._append(f, x)
-    return simulate._FileSlice(path, len(x), x.min(), x.max())
 
 
 BIG = float(np.finfo(np.float64).max)  # the largest finite sample
@@ -191,7 +194,7 @@ class TestFifoService:
 
 
 class TestPeakMetrics:
-    def test_hand_example(self):
+    def test_hand_example(self, monkeypatch):
         # arrivals 3, 6, ..., 18 and events every 2; with chunk 4 the peak
         # samples at index 3 span the chunk boundary. Served in 1 each, the
         # arrivals at 6 and 12 and the departures at 4, 10 and 16 fall on
@@ -203,8 +206,9 @@ class TestPeakMetrics:
             scenario = Scenario(
                 Deterministic(2.0), Deterministic(service), TimeTriggered(3.0), 1e-3
             )
-            for chunk in (4, simulate._CHUNK):
-                delay, aoi, doi = arrays(scenario, 6, 0, 0, burn_in=0, chunk=chunk)
+            for chunk in (4, _CHUNK):
+                monkeypatch.setattr(simulate, "_CHUNK", chunk)
+                delay, aoi, doi = arrays(scenario, 6, 0, 0, burn_in=0)
                 assert np.array_equal(delay, np.full(6, service))
                 assert np.array_equal(aoi, np.full(5, aoi_value))
                 assert np.array_equal(doi, doi_values)
@@ -277,8 +281,10 @@ class TestEmpiricalTail:
         assert tail.exceed_fraction(0.0) == 1.0
 
     def test_rejects_samples_that_are_not_finite(self):
-        # a nan, +inf or -inf sample, in an array or a file slice, after one
-        # add and after two: add raises before it changes the tail, which
+        # a nan, +inf or -inf sample in a record's file, or a record that
+        # gives one as an extreme of finite samples, after one add and after
+        # two: the check reads the record, not the file, and add unlinks the
+        # file all the same and raises before it changes the tail, which
         # answers as it did
         tail = EmpiricalTail()
 
@@ -286,42 +292,41 @@ class TestEmpiricalTail:
             return _state(tail), tail.quantiles([1.0, 0.5, 0.1]), tail.exceed_fraction(300.5)
 
         for _ in range(2):
-            tail.add(np.arange(1.0, 601.0))
+            tail.add(_filed(np.arange(1.0, 601.0)))
             before = state()
             for bad in (math.nan, math.inf, -math.inf):
                 for size in (2, 500):
                     x = np.arange(float(size))
+                    path, n, lo, hi = _filed(x)
                     x[size // 2] = bad
-                    for samples in (x, _filed(x)):
+                    given = (path, n, bad, hi) if bad < math.inf else (path, n, lo, bad)
+                    for record in (_filed(x), given):
                         with pytest.raises(ValueError, match="finite"):
-                            tail.add(samples)
+                            tail.add(record)
                         assert state() == before
+                        assert not os.path.exists(record[0])
 
     def test_raw_tail_keeps_the_chunks_it_was_given(self, tmp_path):
-        # a tail answers from the caller's arrays and file slices
-        # themselves: a query copies, sorts and writes none of them
+        # a tail opens and unlinks the file of each record it is given and
+        # answers from those files themselves: a query copies, sorts and
+        # writes none of them
         first = np.random.default_rng(31).exponential(1.0, 100_000)
-        tail = EmpiricalTail()
-        tail.add(first.copy())
-        given = tail._chunks[0]
         parts = [first[:40_000], first[40_000:]]
+        tail = EmpiricalTail()
         for k, p in enumerate(parts):
-            p.tofile(tmp_path / str(k))
-        mapped = EmpiricalTail()
-        slices = [simulate._FileSlice(str(tmp_path / str(k)), len(p), p.min(), p.max())
-                  for k, p in enumerate(parts)]
+            path = str(tmp_path / str(k))
+            p.tofile(path)
+            tail.add((path, len(p), float(p.min()), float(p.max())))
         assert list(tmp_path.iterdir()) == []
-        for x in slices:
-            assert _file_backed(x)
-            mapped.add(x)
+        slices = list(tail._chunks)
+        assert len(slices) == 2 and all(_file_backed(x) for x in slices)
         ordered = np.sort(first)
         eps_values = (1.0, 0.5, 1e-1, 1e-2, 1e-3)
         expected = [ordered[max(len(ordered) - 1 - round(eps * len(ordered)), 0)]
                     for eps in eps_values]
-        for t in (tail, mapped):
-            assert t.quantiles(eps_values) == [t.quantile(eps) for eps in eps_values] == expected
-        assert tail._chunks == [given] and mapped._chunks == slices
-        assert np.array_equal(given, first) and not os.listdir(tmp_path)
+        assert tail.quantiles(eps_values) == [tail.quantile(eps) for eps in eps_values] == expected
+        assert tail._chunks == slices and not os.listdir(tmp_path)
+        assert np.array_equal(np.concatenate([_read(x) for x in slices]), first)
         assert tail.exceed_fraction(2.0) == np.count_nonzero(first > 2.0) / len(first)
 
     @settings(max_examples=150, deadline=None)
@@ -369,25 +374,25 @@ class TestEmpiricalTail:
                                "two-valued", "all-equal", "signed-zeros", "tiny", "huge")),
         order=st.integers(0, 2**32 - 1),
         cuts=st.lists(st.integers(0, 5_000), max_size=4),
-        filed=st.lists(st.booleans(), min_size=5, max_size=5),
         eps=st.lists(st.floats(1e-6, 1.0), max_size=4),
         block=st.sampled_from((16, 256, _SCAN_BLOCK)),
         budget=st.sampled_from(((64, 32, 1.0), (512, 64, 0.0), (1 << 16, 1 << 13, 3.0))),
     )
-    def test_raw_queries_match_a_sort(self, values, repeat, bulk, shape, order, cuts, filed,
-                                      eps, block, budget):
+    def test_raw_queries_match_a_sort(self, values, repeat, bulk, shape, order, cuts, eps,
+                                      block, budget):
         # random multisets of finite samples with ties, ±0 and the largest
         # floats, plus a bulk of mostly distinct samples, shuffled or
         # sorted either way; or as many samples in a period of the values, unshuffled,
         # as a deterministic scenario's delays, half and half two values,
         # one value or ±0; or the two samples [1e-321, 0.0] or [1e308, 1.0].
-        # Cut into arrays and file slices, every quantile, alone or in a
-        # batch, is an order statistic of np.sort's, and every exceedance
-        # fraction the searchsorted count above the point. Blocks of 16 and
-        # 256 samples, a gather budget of 64 or 512 samples, a first
-        # subsample of 32 or 64 and pivots 0 or 1 deviation from their rank
-        # take the selection through several rounds, gathers that overflow,
-        # pivots that miss their rank and pivots tied with it
+        # Cut into files, every quantile, alone or in a batch, is an order
+        # statistic of np.sort's, and every exceedance fraction the
+        # searchsorted count above the point. Blocks of 16 and 256 samples,
+        # a gather budget of 64 or 512 samples, a first subsample of 32 or
+        # 64 and pivots 0 or 1 deviation from their rank take the selection
+        # through several rounds, gathers that overflow, pivots that miss
+        # their rank and pivots tied with it; the default budget takes every
+        # input, two samples or thousands, through the same rounds
         rng = np.random.default_rng(order)
         x = np.concatenate((np.repeat(np.array(values), repeat),
                             np.round(rng.standard_normal(bulk), 3)))
@@ -405,8 +410,9 @@ class TestEmpiricalTail:
         n = len(x)
         s = np.sort(x)
         tail = EmpiricalTail()
-        for part, as_file in zip(np.split(x, sorted(c % (n + 1) for c in cuts)), filed):
-            tail.add(_filed(part) if as_file and len(part) else part)
+        for part in np.split(x, sorted(c % (n + 1) for c in cuts)):
+            if len(part):
+                tail.add(_filed(part))
         # below 1/n, the largest; near 1, the second and sixth smallest,
         # ranks below n/2, whose pivots may start at the lowest sample
         eps_values = [1.0, 0.5, 0.5 / n, 1.0 / n, min(5.5 / n, 1.0), 0.05]
@@ -433,44 +439,23 @@ class TestEmpiricalTail:
         for p in points:
             assert tail.exceed_fraction(p) == float(n - np.searchsorted(s, p, side="right")) / n
 
-    @staticmethod
-    def _sorted_sizes(monkeypatch):
-        """The number of samples each block of a query's passes sorts."""
-        sizes, between = [], simulate._sorted_between
+    def test_ties_with_the_lowest_pivot_are_counted_not_sorted(self, monkeypatch):
+        # a tail of one value, as a deterministic scenario's delays, or of
+        # two with both ranks at the larger: every sample at the lowest pivot
+        # is counted, and the passes sort none
+        sizes, above = [], simulate._sorted_above
 
-        def recording(x, low, high, out, mask):
-            s, below, ties = between(x, low, high, out, mask)
+        def recording(x, low, out, mask):
+            s, below, ties = above(x, low, out, mask)
             sizes.append(len(s))
             return s, below, ties
 
-        monkeypatch.setattr(simulate, "_sorted_between", recording)
-        return sizes
-
-    def test_ties_with_the_lowest_pivot_are_counted_not_sorted(self, monkeypatch):
-        # past the gather budget, a tail of one value, as a deterministic
-        # scenario's delays, or of two with both ranks at the larger: every
-        # sample at the lowest pivot is counted, and the passes sort none
-        sizes = self._sorted_sizes(monkeypatch)
+        monkeypatch.setattr(simulate, "_sorted_above", recording)
         n = 200_000
         for x in (np.full(n, 4.0), np.resize([1.0, 4.0], n)):
             sizes.clear()
             assert _raw(x).quantiles([1e-3, 0.25]) == [4.0, 4.0]
             assert sizes and sum(sizes) == 0
-
-    def test_ranks_near_the_bottom_sort_only_samples_below_them(self, monkeypatch):
-        # ranks among the lowest n / _SUBSAMPLE samples start from -inf as
-        # their lower pivot: their passes sort the samples up to their
-        # upper pivots, not all of them, alone or in a batch with a rank
-        # near the top
-        sizes = self._sorted_sizes(monkeypatch)
-        n = 1_000_000
-        x = np.random.default_rng(3).exponential(1.0, n)
-        s = np.sort(x)
-        for batch in ([1 - 1e-6], [1 - 1e-5, 1 - 1e-4], [1 - 1e-5, 1e-3]):
-            sizes.clear()
-            expected = [s[n - 1 - math.floor(e * n + 1e-9)] for e in batch]
-            assert _raw(x).quantiles(batch) == expected
-            assert sum(sizes) < n // 20
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -515,15 +500,6 @@ class TestEmpiricalTail:
                 counted.add(np.array(samples))
         assert counted.n_samples == 50 and np.array_equal(counted.counts, np.ones(50))
 
-    def test_rejects_samples_that_are_not_1d(self):
-        tail = EmpiricalTail()
-        for samples in (np.ones((3, 4)), 2.5):
-            with pytest.raises(ValueError, match="1-D array"):
-                tail.add(samples)
-        assert tail.n_samples == 0
-        tail.add(np.arange(3.0))
-        assert tail.exceed_fraction(0.5) == pytest.approx(2 / 3)
-
     def test_nonincreasing_quantiles(self):
         rng = np.random.default_rng(2)
         tail = _raw(rng.exponential(1.0, 10_000))
@@ -532,9 +508,9 @@ class TestEmpiricalTail:
 
     @pytest.mark.parametrize("stage", ["raw", "raw-with-ties", "later-add"])
     def test_file_backed_tail_answers_as_in_memory(self, tmp_path, stage):
-        # the same samples given as file slices and as arrays: each answer
-        # is that of a sort and a search of all the samples in memory, bit
-        # for bit, before and after a later add
+        # samples given as files: each answer is that of a sort and a search
+        # of all the samples in memory, bit for bit, before and after a
+        # later add
         rng = np.random.default_rng(41)
         special = [0.0, -0.0, -1e300, 1e300]
         # ties just below the maximum, among the ranks that quantiles select
@@ -542,15 +518,14 @@ class TestEmpiricalTail:
         special += [BIG]
         parts = [np.round(rng.exponential(1.0, 1_500), 2) for _ in range(3)]
         parts[0] = np.concatenate((parts[0][:700], special, parts[0][700:]))
-        filed, given = EmpiricalTail(), EmpiricalTail()
+        tail = EmpiricalTail()
 
         def add(k):
             path = str(tmp_path / str(k))
             parts[k].tofile(path)
-            filed.add(simulate._FileSlice(path, len(parts[k]), parts[k].min(), parts[k].max()))
-            given.add(parts[k].copy())
+            tail.add((path, len(parts[k]), float(parts[k].min()), float(parts[k].max())))
 
-        def answers(tail, eps_values, points):
+        def answers(eps_values, points):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", InsufficientSamples)
                 q = [tail.quantile(eps) for eps in eps_values]
@@ -566,8 +541,7 @@ class TestEmpiricalTail:
                        for y in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
             expected = [s[max(n - 1 - math.floor(eps * n + 1e-9), 0)] for eps in eps_values]
             expected += [float(n - np.searchsorted(s, p, side="right")) / n for p in points]
-            for tail in (filed, given):
-                assert answers(tail, eps_values, points) == np.array(expected).tobytes()
+            assert answers(eps_values, points) == np.array(expected).tobytes()
 
         add(0)
         add(1)
@@ -577,8 +551,8 @@ class TestEmpiricalTail:
             check(3)
 
     def test_first_query_keeps_no_sample_in_memory(self):
-        # a tail given arrays keeps them, and a query adds no copy of them:
-        # at any epsilon its buffers have one fixed size, within 1 MiB, and
+        # a tail keeps its samples in files, and a query reads them into
+        # buffers of one fixed size at any epsilon, within 1 MiB, of which
         # none keeps anything once it returns
         n = 1_000_000
         for eps in (0.5, 1e-1, 1e-3):
@@ -586,20 +560,20 @@ class TestEmpiricalTail:
             try:
                 tail = EmpiricalTail()
                 for seed in (1, 2):
-                    tail.add(np.random.default_rng(seed).exponential(1.0, n // 2))
+                    tail.add(_filed(np.random.default_rng(seed).exponential(1.0, n // 2)))
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 tail.quantile(eps)
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert before >= 8 * n
+            assert before < 1 << 16
             assert peak - before <= 1 << 20, eps
             assert held - before < 1 << 16
 
     def test_raw_query_writes_no_file(self, tmp_path):
         # with a file size limit of 0 set once the tail holds its samples,
-        # in arrays and in a file slice, a child process's raw queries
+        # in two files, a child process's raw queries
         # answer as they do without the limit, each rank found by selection,
         # and no file appears under TMPDIR
         pytest.importorskip("resource")
@@ -609,12 +583,11 @@ class TestEmpiricalTail:
             "from agecalc import EmpiricalTail, simulate\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
             "x = np.random.default_rng(3).exponential(1.0, 100_000)\n"
-            "y = x[60_000:]\n"
-            "with open(sys.argv[1], 'wb', buffering=0) as f:\n"
-            "    simulate._append(f, y)\n"
             "tail = EmpiricalTail()\n"
-            "tail.add(x[:60_000].copy())\n"
-            "tail.add(simulate._FileSlice(sys.argv[1], len(y), y.min(), y.max()))\n"
+            "for k, y in enumerate((x[:60_000], x[60_000:])):\n"
+            "    with open(sys.argv[1] + str(k), 'wb', buffering=0) as f:\n"
+            "        simulate._append(f, y)\n"
+            "    tail.add((sys.argv[1] + str(k), len(y), float(y.min()), float(y.max())))\n"
             "def answers():\n"
             "    q = tail.quantiles([1.0, 0.5, 1e-1, 1e-3, 1e-5])\n"
             "    return repr(q + [tail.quantile(0.2), tail.exceed_fraction(2.0)])\n"
@@ -927,7 +900,8 @@ class TestRunReplications:
         ]
         for events, policy, service, chunk, n in cases:
             scenario = Scenario(events, service, policy, 1e-3)
-            got = arrays(scenario, n, 99, 2, burn_in=0, chunk=chunk)
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            got = arrays(scenario, n, 99, 2, burn_in=0)
             ref = _concat_simulate(scenario, n, 99, 2, chunk)
             for x, y in zip(got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -1238,16 +1212,17 @@ class TestRunReplications:
             (2, 0),
         ],
     )
-    def test_file_holds_the_serial_arrays(self, tmp_path, policy, n, burn_in):
+    def test_file_holds_the_serial_arrays(self, tmp_path, monkeypatch, policy, n, burn_in):
         # chunks of 1,024: each array's file, appended to chunk by chunk,
         # holds the burned-in delay or peak-age array of the chunks
         # _simulate_chunks yields bit for bit, 8 B per update each, the
         # reported extremes are theirs, and the counts are those of the
         # burned-in deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-        delay, aoi, doi = arrays(scenario, n, 99, 1, burn_in, chunk=1_024)
+        monkeypatch.setattr(simulate, "_CHUNK", 1_024)
+        delay, aoi, doi = arrays(scenario, n, 99, 1, burn_in)
         path = str(tmp_path / "1")
-        records, counts = _simulate_to_file(scenario, n, 99, 1, burn_in, path, chunk=1_024)
+        records, counts = _simulate_to_file(scenario, n, 99, 1, burn_in, path)
         assert [name for name, _, _, _ in records] == [path + ".delay", path + ".peak_aoi"]
         for (name, _, _, _), x in zip(records, (delay, aoi)):
             with open(name, "rb") as f:
@@ -1352,14 +1327,15 @@ class TestRunReplications:
         # are the same bytes
         scenario = Scenario(events, service, policy, 1e-3)
         monkeypatch.setattr(simulate, "_BLOCK", 512)
+        monkeypatch.setattr(simulate, "_CHUNK", 1_000)
         runs = []
         for limits in ((simulate._PIECE, simulate._PIECE_EVENTS, simulate._DRAW, simulate._STORE),
                        (7, 50, 13, 64)):
             with mock.patch.multiple(simulate, **dict(zip(("_PIECE", "_PIECE_EVENTS", "_DRAW",
                                                             "_STORE"), limits))):
-                got = list(arrays(scenario, n, 99, 3, burn_in=0, chunk=1_000))
+                got = list(arrays(scenario, n, 99, 3, burn_in=0))
                 path = str(tmp_path / str(len(runs)))
-                records, counts = _simulate_to_file(scenario, n, 99, 3, 100, path, chunk=1_000)
+                records, counts = _simulate_to_file(scenario, n, 99, 3, 100, path)
             for name, *shape in records:
                 with open(name, "rb") as f:
                     got += [np.frombuffer(f.read()), np.array(shape)]
@@ -1401,7 +1377,8 @@ class TestRunReplications:
         metrics = {}
         for chunk in (1 << 16, 1 << 18):
             draws[chunk] = {STREAM_EVENTS: [], STREAM_SERVICE: []}
-            metrics[chunk] = arrays(scenario, n, 11, 3, burn_in=0, chunk=chunk)
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            metrics[chunk] = arrays(scenario, n, 11, 3, burn_in=0)
         events, service = (
             [np.concatenate(draws[chunk][sid]) for chunk in draws]
             for sid in (STREAM_EVENTS, STREAM_SERVICE)
@@ -1426,20 +1403,30 @@ class TestRunReplications:
             with pytest.raises(ValueError, match="workers"):
                 run_replications(scenario, 3_000, 2, 1, burn_in=100, workers=workers)
 
+    def test_rejects_an_unstable_queue_before_it_runs(self, monkeypatch):
+        # utilization 2 and exactly 1: the backlog grows without end, so no
+        # replication is simulated
+        monkeypatch.setattr(simulate, "_simulate_to_file", None)
+        for service in (Exponential(1.0 / 32.0), Deterministic(16.0)):
+            scenario = Scenario(Exponential(1.0), service, EventTriggered(16), 1e-3)
+            with pytest.raises(ValueError, match="utilization %g >= 1" % scenario.utilization):
+                run_replications(scenario, 3_000, 1, 1, burn_in=100)
+
     def test_rejects_negative_burn_in(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         with pytest.raises(ValueError, match="burn_in"):
             run_replications(scenario, 3_000, 1, 1, burn_in=-5)
 
-    def test_chunked_path_matches_operation_path(self):
+    def test_chunked_path_matches_operation_path(self, monkeypatch):
         # the streaming path, in chunks shorter than the run, against a brute
         # force over the same streams: the FIFO recursion
         # D(n) = max(A(n), D(n-1)) + L(n) as a loop, and event counts by one
         # search over the whole event array
         n = 5_000
+        monkeypatch.setattr(simulate, "_CHUNK", 1_024)
         for policy in (EventTriggered(3), TimeTriggered(2.0)):
             scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-            t, a, f = arrays(scenario, n, 99, 0, burn_in=0, chunk=1_024)
+            t, a, f = arrays(scenario, n, 99, 0, burn_in=0)
 
             times = EventStream(scenario.event_model, derive_rng(99, 0, STREAM_EVENTS)).take(
                 0, 1 << 16
