@@ -25,15 +25,16 @@ rounding of every delay and peak age. The pieces each chunk is simulated
 in are not: at most _PIECE updates and about _PIECE_EVENTS events, which
 the stream draws lazily, carrying each block's running sum from draw to
 draw, and discards once no later piece reads them. So a replication's
-working set is one piece's arrays and a store of _STORE events, under
-4 MiB at any sample count and any events per update; the store grows
-only when the queue's backlog spans more events than it holds.
+working set is one piece's arrays and a store of _STORE events, one
+piece's window (768 KiB), under 2 MiB at any sample count and any events
+per update; the store grows, with a quarter of headroom, only when a
+piece's window with the queue's backlog comes near its size.
 
 Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
 calling process does: its delay and peak-age arrays each have a file of
 their own, to which each piece is appended as soon as it is computed, so a
-replication holds one piece per array (at most 2^14 updates, 128 KB), never
+replication holds one piece per array (at most 2^13 updates, 64 KB), never
 the whole replication. Peak deviation is an event count, and its tail, a
 `CountTail`, holds one count per value, exact at any sample count, so each
 piece's deviations are counted past the burn-in instead. The replication
@@ -84,12 +85,14 @@ STREAM_SERVICE = 1
 
 _BLOCK = 1 << 16
 _CHUNK = 1 << 16
-_PIECE = 1 << 14  # updates simulated at once, at most
-_PIECE_EVENTS = 1 << 17  # events the updates of a piece sample, on average
+_PIECE = 1 << 13  # updates simulated at once, at most
+_PIECE_EVENTS = 1 << 16  # events the updates of a piece sample, on average
 _DRAW = 1 << 14  # events a count draws at once
-# events the store holds at least: twice a piece's window with its draws, so
-# the window moves to the front of the store about every other piece
-_STORE = 2 * (_PIECE_EVENTS + 2 * _DRAW)
+# events the store holds at least: one piece's window with two draws ahead.
+# Once a piece's events are discarded only the backlog and the draw ahead
+# stay live, so the window moves to the front of the store about once a
+# piece, a copy of one or two draws (16 to 33 Ki events)
+_STORE = _PIECE_EVENTS + 2 * _DRAW
 _SCAN_BLOCK = 1 << 14  # samples a tail query reads and compares at once: they stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
 DEFAULT_BURN_IN = 10_000
@@ -202,9 +205,11 @@ class EventStream:
         """Times of events start+1 ... start+k.
 
         The result is a view into the store, valid until the next call on
-        the stream; copy it to keep it longer. Raises ValueError if any of
-        these events has been discarded.
+        the stream; copy it to keep it longer. Raises ValueError if k is
+        negative or any of these events has been discarded.
         """
+        if k < 0:
+            raise ValueError("take(..., %d) of a negative count" % k)
         if start < self._first - 1:
             raise ValueError("take(%d, ...) reads discarded events" % start)
         self.reserve(start + k)
@@ -216,7 +221,13 @@ class EventStream:
     def count_upto(self, times: np.ndarray) -> np.ndarray:
         """Event counts at each time of a nondecreasing array; ties count.
 
-        Times must not precede the last discarded event.
+        Raises ValueError, before drawing any event, if the last time is
+        not finite (an infinite one would draw without end, a nan one would
+        count nothing) or if the anchor times, every _COUNT_BLOCK-th time
+        and the last, are not nondecreasing. Not checked, as that would read
+        every time: the order of the times between two anchors, whose counts
+        are then not a search's, and times before the last discarded event,
+        which must not occur.
         """
         times = np.asarray(times, dtype=np.float64)
         n = len(times)
@@ -224,19 +235,23 @@ class EventStream:
         if n == 0:
             return counts
         t = float(times[-1])
-        while self._last_time <= t:
-            if not self._undrawn:
-                self.reserve(self._generated + _BLOCK)
-            self._draw(min(self._undrawn[0], _DRAW))
-        live = self._store[self._lo:self._hi]
+        if not math.isfinite(t):
+            raise ValueError("count_upto needs a finite last time, got %r" % t)
         # anchors: the counts at every _COUNT_BLOCK-th time and at the last
         # one. The counts of the times from one anchor to the next lie
         # between theirs, so each block searches only the events in between,
         # a slice that stays in L2, and the counts are exactly those of a
         # search of the whole window.
         at = np.minimum(np.arange(0, n + _COUNT_BLOCK, _COUNT_BLOCK), n - 1)
-        anchors = np.searchsorted(live, times[at], side="right")
-        anchors = anchors.tolist()
+        marks = times[at]
+        if not (marks[1:] >= marks[:-1]).all():  # a nan anchor fails too
+            raise ValueError("count_upto needs nondecreasing times")
+        while self._last_time <= t:
+            if not self._undrawn:
+                self.reserve(self._generated + _BLOCK)
+            self._draw(min(self._undrawn[0], _DRAW))
+        live = self._store[self._lo:self._hi]
+        anchors = np.searchsorted(live, marks, side="right").tolist()
         for b, i in enumerate(range(0, n, _COUNT_BLOCK)):
             lo, hi = anchors[b], anchors[b + 1]
             found = np.searchsorted(live[lo:hi], times[i:i + _COUNT_BLOCK], side="right")
@@ -635,7 +650,8 @@ def _simulate_chunks(
     three arrays: its m delays, and the peak ages and peak deviations (event
     counts) of updates max(done - 1, 0) ... done + m - 2, as a peak needs the
     next update's departure. The arrays are buffers of one piece, which the
-    next piece overwrites.
+    next piece overwrites. Raises ValueError at the first piece whose
+    departures are not all finite, before it counts events at them.
     """
     policy = scenario.policy
     policy.check_simulable()
@@ -662,6 +678,11 @@ def _simulate_chunks(
             arr = policy.arrivals(events, first, m)
             service = sample(scenario.service_model, rng_service, m)
             dep, local, run_max = _fifo_chunk(arr, service, service_sum, run_max, local)
+            if not math.isfinite(dep[-1]):
+                # a nan or infinite time, which the running maximum carries to
+                # every later departure: no event count can be taken at it
+                raise ValueError("samples must be finite, got departure %r of update %d"
+                                 % (float(dep[-1]), done + m))
             carry = 1 if done > 0 else 0
             t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
 

@@ -30,8 +30,8 @@ from agecalc import (
 )
 from agecalc.cli import main
 from agecalc.simulate import _fifo_chunk
-from agecalc.sweeps import FIGURES, SLOPE_EPS, make_model
-from simulated import arrays
+from agecalc.sweeps import FIGURES, SLOPE_EPS
+from simulated import arrays, soundness_plan
 
 SAMPLE_BUDGET = 10_000_000
 REP_SIZE = 2_000_000
@@ -155,41 +155,10 @@ def test_criterion_6_deviation_optimal_parameters():
     _report(6, "deviation optima at threshold 8 and interval near 13, within 10%", check)
 
 
-def _soundness_plan():
-    # 12 scenarios spanning both policies, both event kinds, both service
-    # kinds, at utilizations 0.25 / 0.5 / 0.8. Event rate 1 for the
-    # event-triggered rows keeps the coupled threshold integral.
-    plan = []
-    for u, pairs in (
-        (0.25, (("tt", "exponential", "exponential"), ("tt", "deterministic", "deterministic"),
-                ("et", "exponential", "exponential"), ("et", "deterministic", "deterministic"))),
-        (0.5, (("tt", "exponential", "deterministic"), ("tt", "deterministic", "exponential"),
-               ("et", "exponential", "deterministic"), ("et", "deterministic", "exponential"))),
-        (0.8, (("tt", "exponential", "exponential"), ("tt", "deterministic", "deterministic"),
-               ("et", "exponential", "exponential"), ("et", "deterministic", "deterministic"))),
-    ):
-        for policy_kind, event_kind, service_kind in pairs:
-            mu = 0.25
-            lam = 0.5 if policy_kind == "tt" else 1.0
-            if policy_kind == "tt":
-                policy = TimeTriggered(interval=1.0 / (u * mu))
-            else:
-                alpha = lam / (u * mu)
-                assert alpha == int(alpha)
-                policy = EventTriggered(threshold=int(alpha))
-            scenario = Scenario(
-                make_model(event_kind, lam), make_model(service_kind, mu), policy, 1e-3
-            )
-            assert scenario.utilization == pytest.approx(u, rel=1e-12)
-            label = "%s-%s-%s-u%02.0f" % (policy_kind, event_kind[0], service_kind[0], u * 100)
-            plan.append((label, scenario))
-    return plan
-
-
 def test_criterion_7_bound_dominance_suite():
     def check():
         eps = 1e-3
-        for seed_offset, (label, scenario) in enumerate(_soundness_plan()):
+        for seed_offset, (label, scenario) in enumerate(soundness_plan()):
             bounds = {}
             bounds["delay"] = optimize_theta(scenario, Metric.DELAY).value
             bounds["peak_aoi"] = optimize_theta(scenario, Metric.PEAK_AOI).value

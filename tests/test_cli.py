@@ -356,8 +356,8 @@ class TestCli:
 
     def test_simulator_nan_exit_3_writes_no_csv(self, tmp_path, capsys, monkeypatch):
         # a nan from the simulator is an internal numerical failure, not a
-        # config error: the tails refuse it, the run exits 3, and no CSV is
-        # written
+        # config error: the simulator refuses it, the run exits 3, and no
+        # CSV is written
         monkeypatch.setattr(simulate, "sample", nan_in_second_service_draw(simulate.sample))
         cfg = _write(
             tmp_path, "tt.cfg",

@@ -47,7 +47,7 @@ from agecalc.simulate import (
     _fifo_chunk,
     _simulate_to_file,
 )
-from simulated import arrays, nan_in_second_service_draw
+from simulated import arrays, nan_in_second_service_draw, soundness_plan
 
 
 def _file_backed(x):
@@ -652,6 +652,31 @@ class TestEventStream:
         expected = EventStream(Exponential(1.0), 5).take(n, 3).copy()
         assert np.array_equal(stream.take(n, 3), expected)
 
+    @pytest.mark.parametrize(
+        "times",
+        [[1.0, math.inf], [1.0, math.nan], [5.0, 1.0, 3.0],
+         # the anchor at time 1024 precedes the one at time 0; the times
+         # between anchors are in order
+         np.r_[np.arange(1.0, 1025.0), 0.5, np.arange(1026.0, 1500.0)]],
+        ids=["inf-last", "nan-last", "decreasing", "decreasing-anchor"],
+    )
+    def test_count_upto_rejects_times_it_cannot_count(self, times):
+        # an infinite last time would draw without end, a nan one counted
+        # nothing, and decreasing times got counts that are not a search's
+        # ([9, 9, 9] for [5, 1, 3]); each raises before an event is drawn
+        stream = EventStream(Exponential(1.0), 1)
+        with pytest.raises(ValueError, match="finite|nondecreasing"):
+            stream.count_upto(np.array(times))
+        assert stream._drawn() == 0
+        ok = np.array([1.0, 3.0, 5.0])
+        assert np.array_equal(stream.count_upto(ok), EventStream(Exponential(1.0), 1).count_upto(ok))
+
+    def test_take_rejects_a_negative_count(self):
+        stream = EventStream(Exponential(1.0), 1)
+        with pytest.raises(ValueError, match="negative"):
+            stream.take(0, -3)
+        assert len(stream.take(0, 0)) == 0
+
     def test_discard_past_generated_events_raises(self):
         stream = EventStream(Exponential(1.0), 5)
         stream.take(0, 10)
@@ -1184,9 +1209,9 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_sample_fails_the_run(self, monkeypatch, tmp_path, workers):
-        # a nan service time makes every later delay and peak age of its
-        # replication nan: the replication reports nan extremes, which the
-        # tails refuse without a read, so the run raises and leaves no file
+        # a nan service time makes every later departure of its replication
+        # nan: the replication raises at the first, before it counts events
+        # at it, so the run raises and leaves no file
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(simulate, "sample", nan_in_second_service_draw(simulate.sample))
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
@@ -1287,22 +1312,46 @@ class TestRunReplications:
         assert (tmp_path / "0.delay").stat().st_size == limit
 
     @pytest.mark.parametrize(
-        "policy, rate",
-        [(EventTriggered(16), 1.0), (EventTriggered(200), 1.0),
-         (TimeTriggered(8.0), 1.0), (TimeTriggered(200.0), 1.0)],
-        ids=["event-16", "event-200", "time-8", "time-200"],
+        "policy, service",
+        [(EventTriggered(16), Exponential(0.25)), (EventTriggered(200), Exponential(0.25)),
+         (TimeTriggered(8.0), Exponential(0.25)), (TimeTriggered(200.0), Exponential(0.25)),
+         # 2.5 events per update: the update cap, not the events, sets the piece
+         (TimeTriggered(2.5), Exponential(0.5)),
+         # utilization 0.95: the largest backlog the store holds besides a piece
+         (EventTriggered(4), Exponential(1.0 / 3.8))],
+        ids=["event-16", "event-200", "time-8", "time-200", "time-2.5", "event-4-u95"],
     )
-    def test_working_set_is_bounded(self, tmp_path, policy, rate):
-        # 8 to 200 events per update, three chunks: a replication draws,
+    def test_working_set_is_bounded(self, tmp_path, policy, service):
+        # 2.5 to 200 events per update, three chunks: a replication draws,
         # counts and writes pieces of at most _PIECE updates and about
-        # _PIECE_EVENTS events into a store of _STORE events, so its peak
-        # stays under 4 MiB at any events per update, where the whole
-        # chunk's events took 15 MiB at threshold 16 and 130 MiB at 200
-        scenario = Scenario(Exponential(rate), Exponential(0.25), policy, 1e-3)
+        # _PIECE_EVENTS events into a store of _STORE events, one piece's
+        # window, so its peak stays under 2 MiB at any events per update,
+        # where the whole chunk's events took 15 MiB at threshold 16 and
+        # 130 MiB at 200, and a store of two windows 2.6 to 3.8 MiB
+        scenario = Scenario(Exponential(1.0), service, policy, 1e-3)
         peak = _traced_peak(
             lambda: _simulate_to_file(scenario, 3 * _CHUNK, 5, 0, 1_000, str(tmp_path / "0"))
         )
-        assert peak < 4 << 20
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize(
+        "scenario", [pytest.param(scenario, id=label) for label, scenario in soundness_plan()]
+    )
+    def test_store_never_grows_on_the_dominance_plan(self, monkeypatch, scenario):
+        # once a piece's events are discarded only the backlog and the draw
+        # ahead stay live, so each piece's window fits the store of _STORE
+        # events, which moves it to the front instead of growing
+        sizes = set()
+
+        class SpyStream(EventStream):
+            def _draw(self, k):
+                super()._draw(k)
+                sizes.add(len(self._store))
+
+        monkeypatch.setattr(simulate, "EventStream", SpyStream)
+        for _ in simulate._simulate_chunks(scenario, 3 * _CHUNK, 11, 0):
+            pass
+        assert sizes == {_STORE}
 
     @pytest.mark.parametrize(
         "events, policy, service, n",
