@@ -24,11 +24,12 @@ up front, and a block adds the stream's last time once, so they set the
 rounding of every delay and peak age. The pieces each chunk is simulated
 in are not: at most _PIECE updates and about _PIECE_EVENTS events, which
 the stream draws lazily, carrying each block's running sum from draw to
-draw, and discards once no later piece reads them. So a replication's
-working set is one piece's arrays and a store of _STORE events, one
-piece's window (768 KiB), under 2 MiB at any sample count and any events
-per update; the store grows, with a quarter of headroom, only when a
-piece's window with the queue's backlog comes near its size.
+draw, and discards once no later piece reads them. Each discard moves the
+events that stay live to the front of the store, and the store grows,
+with a quarter of headroom, only when a draw does not fit after them. So a
+replication's working set is one piece's arrays and a store of _STORE
+events, one piece's window (768 KiB), under 2 MiB at any sample count and
+any events per update.
 
 Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
@@ -90,8 +91,8 @@ _PIECE_EVENTS = 1 << 16  # events the updates of a piece sample, on average
 _DRAW = 1 << 14  # events a count draws at once
 # events the store holds at least: one piece's window with two draws ahead.
 # Once a piece's events are discarded only the backlog and the draw ahead
-# stay live, so the window moves to the front of the store about once a
-# piece, a copy of one or two draws (16 to 33 Ki events)
+# stay live, and the discard moves them to the front of the store, a copy
+# of one or two draws (16 to 33 Ki events)
 _STORE = _PIECE_EVENTS + 2 * _DRAW
 _SCAN_BLOCK = 1 << 14  # samples a tail query reads and compares at once: they stay in L2
 _COUNT_BLOCK = 1 << 10  # times counted per pass against one slice of events
@@ -139,11 +140,10 @@ class EventStream:
     every time has the bits of a whole-block draw.
 
     Drawn events live in one store, written once where they are drawn: the
-    live window `_store[_lo:_hi]` holds the events from global 1-based index
-    `_first` on. Discarded events leave the window; when a draw does not fit
-    after it, the window moves to the front of the store if that copy is no
-    larger than the discarded prefix, and otherwise into a new store with a
-    quarter of headroom, at least _STORE events.
+    live window `_store[:_hi]` holds the events from global 1-based index
+    `_first` on. `discard` moves the events that survive it to the front of
+    the store, and a draw that does not fit after them moves the window into
+    a new store with a quarter of headroom, at least _STORE events.
     """
 
     def __init__(self, model: DistributionModel, seed: Union[int, np.random.Generator]):
@@ -153,27 +153,21 @@ class EventStream:
         else:
             self.rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         self._store = np.empty(0)
-        self._lo = self._hi = 0
-        self._first = 1  # global 1-based index of _store[_lo]
-        self._generated = 0  # events of every block added
+        self._hi = 0
+        self._first = 1  # global 1-based index of _store[0]
         self._undrawn: deque = deque()  # events of each block not drawn yet
         self._base = 0.0  # the time the block being drawn adds to its sums
-        self._sum = 0.0  # the running sum of its draws so far
-        self._last_time = 0.0  # of the last event drawn
+        self._sum = 0.0  # the running sum of its draws so far; _base + _sum is the last time drawn
 
     def _drawn(self) -> int:
-        return self._first - 1 + self._hi - self._lo
+        return self._first - 1 + self._hi
 
     def _draw(self, k: int) -> None:
         """Draw the next k of the events generated into the store."""
-        live = self._hi - self._lo
         if self._hi + k > len(self._store):
-            if live <= self._lo and live + k <= len(self._store):
-                store = self._store
-            else:
-                store = np.empty(max((live + k) * 5 // 4, _STORE))
-            store[:live] = self._store[self._lo:self._hi]
-            self._store, self._lo, self._hi = store, 0, live
+            store = np.empty(max((self._hi + k) * 5 // 4, _STORE))
+            store[:self._hi] = self._store[:self._hi]
+            self._store = store
         while k:
             n = min(k, self._undrawn[0])
             # draw into the store, carry the running sum into the first
@@ -185,21 +179,19 @@ class EventStream:
             np.cumsum(x, out=x)
             self._sum = float(x[-1])
             x += self._base
-            self._last_time = float(x[-1])
             self._hi += n
             k -= n
             self._undrawn[0] -= n
             if not self._undrawn[0]:
                 self._undrawn.popleft()
-                self._base, self._sum = self._last_time, 0.0
+                self._base, self._sum = self._base + self._sum, 0.0
 
     def reserve(self, count: int) -> None:
         """Generate events 1 ... count, in one block of those missing (at
         least _BLOCK), without drawing them yet."""
-        if self._generated < count:
-            k = max(count - self._generated, _BLOCK)
-            self._undrawn.append(k)
-            self._generated += k
+        lacking = count - self._drawn() - sum(self._undrawn)
+        if lacking > 0:
+            self._undrawn.append(max(lacking, _BLOCK))
 
     def take(self, start: int, k: int) -> np.ndarray:
         """Times of events start+1 ... start+k.
@@ -215,7 +207,7 @@ class EventStream:
         self.reserve(start + k)
         if self._drawn() < start + k:
             self._draw(start + k - self._drawn())
-        i0 = self._lo + start - (self._first - 1)
+        i0 = start - (self._first - 1)
         return self._store[i0:i0 + k]
 
     def count_upto(self, times: np.ndarray) -> np.ndarray:
@@ -246,11 +238,11 @@ class EventStream:
         marks = times[at]
         if not (marks[1:] >= marks[:-1]).all():  # a nan anchor fails too
             raise ValueError("count_upto needs nondecreasing times")
-        while self._last_time <= t:
+        while self._base + self._sum <= t:
             if not self._undrawn:
-                self.reserve(self._generated + _BLOCK)
+                self.reserve(self._drawn() + _BLOCK)
             self._draw(min(self._undrawn[0], _DRAW))
-        live = self._store[self._lo:self._hi]
+        live = self._store[:self._hi]
         anchors = np.searchsorted(live, marks, side="right").tolist()
         for b, i in enumerate(range(0, n, _COUNT_BLOCK)):
             lo, hi = anchors[b], anchors[b + 1]
@@ -261,13 +253,17 @@ class EventStream:
     def discard(self, count: int) -> None:
         """Forget events 1 ... count, which must all have been generated;
         those not drawn yet are drawn first."""
-        if count > self._generated:
-            raise ValueError("discard(%d) past the %d events generated" % (count, self._generated))
+        generated = self._drawn() + sum(self._undrawn)
+        if count > generated:
+            raise ValueError("discard(%d) past the %d events generated" % (count, generated))
         if count > self._drawn():
             self._draw(count - self._drawn())
         k = count - (self._first - 1)
         if k > 0:
-            self._lo += k
+            # the survivors move to the front: numpy copies an overlapping
+            # 1-D slice in place, through no buffer
+            self._hi -= k
+            self._store[:self._hi] = self._store[k:k + self._hi]
             self._first += k
 
 
@@ -342,11 +338,12 @@ def _blocks(samples: _FileSlice, size: int) -> Iterator[np.ndarray]:
         yield samples.read_into(i, buf[:min(size, n - i)])
 
 
-def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
-    """floor(epsilon * n + 1e-9) for each epsilon, the samples its quantile
-    may leave above it; warns InsufficientSamples at the query's caller for
+def _ranks(epsilons: Sequence[float], n: int) -> List[int]:
+    """The rank max(n - 1 - floor(epsilon * n + 1e-9), 0) in the n sorted
+    samples of each epsilon's quantile, which leaves at most a fraction
+    epsilon above it; warns InsufficientSamples at the query's caller for
     each epsilon with n < 10/epsilon."""
-    allowed = []
+    ranks = []
     for epsilon in epsilons:
         if not 0 < epsilon <= 1:
             raise ValueError("epsilon must be in (0, 1], got %r" % (epsilon,))
@@ -358,8 +355,8 @@ def _allowances(epsilons: Sequence[float], n: int) -> List[int]:
                 InsufficientSamples,
                 stacklevel=3,
             )
-        allowed.append(math.floor(epsilon * n + 1e-9))
-    return allowed
+        ranks.append(max(n - 1 - math.floor(epsilon * n + 1e-9), 0))
+    return ranks
 
 
 def _sorted_above(
@@ -521,12 +518,10 @@ class EmpiricalTail:
         self._min, self._max = min(self._min, lo), max(self._max, hi)
         self._chunks.append(samples)
 
-    def _at(self, allowed: Sequence[int]) -> List[float]:
-        # s[k] of the samples s sorted, at each rank k = n - 1 - allowed (0
-        # at least). s[0] is the minimum and s[n - 1] the maximum; every
-        # other rank is selected
+    def _at(self, ranks: Sequence[int]) -> List[float]:
+        # s[k] of the samples s sorted, at each rank k. s[0] is the minimum
+        # and s[n - 1] the maximum; every other rank is selected
         n = self._n
-        ranks = [max(n - 1 - a, 0) for a in allowed]
         known = {0: self._min, n - 1: self._max}
         rest = [k for k in ranks if k not in known]
         if rest:
@@ -538,11 +533,11 @@ class EmpiricalTail:
 
         Warns InsufficientSamples when fewer than 10/epsilon samples exist.
         """
-        return self._at(_allowances((epsilon,), self._n))[0]
+        return self._at(_ranks((epsilon,), self._n))[0]
 
     def quantiles(self, epsilons: Sequence[float]) -> List[float]:
         """[quantile(e) for e in epsilons], from one selection."""
-        return self._at(_allowances(epsilons, self._n))
+        return self._at(_ranks(epsilons, self._n))
 
     def exceed_fraction(self, x: float) -> float:
         """Fraction of samples strictly greater than x."""
@@ -589,9 +584,8 @@ class CountTail:
         self.counts[:len(counts)] += counts
         self.n_samples += int(counts.sum())
 
-    def _at(self, allowed: Sequence[int]) -> List[float]:
-        # s[max(n - 1 - allowed, 0)] of the sorted samples s
-        ranks = [max(self.n_samples - 1 - a, 0) for a in allowed]
+    def _at(self, ranks: Sequence[int]) -> List[float]:
+        # s[k] of the sorted samples s, at each rank k
         return np.searchsorted(np.cumsum(self.counts), ranks, side="right").astype(float).tolist()
 
     def quantile(self, epsilon: float) -> float:
@@ -599,11 +593,11 @@ class CountTail:
 
         Warns InsufficientSamples when fewer than 10/epsilon samples exist.
         """
-        return self._at(_allowances((epsilon,), self.n_samples))[0]
+        return self._at(_ranks((epsilon,), self.n_samples))[0]
 
     def quantiles(self, epsilons: Sequence[float]) -> List[float]:
         """[quantile(e) for e in epsilons], from one cumulative count."""
-        return self._at(_allowances(epsilons, self.n_samples))
+        return self._at(_ranks(epsilons, self.n_samples))
 
     def exceed_fraction(self, x: float) -> float:
         """Fraction of samples strictly greater than x."""

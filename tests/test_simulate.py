@@ -715,10 +715,10 @@ class TestEventStream:
 
         class Recording(EventStream):
             def reserve(self, count):
-                generated = self._generated
+                added = len(self._undrawn)
                 super().reserve(count)
-                if self._generated > generated:
-                    blocks.append(self._generated - generated)
+                if len(self._undrawn) > added:
+                    blocks.append(self._undrawn[-1])
 
         stream = Recording(model, seed)
         # discarded: events 1 ... discarded are gone, the last at time
@@ -798,9 +798,9 @@ class TestEventStream:
         first = stream.take(0, _STORE - 10)
         kept = first.copy()
         assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(0, _STORE - 10))
-        # the next draw, too large for the room after the window, lands
-        # where the discarded events were: a view kept across calls
-        # changes, which is why EventTriggered.arrivals copies
+        # the discard leaves no event to move, so the next draw lands at the
+        # front of the store, where the discarded events were: a view kept
+        # across calls changes, which is why EventTriggered.arrivals copies
         stream.discard(_STORE - 10)
         second = stream.take(_STORE - 10, _STORE)
         assert np.shares_memory(first, second)
@@ -808,6 +808,39 @@ class TestEventStream:
         # update _STORE // 2 arrives with event _STORE, past the discard
         arrivals = EventTriggered(2).arrivals(stream, _STORE // 2, 10)
         assert not np.shares_memory(arrivals, stream._store)
+
+    def test_discard_moves_an_overlapping_window_in_place(self):
+        # a backlog longer than the events discarded: the survivors move to
+        # the front of the store over themselves, through no buffer, and
+        # every later take and count reads the events of whole-block draws
+        # bit for bit, before and after the store grows
+        model, seed = Exponential(1.0), 4
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        full, base = [], 0.0
+        for k in (_STORE, _BLOCK, _BLOCK, _BLOCK):
+            full.append(base + np.cumsum(model.sample(rng, k)))
+            base = float(full[-1][-1])
+        full = np.concatenate(full)
+
+        def counts_match(lo, hi):
+            # every 997th event time, a tie, and the midpoints after them
+            ties = full[lo:hi:997]
+            times = np.sort(np.r_[ties, (ties[:-1] + full[lo + 1:hi:997][:len(ties) - 1]) / 2])
+            expected = np.searchsorted(full, times, side="right")
+            return np.array_equal(stream.count_upto(times), expected)
+
+        stream = EventStream(model, seed)
+        stream.take(0, _STORE)
+        assert _traced_peak(lambda: stream.discard(10)) < 64 << 10
+        assert stream.take(10, _STORE - 10).tobytes() == full[10:_STORE].tobytes()
+        store = stream._store
+        assert counts_match(10, _STORE + _BLOCK + 1_000)
+        assert stream._store is not store  # the count's draws outgrew the store
+        stream.discard(20)
+        assert stream.take(20, 5_000).tobytes() == full[20:5_020].tobytes()
+        assert counts_match(20, _STORE + 2 * _BLOCK - 1)
+        start = _STORE + 3 * _BLOCK - 50
+        assert stream.take(start, 50).tobytes() == full[start:].tobytes()
 
 
 class _ConcatStream:
@@ -890,17 +923,22 @@ def _concat_simulate(scenario, n, seed, replication, chunk):
 class TestRunReplications:
     def test_matches_concatenating_stream_exactly(self, monkeypatch):
         # the in-place store must write the same bits as the concatenating
-        # stream it replaced, whichever way it makes room for a block
+        # stream it replaced, whether a discard moves the window to the
+        # front of the store or a draw moves it into a larger one
         moves = set()
 
         class SpyStream(EventStream):
             def _draw(self, k):
-                store, lo = self._store, self._lo
+                store = self._store
                 super()._draw(k)
                 if self._store is not store and len(store):
                     moves.add("reallocate")
-                elif lo and not self._lo:
-                    moves.add("compact")
+
+            def discard(self, count):
+                first = self._first
+                super().discard(count)
+                if self._first > first and self._hi:
+                    moves.add("move")
 
         monkeypatch.setattr(simulate, "EventStream", SpyStream)
         n, long = 30_000, 2 * _CHUNK + 5_000
@@ -930,7 +968,7 @@ class TestRunReplications:
             ref = _concat_simulate(scenario, n, 99, 2, chunk)
             for x, y in zip(got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
-        assert moves == {"reallocate", "compact"}
+        assert moves == {"reallocate", "move"}
     def test_deterministic_given_seed(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), EventTriggered(1), 1e-3)
         a = run_replications(scenario, 30_000, 2, 7, burn_in=1_000)
@@ -1335,12 +1373,17 @@ class TestRunReplications:
         assert peak < 2 << 20
 
     @pytest.mark.parametrize(
-        "scenario", [pytest.param(scenario, id=label) for label, scenario in soundness_plan()]
+        "scenario",
+        [pytest.param(scenario, id=label) for label, scenario in soundness_plan()]
+        # and time-triggered lambda*w 200, whose pieces of 327 updates leave
+        # their window mid-store when the next piece starts
+        + [pytest.param(Scenario(Exponential(1.0), Exponential(0.25), TimeTriggered(200.0), 1e-3),
+                        id="tt-e-e-lw200")],
     )
     def test_store_never_grows_on_the_dominance_plan(self, monkeypatch, scenario):
         # once a piece's events are discarded only the backlog and the draw
-        # ahead stay live, so each piece's window fits the store of _STORE
-        # events, which moves it to the front instead of growing
+        # ahead stay live, and the discard moves them to the front, so each
+        # piece's window fits the store of _STORE events
         sizes = set()
 
         class SpyStream(EventStream):
