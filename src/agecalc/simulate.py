@@ -15,21 +15,17 @@ vectorized form through the equivalent running-maximum identity.
 Everything is deterministic given a base seed: replication r draws its event
 and service streams from Philox generators keyed by
 SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
-events and 1 for service. A replication runs in chunks of _CHUNK updates,
-and its event stream grows in blocks (_BLOCK events, or what a take lacks
-if that is more). The chunk and the block schedule are the seed contract:
-they change no draw, but the FIFO adds its running service total once per
-chunk, an event-triggered chunk adds its events to the stream in one block
-up front, and a block adds the stream's last time once, so they set the
-rounding of every delay and peak age. The pieces each chunk is simulated
-in are not: at most _PIECE updates and about _PIECE_EVENTS events, which
-the stream draws lazily, carrying each block's running sum from draw to
-draw, and discards once no later piece reads them. Each discard moves the
-events that stay live to the front of the store, and the store grows,
-with a quarter of headroom, only when a draw does not fit after them. So a
-replication's working set is one piece's arrays and a store of _STORE
-events, one piece's window (768 KiB), under 2 MiB at any sample count and
-any events per update.
+events and 1 for service. Beyond the seed, the model's own sums set every
+bit: event i's time is the running sum of the first i event draws, and
+the FIFO's service total the running sum of the service draws, each
+carried from one draw into the next, so no size sets a byte. A
+replication is simulated in pieces of at most _PIECE updates and about
+_PIECE_EVENTS events, which the stream draws lazily and discards once no
+later piece reads them. Each discard moves the events that stay live to
+the front of the store, and the store grows, with a quarter of headroom,
+only when a draw does not fit after them. So a replication's working set
+is one piece's arrays and a store of _STORE events, one piece's window
+(768 KiB), under 2 MiB at any sample count and any events per update.
 
 Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
@@ -84,8 +80,6 @@ from .models import DistributionModel, sample
 STREAM_EVENTS = 0
 STREAM_SERVICE = 1
 
-_BLOCK = 1 << 16
-_CHUNK = 1 << 16
 _PIECE = 1 << 13  # updates simulated at once, at most
 _PIECE_EVENTS = 1 << 16  # events the updates of a piece sample, on average
 _DRAW = 1 << 14  # events a count draws at once
@@ -124,20 +118,15 @@ class EventStream:
     Events are addressed by their global 1-based index, and every query is
     positional: `take(start, k)` returns the times of events start+1 ...
     start+k, `count_upto(ts)` returns the number of events at or before each
-    time of a nondecreasing array, `reserve(count)` generates events 1 ...
-    count without reading them, and `discard(count)` releases events
+    time of a nondecreasing array, and `discard(count)` releases events
     1 ... count, which no later query may read.
 
-    Events are generated in blocks: a `take` or `reserve` that lacks events
-    adds one block of what it lacks, at least _BLOCK events, and a
-    `count_upto` that passes the last event adds blocks of _BLOCK. An event
-    time is its block's base, the last time of the block before, plus the
-    running sum of the block's draws, so the block sizes set the rounding
-    of every time: they are part of the seed contract. A block is drawn
-    lazily, only as far as a query reads, in draws of at most _DRAW events
-    for a count. Split draws are the same draws, and each draw carries the
-    block's running sum into its first element before summing in place, so
-    every time has the bits of a whole-block draw.
+    Event i's time is the running sum of the stream's first i draws. The
+    stream draws only as far as a query reads: a `take` or `discard` what it
+    lacks, a `count_upto` draws of _DRAW events until one passes its last
+    time. Each draw carries the running sum into its first element before
+    summing in place, so every time has the bits of one cumsum of all the
+    draws, whatever the sizes of the draws.
 
     Drawn events live in one store, written once where they are drawn: the
     live window `_store[:_hi]` holds the events from global 1-based index
@@ -155,43 +144,25 @@ class EventStream:
         self._store = np.empty(0)
         self._hi = 0
         self._first = 1  # global 1-based index of _store[0]
-        self._undrawn: deque = deque()  # events of each block not drawn yet
-        self._base = 0.0  # the time the block being drawn adds to its sums
-        self._sum = 0.0  # the running sum of its draws so far; _base + _sum is the last time drawn
+        self._last = 0.0  # the time of the last event drawn
 
     def _drawn(self) -> int:
         return self._first - 1 + self._hi
 
     def _draw(self, k: int) -> None:
-        """Draw the next k of the events generated into the store."""
+        """Draw the next k events into the store."""
         if self._hi + k > len(self._store):
             store = np.empty(max((self._hi + k) * 5 // 4, _STORE))
             store[:self._hi] = self._store[:self._hi]
             self._store = store
-        while k:
-            n = min(k, self._undrawn[0])
-            # draw into the store, carry the running sum into the first
-            # draw, cumsum in place, then += base: the operands of
-            # base + cumsum(block draws), so the same bits, with no array
-            # besides the store
-            x = sample(self.model, self.rng, n, out=self._store[self._hi:self._hi + n])
-            x[0] += self._sum
-            np.cumsum(x, out=x)
-            self._sum = float(x[-1])
-            x += self._base
-            self._hi += n
-            k -= n
-            self._undrawn[0] -= n
-            if not self._undrawn[0]:
-                self._undrawn.popleft()
-                self._base, self._sum = self._base + self._sum, 0.0
-
-    def reserve(self, count: int) -> None:
-        """Generate events 1 ... count, in one block of those missing (at
-        least _BLOCK), without drawing them yet."""
-        lacking = count - self._drawn() - sum(self._undrawn)
-        if lacking > 0:
-            self._undrawn.append(max(lacking, _BLOCK))
+        # draw into the store, carry the running sum into the first draw and
+        # cumsum in place: the operands of one cumsum of all the draws, so
+        # the same bits, with no array besides the store
+        x = sample(self.model, self.rng, k, out=self._store[self._hi:self._hi + k])
+        x[0] += self._last
+        np.cumsum(x, out=x)
+        self._last = float(x[-1])
+        self._hi += k
 
     def take(self, start: int, k: int) -> np.ndarray:
         """Times of events start+1 ... start+k.
@@ -204,7 +175,6 @@ class EventStream:
             raise ValueError("take(..., %d) of a negative count" % k)
         if start < self._first - 1:
             raise ValueError("take(%d, ...) reads discarded events" % start)
-        self.reserve(start + k)
         if self._drawn() < start + k:
             self._draw(start + k - self._drawn())
         i0 = start - (self._first - 1)
@@ -238,10 +208,8 @@ class EventStream:
         marks = times[at]
         if not (marks[1:] >= marks[:-1]).all():  # a nan anchor fails too
             raise ValueError("count_upto needs nondecreasing times")
-        while self._base + self._sum <= t:
-            if not self._undrawn:
-                self.reserve(self._drawn() + _BLOCK)
-            self._draw(min(self._undrawn[0], _DRAW))
+        while self._last <= t:
+            self._draw(_DRAW)
         live = self._store[:self._hi]
         anchors = np.searchsorted(live, marks, side="right").tolist()
         for b, i in enumerate(range(0, n, _COUNT_BLOCK)):
@@ -251,11 +219,7 @@ class EventStream:
         return counts
 
     def discard(self, count: int) -> None:
-        """Forget events 1 ... count, which must all have been generated;
-        those not drawn yet are drawn first."""
-        generated = self._drawn() + sum(self._undrawn)
-        if count > generated:
-            raise ValueError("discard(%d) past the %d events generated" % (count, generated))
+        """Forget events 1 ... count; those not drawn yet are drawn first."""
         if count > self._drawn():
             self._draw(count - self._drawn())
         k = count - (self._first - 1)
@@ -270,29 +234,26 @@ class EventStream:
 def _fifo_chunk(
     arrivals: np.ndarray,
     service: np.ndarray,
-    service_sum: float,
+    total: float,
     run_max: float,
-    local: float = 0.0,
 ) -> Tuple[np.ndarray, float, float]:
     """Departures of the updates at these arrivals with these service
-    times, and the running service sum and maximum to carry to the next
-    updates, from a queue whose running service total is service_sum plus
-    the sum `local` of the chunk's earlier updates."""
+    times, and the running service total and maximum to carry to the next
+    updates, from a queue whose earlier updates' service times sum to
+    `total`."""
     # D(n) = S(n) + max_{v<=n} (A(v) - S(v) + L(v)) with S the running service
-    # total: service_sum, added once per chunk, plus a sum carried from piece
-    # to piece in the first element; run_max carries the maximum across
-    # pieces and chunks.
+    # total, carried into the first element as the event times carry theirs;
+    # run_max carries the maximum across pieces
     s = service.copy()
-    s[0] += local
+    s[0] += total
     np.cumsum(s, out=s)
-    local = float(s[-1])
-    s += service_sum
+    total = float(s[-1])
     g = arrivals - s
     g += service
     np.maximum.accumulate(g, out=g)
     np.maximum(g, run_max, out=g)
     s += g  # the departures
-    return s, local, float(g[-1])
+    return s, total, float(g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +593,11 @@ def _simulate_chunks(
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """One replication, piece by piece, without burn-in.
 
-    The run is cut into chunks of _CHUNK updates, which set where the FIFO
-    adds its running service total and, at event-triggered sampling, the
-    block of events each chunk adds to the stream up front; both set the
-    rounding, so the chunk is part of the seed contract. Each chunk is
-    simulated in pieces of at most _PIECE updates and about _PIECE_EVENTS
-    events, which change no byte: the stream draws each block as the
-    pieces read it, and the FIFO carries its sums from piece to piece.
+    The run is simulated in pieces of at most _PIECE updates and about
+    _PIECE_EVENTS events, which change no byte: the event stream draws as
+    far as a piece reads, and the FIFO carries its running service total and
+    maximum from piece to piece, so every time is the running sum the model
+    defines, whatever the piece sizes.
 
     For the piece of updates done ... done + m - 1 (0-based), yields done and
     three arrays: its m delays, and the peak ages and peak deviations (event
@@ -654,47 +613,43 @@ def _simulate_chunks(
     )
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
     per_update = policy.spacing(scenario.event_model) / scenario.event_model.mean
-    piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), _CHUNK, n_updates)
+    piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), n_updates)
     t_buf, a_buf, f_buf = np.empty(piece), np.empty(piece), np.empty(piece, dtype=np.intp)
 
-    service_sum, local, run_max = 0.0, 0.0, -math.inf
+    total, run_max = 0.0, -math.inf
     arr_last = 0.0
     count_last = 0
     done = 0
     while done < n_updates:
-        end = done + min(_CHUNK, n_updates - done)
-        policy.reserve(events, done + 1, end - done)
-        while done < end:
-            m = min(piece, end - done)
-            first = done + 1  # 1-based index of the piece's first update
-            # no later query reads the events the previous piece's last update sampled
-            events.discard(count_last)
-            arr = policy.arrivals(events, first, m)
-            service = sample(scenario.service_model, rng_service, m)
-            dep, local, run_max = _fifo_chunk(arr, service, service_sum, run_max, local)
-            if not math.isfinite(dep[-1]):
-                # a nan or infinite time, which the running maximum carries to
-                # every later departure: no event count can be taken at it
-                raise ValueError("samples must be finite, got departure %r of update %d"
-                                 % (float(dep[-1]), done + m))
-            carry = 1 if done > 0 else 0
-            t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
+        m = min(piece, n_updates - done)
+        first = done + 1  # 1-based index of the piece's first update
+        # no later query reads the events the previous piece's last update sampled
+        events.discard(count_last)
+        arr = policy.arrivals(events, first, m)
+        service = sample(scenario.service_model, rng_service, m)
+        dep, total, run_max = _fifo_chunk(arr, service, total, run_max)
+        if not math.isfinite(dep[-1]):
+            # a nan or infinite time, which the running maximum carries to
+            # every later departure: no event count can be taken at it
+            raise ValueError("samples must be finite, got departure %r of update %d"
+                             % (float(dep[-1]), done + m))
+        carry = 1 if done > 0 else 0
+        t_out, a_out, f_out = t_buf[:m], a_buf[:m - 1 + carry], f_buf[:m - 1 + carry]
 
-            np.subtract(dep, arr, out=t_out)
+        np.subtract(dep, arr, out=t_out)
 
-            ca = policy.sampled_counts(events, arr, first)
-            cd = events.count_upto(dep)
+        ca = policy.sampled_counts(events, arr, first)
+        cd = events.count_upto(dep)
 
-            if carry:
-                a_out[0] = dep[0] - arr_last
-                f_out[0] = cd[0] - count_last
-            np.subtract(dep[1:], arr[:-1], out=a_out[carry:])
-            np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
-            arr_last = float(arr[-1])
-            count_last = int(ca[-1])
-            yield done, (t_out, a_out, f_out)
-            done += m
-        service_sum, local = service_sum + local, 0.0
+        if carry:
+            a_out[0] = dep[0] - arr_last
+            f_out[0] = cd[0] - count_last
+        np.subtract(dep[1:], arr[:-1], out=a_out[carry:])
+        np.subtract(cd[1:], ca[:-1], out=f_out[carry:])
+        arr_last = float(arr[-1])
+        count_last = int(ca[-1])
+        yield done, (t_out, a_out, f_out)
+        done += m
 
 
 def _append(f: BinaryIO, x: np.ndarray) -> None:
@@ -808,7 +763,7 @@ def run_replications(
     count: each replication derives its own streams from the base seed, and
     every replication's delay and peak-age arrays are added to the tails in
     index order. Peak deviations are counted per integer value where each
-    chunk is simulated, and the peak-deviation tail merges each
+    piece is simulated, and the peak-deviation tail merges each
     replication's counts: exact at any sample count, in any order. Every
     replication hands its delay and peak-age arrays over through a file per
     array, 16 bytes per update, in a directory under TMPDIR that is removed

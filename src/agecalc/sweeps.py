@@ -60,6 +60,9 @@ class CsvRow:
     value: Optional[float]
     theta_star: Optional[float]
     flag: str = ""
+    # not printed: a bound's real root, which ties of the integer deviation
+    # bound `value` break on
+    root: Optional[float] = None
 
     def sort_key(self):
         return (
@@ -147,7 +150,7 @@ def _policy_name(policy: TriggerPolicy) -> str:
 
 def _row(scenario_id: str, scenario: Scenario, axis: str, axis_value: float, metric: Metric,
          source: str, value: Optional[float], theta_star: Optional[float] = None,
-         flag: str = "") -> CsvRow:
+         flag: str = "", root: Optional[float] = None) -> CsvRow:
     """One output row of a scenario; its policy name, utilization and
     epsilon come from the scenario."""
     return CsvRow(
@@ -162,6 +165,7 @@ def _row(scenario_id: str, scenario: Scenario, axis: str, axis_value: float, met
         value=value,
         theta_star=theta_star,
         flag=flag,
+        root=root,
     )
 
 
@@ -173,17 +177,20 @@ def bound_rows(
     metrics: Sequence[Metric] = ALL_METRICS,
 ) -> List[CsvRow]:
     """Optimized-bound rows for one scenario, one per metric; infeasible
-    scenarios produce value-less rows flagged accordingly."""
+    scenarios produce value-less rows flagged accordingly. The deviation
+    tail bound holds at integer counts only, so its value is the certified
+    integer, and the real root it is found from rides along unprinted."""
     rows = []
     for metric in metrics:
         try:
             res = optimize_theta(scenario, metric)
             flag = "vacuous" if res.vacuous else ""
-            value, theta = res.value, res.theta_star
+            value = res.value if res.value_int is None else res.value_int
+            root, theta = res.value, res.theta_star
         except NoFeasibleTheta:
-            flag, value, theta = "infeasible", None, None
+            flag, value, root, theta = "infeasible", None, None, None
         rows.append(_row(scenario_id, scenario, axis, axis_value, metric, "bound",
-                         value, theta, flag))
+                         value, theta, flag, root))
     return rows
 
 
@@ -256,7 +263,7 @@ def sweep_rows(
         except ValueError:
             # no event-triggered system exists at this axis value
             rows += [replace(r, policy=EVENT_TRIGGERED, utilization=math.nan, value=None,
-                             theta_star=None, flag="infeasible") for r in tt_rows]
+                             theta_star=None, flag="infeasible", root=None) for r in tt_rows]
             continue
         rows += bound_rows(scenario_id, et, spec.axis, x, metrics)
     return rows
@@ -377,11 +384,10 @@ def _sweep_figure(name: str) -> Tuple[List[CsvRow], Dict]:
 
 
 def _curve(rows: List[CsvRow], policy: str, metric: Metric,
-           min_axis: float = -math.inf) -> List[Tuple[float, float]]:
-    """(axis_value, value) of one policy's valued rows beyond min_axis."""
+           min_axis: float = -math.inf) -> List[CsvRow]:
+    """One policy's valued rows of a metric beyond min_axis."""
     return [
-        (r.axis_value, r.value)
-        for r in rows
+        r for r in rows
         if r.policy == policy and r.metric == metric.value and r.value is not None
         and r.axis_value > min_axis
     ]
@@ -389,12 +395,13 @@ def _curve(rows: List[CsvRow], policy: str, metric: Metric,
 
 def _curve_min(rows: List[CsvRow], policy: str, metric: Metric) -> Tuple:
     """(argmin, minimum rounded up as a bound) at the first smallest value of
-    one policy's curve; (None, None) when the curve is empty."""
+    one policy's curve, where the real roots break ties of the flat integer
+    deviation curve; (None, None) when the curve is empty."""
     curve = _curve(rows, policy, metric)
     if not curve:
         return None, None
-    x, v = min(curve, key=lambda p: p[1])
-    return x, round_bound(v)
+    best = min(curve, key=lambda r: (r.value, r.root))
+    return best.axis_value, round_bound(best.value)
 
 
 def _interval_summary(rows: List[CsvRow], spec: SweepSpec) -> Dict:
@@ -409,8 +416,9 @@ def _interval_summary(rows: List[CsvRow], spec: SweepSpec) -> Dict:
                 summary["%s_argmin_%s_w" % (policy, metric.value)] = x
     if spec.service_kind == "deterministic":
         service_time = 1.0 / spec.service_rate
-        delay = [v for _, v in _curve(rows, TIME_TRIGGERED, Metric.DELAY, service_time)]
-        aoi = [v - x for x, v in _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI, service_time)]
+        delay = [r.value for r in _curve(rows, TIME_TRIGGERED, Metric.DELAY, service_time)]
+        aoi = [r.value - r.axis_value
+               for r in _curve(rows, TIME_TRIGGERED, Metric.PEAK_AOI, service_time)]
         summary["tt_delay_spread"] = [round_bound(min(delay)), round_bound(max(delay))]
         summary["tt_aoi_minus_w_spread"] = [min(aoi), max(aoi)]
     return summary

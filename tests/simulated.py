@@ -1,4 +1,4 @@
-"""Replications for the tests: `arrays` collects every chunk the simulator
+"""Replications for the tests: `arrays` collects every piece the simulator
 yields into whole delay, peak-age and peak-deviation arrays,
 `nan_in_second_service_draw` makes a sampler whose draws hold a nan, and
 `soundness_plan` lists the 12 scenarios of acceptance criterion 7."""
@@ -14,7 +14,7 @@ from agecalc.sweeps import make_model
 
 def arrays(scenario, n, seed, replication, burn_in):
     """A replication's burned-in arrays (delay, peak_aoi, peak_doi) in full,
-    the deviations as floats, copied from each chunk _simulate_chunks yields:
+    the deviations as floats, copied from each piece _simulate_chunks yields:
     the reference for what _simulate_to_file writes and counts."""
     t, a, f = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     for done, (dt, da, dev) in _simulate_chunks(scenario, n, seed, replication):

@@ -209,6 +209,23 @@ class TestCli:
         assert delay["source"] == "bound"
         assert delay["scenario"] == "dd1"
 
+    def test_bound_prints_the_certified_deviation_integer(self, tmp_path):
+        # events every 2 and service of 4, event-triggered at threshold 8:
+        # update n arrives at 16n and departs at 16n + 4, so every peak
+        # deviation is C(16n + 20) - 8n = 10. The deviation bound's real root
+        # is 9.007, which P[DoI > 9.007] = 1 exceeds at any epsilon; the
+        # tail bound holds at integer counts only, and its integer is 10
+        cfg = _write(
+            tmp_path, "det.cfg",
+            "lambda = 0.5\nmu = 0.25\nevent_kind = deterministic\n"
+            "service_kind = deterministic\npolicy = event\nalpha = 8\nepsilon = 1e-6\n",
+        )
+        out = tmp_path / "out.csv"
+        assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        (doi,) = [r for r in rows if r["metric"] == "peak_doi"]
+        assert doi["value"] == "10"
+
     def test_simulate_deterministic_output(self, tmp_path):
         cfg = _write(tmp_path, "mm1.cfg", SIM_CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -217,8 +234,8 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_burn_in_past_a_chunk_same_csv_at_any_workers(self, tmp_path):
-        # two 2M-update replications whose burn-in ends in their second
-        # chunk: the pooled workers skip it across the chunk boundary
+        # two 2M-update replications whose burn-in of 300,000 updates ends
+        # inside a piece: the pooled workers skip it across the piece boundary
         cfg = _write(
             tmp_path, "burn.cfg",
             "lambda = 0.5\nmu = 0.25\npolicy = time\nw = 13\n"
@@ -597,7 +614,7 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_os_error_in_a_worker_exit_2_in_one_line(self, tmp_path, workers):
-        # a 1 MB file size limit fails the third chunk writes, in the workers
+        # a 1 MB file size limit fails a piece's writes, in the workers
         # or in the one process, as a full TMPDIR does: one line, no
         # traceback, and no file left behind
         resource = pytest.importorskip("resource")

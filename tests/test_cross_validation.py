@@ -15,7 +15,6 @@ from agecalc import (
     EventStream,
     EventTriggered,
     Exponential,
-    Metric,
     Scenario,
     TimeTriggered,
     doi_tail_probability,
@@ -83,17 +82,17 @@ class TestCsvBoundsHoldInSimulation:
         seed=st.integers(0, 2**16),
     )
     def test_time_bounds_as_printed_hold(self, events, service, shape, policy, u, eps, seed):
-        # the delay and peak-AoI values the CSV prints, round_bound of each
-        # bound row, are exceeded by at most eps + 3 sigma of a simulation
-        # at 1 event per unit time, over both policies, three event and
-        # service models and a stable utilization. Peak DoI joins once its
-        # printed value is certified (the real root it prints is no bound
-        # at deterministic corners)
+        # the delay, peak-AoI and peak-DoI values the CSV prints, round_bound
+        # of each bound row, are exceeded by at most eps + 3 sigma of a
+        # simulation at 1 event per unit time, over both policies, three
+        # event and service models and a stable utilization. The DoI value
+        # is the certified integer: the real root below it is no bound at
+        # the deterministic corners, where every deviation is one integer
         event_model = _model(events, shape, 1.0)
         spacing = policy.spacing(event_model)
         scenario = Scenario(event_model, _model(service, shape, u * spacing), policy, eps)
         tails = run_replications(scenario, 100_000, 1, seed, burn_in=5_000)
-        for row in bound_rows("p", scenario, "epsilon", eps, (Metric.DELAY, Metric.PEAK_AOI)):
+        for row in bound_rows("p", scenario, "epsilon", eps):
             tail = getattr(tails, row.metric)
             limit = eps + 3.0 * math.sqrt(eps * (1.0 - eps) / tail.n_samples)
             assert row.value is not None and not row.flag, row

@@ -37,9 +37,10 @@ from agecalc import (
 from agecalc import simulate
 from agecalc.sweeps import EPS_GRID, SIM_EPS
 from agecalc.simulate import (
-    _BLOCK,
-    _CHUNK,
     _COUNT_BLOCK,
+    _DRAW,
+    _PIECE,
+    _PIECE_EVENTS,
     _SCAN_BLOCK,
     _STORE,
     STREAM_EVENTS,
@@ -136,7 +137,7 @@ class TestGenerateArrivals:
         arrivals = policy.arrivals(events, 1, 4)
         assert np.array_equal(policy.sampled_counts(events, arrivals, 1), [3, 6, 9, 12])
         assert np.array_equal(events.count_upto(arrivals), [3, 6, 9, 12])
-        # the next chunk continues from update 5
+        # the next piece continues from update 5
         arrivals = policy.arrivals(events, 5, 2)
         assert np.array_equal(policy.sampled_counts(events, arrivals, 5), [15, 18])
         assert np.array_equal(events.count_upto(arrivals), [15, 18])
@@ -195,8 +196,8 @@ class TestFifoService:
 
 class TestPeakMetrics:
     def test_hand_example(self, monkeypatch):
-        # arrivals 3, 6, ..., 18 and events every 2; with chunk 4 the peak
-        # samples at index 3 span the chunk boundary. Served in 1 each, the
+        # arrivals 3, 6, ..., 18 and events every 2; in pieces of 4 the peak
+        # samples at index 3 span the piece boundary. Served in 1 each, the
         # arrivals at 6 and 12 and the departures at 4, 10 and 16 fall on
         # events: counting ties at only one end would give 1 or 3. Served in
         # 2 each, the departures at 8, 14 and 20 fall on events and the
@@ -206,8 +207,8 @@ class TestPeakMetrics:
             scenario = Scenario(
                 Deterministic(2.0), Deterministic(service), TimeTriggered(3.0), 1e-3
             )
-            for chunk in (4, _CHUNK):
-                monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            for piece in (4, _PIECE):
+                monkeypatch.setattr(simulate, "_PIECE", piece)
                 delay, aoi, doi = arrays(scenario, 6, 0, 0, burn_in=0)
                 assert np.array_equal(delay, np.full(6, service))
                 assert np.array_equal(aoi, np.full(5, aoi_value))
@@ -649,8 +650,11 @@ class TestEventStream:
         with pytest.raises(ValueError, match="discarded"):
             stream.take(n - 1, 3)
         # the first event past the discard is still there
-        expected = EventStream(Exponential(1.0), 5).take(n, 3).copy()
-        assert np.array_equal(stream.take(n, 3), expected)
+        reference = EventStream(Exponential(1.0), 5).take(0, n + 100_003).copy()
+        assert np.array_equal(stream.take(n, 3), reference[n:n + 3])
+        # a discard past every event drawn draws them first
+        stream.discard(n + 100_000)
+        assert stream.take(n + 100_000, 3).tobytes() == reference[n + 100_000:].tobytes()
 
     @pytest.mark.parametrize(
         "times",
@@ -677,14 +681,6 @@ class TestEventStream:
             stream.take(0, -3)
         assert len(stream.take(0, 0)) == 0
 
-    def test_discard_past_generated_events_raises(self):
-        stream = EventStream(Exponential(1.0), 5)
-        stream.take(0, 10)
-        generated = _BLOCK  # a take of fewer events grows the stream by one block
-        stream.discard(generated)
-        with pytest.raises(ValueError, match="generated"):
-            stream.discard(generated + 1)
-
     @settings(max_examples=150, deadline=None)
     @given(
         model=st.sampled_from((Exponential(1.0), Deterministic(0.5), Erlang(3, 1.5))),
@@ -692,13 +688,12 @@ class TestEventStream:
         ops=st.lists(
             st.one_of(
                 st.tuples(st.just("take"), st.tuples(
-                    st.integers(0, _BLOCK), st.integers(0, 3 * _BLOCK // 2))),
+                    st.integers(0, _PIECE_EVENTS), st.integers(0, 3 * _PIECE_EVENTS // 2))),
                 st.tuples(st.just("count"), st.lists(
                     st.floats(0, 2e5) | st.integers(0, 400_000).map(lambda i: i / 2),
                     max_size=8,
                 )),
-                st.tuples(st.just("reserve"), st.integers(0, 4 * _BLOCK)),
-                st.tuples(st.just("discard"), st.integers(0, 3 * _BLOCK)),
+                st.tuples(st.just("discard"), st.integers(0, 3 * _PIECE_EVENTS)),
             ),
             max_size=20,
         ),
@@ -706,52 +701,32 @@ class TestEventStream:
         store=st.sampled_from((16, simulate._STORE)),
     )
     def test_interleaved_queries_match_searchsorted(self, model, seed, ops, draw, store):
-        # the blocks are drawn lazily, in draws of at most `draw` events for
-        # a count, into a store of at least `store`: every take returns, bit
-        # for bit, the events of a stream that draws each block it adds
-        # whole, and every count is a search of them. Half-integer times tie
-        # with the deterministic events, whose sums are exact
-        blocks = []
-
-        class Recording(EventStream):
-            def reserve(self, count):
-                added = len(self._undrawn)
-                super().reserve(count)
-                if len(self._undrawn) > added:
-                    blocks.append(self._undrawn[-1])
-
-        stream = Recording(model, seed)
-        # discarded: events 1 ... discarded are gone, the last at time
-        # floor; known: events up to this index have been generated (taken,
-        # counted or reserved)
-        discarded, floor, known, answers = 0, 0.0, 0, []
+        # the events are drawn lazily, as far as a take or discard reads and
+        # in draws of at most `draw` events for a count, into a store of at
+        # least `store`: every take returns, bit for bit, the running sum of
+        # the same draws summed at once, and every count is a search of it.
+        # Half-integer times tie with the deterministic events, whose sums
+        # are exact
+        stream = EventStream(model, seed)
+        # events 1 ... discarded are gone, the last at time floor
+        discarded, floor, answers = 0, 0.0, []
         with mock.patch.multiple(simulate, _DRAW=draw, _STORE=store):
             for op, arg in ops:
                 if op == "take":
                     offset, k = arg
                     start = discarded + offset
                     answers.append((op, start, stream.take(start, k).copy()))
-                    known = max(known, start + k)
                 elif op == "count":
                     times = np.sort(np.maximum(np.array(arg, dtype=np.float64), floor))
                     answers.append((op, times, stream.count_upto(times)))
-                    known = max(known, int(answers[-1][2].max(initial=0)))
-                elif op == "reserve":
-                    stream.reserve(arg)
-                    known = max(known, arg)
                 else:
-                    count = min(arg, known)
-                    if count > discarded:
-                        floor = float(stream.take(count - 1, 1)[0])
-                        discarded = count
-                    stream.discard(count)
-        # the same blocks, each drawn whole: base + cumsum(draws)
+                    if arg > discarded:
+                        floor = float(stream.take(arg - 1, 1)[0])
+                        discarded = arg
+                    stream.discard(arg)
+        # every event drawn, by one cumsum of the same draws
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        full, base = [np.empty(0)], 0.0
-        for k in blocks:
-            full.append(base + np.cumsum(model.sample(rng, k)))
-            base = float(full[-1][-1])
-        full = np.concatenate(full)
+        full = np.cumsum(model.sample(rng, stream._drawn()))
         for op, arg, got in answers:
             if op == "take":
                 assert got.tobytes() == full[arg:arg + len(got)].tobytes()
@@ -763,7 +738,7 @@ class TestEventStream:
     @given(
         model=st.sampled_from((Exponential(1.0), Deterministic(0.5))),
         seed=st.integers(0, 2**32 - 1),
-        discard=st.integers(0, 2 * _BLOCK),
+        discard=st.integers(0, 2 * _PIECE_EVENTS),
         n=st.integers(0, 3 * _COUNT_BLOCK + 1),
         step=st.sampled_from((0.0, 0.5, 2.0, 40.0)),
         halves=st.booleans(),
@@ -772,8 +747,8 @@ class TestEventStream:
         # up to three blocks of times and one more, starting at the discard
         # floor, with runs of equal times and, on multiples of 0.5, ties
         # with the deterministic events (whose sums are exact); stream and
-        # reference grow in the same block, so their events are the same bits
-        full = EventStream(model, seed).take(0, 8 * _BLOCK).copy()
+        # reference draw the same events, so they are the same bits
+        full = EventStream(model, seed).take(0, 8 * _PIECE_EVENTS).copy()
         stream = EventStream(model, seed)
         stream.take(0, len(full))
         stream.discard(discard)
@@ -788,7 +763,7 @@ class TestEventStream:
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     def test_take_writes_each_event_once(self):
-        # the draws land in the store: no temporary array of the block
+        # the draws land in the store: no temporary array of the draw
         stream = EventStream(Exponential(0.5), 1)
         peak = _traced_peak(lambda: stream.take(0, 1_000_000))
         assert peak <= stream._store.nbytes + 1_000_000
@@ -812,15 +787,11 @@ class TestEventStream:
     def test_discard_moves_an_overlapping_window_in_place(self):
         # a backlog longer than the events discarded: the survivors move to
         # the front of the store over themselves, through no buffer, and
-        # every later take and count reads the events of whole-block draws
-        # bit for bit, before and after the store grows
-        model, seed = Exponential(1.0), 4
+        # every later take and count reads the running sum of the same draws
+        # summed at once bit for bit, before and after the store grows
+        model, seed, more = Exponential(1.0), 4, 4 * _DRAW
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        full, base = [], 0.0
-        for k in (_STORE, _BLOCK, _BLOCK, _BLOCK):
-            full.append(base + np.cumsum(model.sample(rng, k)))
-            base = float(full[-1][-1])
-        full = np.concatenate(full)
+        full = np.cumsum(model.sample(rng, _STORE + 3 * more))
 
         def counts_match(lo, hi):
             # every 997th event time, a tie, and the midpoints after them
@@ -834,97 +805,50 @@ class TestEventStream:
         assert _traced_peak(lambda: stream.discard(10)) < 64 << 10
         assert stream.take(10, _STORE - 10).tobytes() == full[10:_STORE].tobytes()
         store = stream._store
-        assert counts_match(10, _STORE + _BLOCK + 1_000)
+        assert counts_match(10, _STORE + more + 1_000)
         assert stream._store is not store  # the count's draws outgrew the store
         stream.discard(20)
         assert stream.take(20, 5_000).tobytes() == full[20:5_020].tobytes()
-        assert counts_match(20, _STORE + 2 * _BLOCK - 1)
-        start = _STORE + 3 * _BLOCK - 50
+        assert counts_match(20, _STORE + 2 * more - 1)
+        start = _STORE + 3 * more - 50
         assert stream.take(start, 50).tobytes() == full[start:].tobytes()
 
 
-class _ConcatStream:
-    """The event stream before the in-place store: each block is summed into
-    a new array and joined to the buffer by concatenation."""
-
-    def __init__(self, model, rng):
-        self.model, self.rng = model, rng
-        self._buf = np.empty(0)
-        self._first = 1
-        self._generated = 0
-        self._last_time = 0.0
-        self._taken = 0
-
-    def _grow(self, k):
-        block = self._last_time + np.cumsum(self.model.sample(self.rng, k))
-        self._last_time = float(block[-1])
-        self._generated += k
-        return block
-
-    def take(self, start, k):
-        assert start == self._taken  # the old stream took from its own cursor
-        parts = [self._buf]
-        while self._generated < self._taken + k:
-            parts.append(self._grow(max(self._taken + k - self._generated, _BLOCK)))
-        self._buf = np.concatenate(parts)
-        i0 = self._taken - (self._first - 1)
-        self._taken += k
-        return self._buf[i0:i0 + k]
-
-    def count_upto(self, times):
-        parts = [self._buf]
-        while self._last_time <= times[-1]:
-            parts.append(self._grow(_BLOCK))
-        self._buf = np.concatenate(parts)
-        return (self._first - 1) + np.searchsorted(self._buf, times, side="right")
-
-    def discard_through(self, t):
-        k = int(np.searchsorted(self._buf, t, side="right"))
-        if self._taken:
-            k = min(k, self._taken - (self._first - 1))
-        if k > 0:
-            self._buf = self._buf[k:]
-            self._first += k
-
-
-def _concat_simulate(scenario, n, seed, replication, chunk):
-    """arrays computed as the simulator did before the in-place store,
-    without burn-in: the concatenating stream, a discard after the arrivals
-    and the FIFO expression s = service_sum + cumsum, g = arrivals - s + service."""
+def _cumsum_simulate(scenario, n, seed, replication):
+    """arrays by the model's sums, without burn-in: every event time one
+    cumsum of all the event draws, every running service total one cumsum
+    of all the service draws, the FIFO expression g = arrivals - s + service
+    and the event counts by one search of the whole event array."""
     policy = scenario.policy
-    events = _ConcatStream(scenario.event_model, derive_rng(seed, replication, STREAM_EVENTS))
-    rng_service = derive_rng(seed, replication, STREAM_SERVICE)
-    t_out, a_out, f_out = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    service_sum, run_max, arr_last, count_last, done = 0.0, -math.inf, 0.0, 0, 0
-    while done < n:
-        m = min(chunk, n - done)
-        arr = policy.arrivals(events, done + 1, m)
-        service = scenario.service_model.sample(rng_service, m)
-        s = service_sum + np.cumsum(service)
+    service = scenario.service_model.sample(derive_rng(seed, replication, STREAM_SERVICE), n)
+    s = np.cumsum(service)
+    k = int(2 * n * policy.spacing(scenario.event_model) / scenario.event_model.mean) + 1_000
+    while True:  # enough events to count past the last departure
+        draws = scenario.event_model.sample(derive_rng(seed, replication, STREAM_EVENTS), k)
+        times = np.cumsum(draws)
+        if isinstance(policy, EventTriggered):
+            alpha = int(policy.threshold)
+            arr = times[alpha - 1::alpha][:n]
+            sampled = alpha * np.arange(1, n + 1)
+        else:
+            arr = policy.interval * np.arange(1, n + 1, dtype=np.float64)
+            sampled = np.searchsorted(times, arr, side="right")
         g = arr - s + service
         np.maximum.accumulate(g, out=g)
-        np.maximum(g, run_max, out=g)
         dep = s + g
-        service_sum, run_max = float(s[-1]), float(g[-1])
-        t_out[done:done + m] = dep - arr
-        events.discard_through(float(arr[0]))
-        ca = policy.sampled_counts(events, arr, done + 1)
-        cd = events.count_upto(dep)
-        if done > 0:
-            a_out[done - 1] = dep[0] - arr_last
-            f_out[done - 1] = cd[0] - count_last
-        a_out[done:done + m - 1] = dep[1:] - arr[:-1]
-        f_out[done:done + m - 1] = cd[1:] - ca[:-1]
-        arr_last, count_last = float(arr[-1]), int(ca[-1])
-        done += m
-    return t_out, a_out, f_out
+        if len(arr) == n and times[-1] > dep[-1]:
+            break
+        k *= 2
+    at_departure = np.searchsorted(times, dep, side="right")
+    return dep - arr, dep[1:] - arr[:-1], (at_departure[1:] - sampled[:-1]).astype(float)
 
 
 class TestRunReplications:
     def test_matches_concatenating_stream_exactly(self, monkeypatch):
-        # the in-place store must write the same bits as the concatenating
-        # stream it replaced, whether a discard moves the window to the
-        # front of the store or a draw moves it into a larger one
+        # the store, the draws it is filled by and the pieces must write the
+        # bits of one running sum per stream, the model's sums, whether a
+        # discard moves the window to the front of the store or a draw moves
+        # it into a larger one
         moves = set()
 
         class SpyStream(EventStream):
@@ -941,34 +865,36 @@ class TestRunReplications:
                     moves.add("move")
 
         monkeypatch.setattr(simulate, "EventStream", SpyStream)
-        n, long = 30_000, 2 * _CHUNK + 5_000
+        # the fourth column caps the updates of a piece (_PIECE)
+        n, long = 30_000, 16 * _PIECE + 5_000
         cases = [
             (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 1_000, n),
             (Deterministic(2.0), TimeTriggered(2.0), Deterministic(1.5), 7_000, n),
             (Deterministic(0.3), TimeTriggered(3.7), Exponential(0.5), 2_500, n),
             (Exponential(0.5), EventTriggered(3), Exponential(0.25), 3_000, n),
             (Deterministic(0.3), EventTriggered(3), Deterministic(0.8), 20_000, n),
-            # each take of 16 * 5_000 events is larger than one block
+            # takes of 16 * 4_096 events, the pieces _PIECE_EVENTS allows
             (Exponential(0.5), EventTriggered(16), Exponential(0.05), 5_000, n),
             (Deterministic(2.0), EventTriggered(16), Exponential(0.04), 1_024, n),
-            # gamma draws: a chunk's counts span two blocks; takes of 16 * 5_000
+            # gamma draws: counts that draw ahead of the takes
             (Erlang(3, 1.5), TimeTriggered(13.0), Exponential(0.25), 20_000, n),
             (Erlang(3, 1.5), EventTriggered(16), Exponential(0.05), 5_000, n),
             # an overloaded queue (utilization 2): its departures run ever
             # further past its arrivals, so the store must grow
             (Exponential(1.0), EventTriggered(16), Exponential(1.0 / 32.0), 5_000, n),
-            # the chunk every run uses, over three chunks
-            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), _CHUNK, long),
-            (Exponential(0.5), EventTriggered(16), Exponential(0.05), _CHUNK, long),
+            # the pieces every run uses, over 2^17 updates and more
+            (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), _PIECE, long),
+            (Exponential(0.5), EventTriggered(16), Exponential(0.05), _PIECE, long),
         ]
-        for events, policy, service, chunk, n in cases:
+        for events, policy, service, piece, n in cases:
             scenario = Scenario(events, service, policy, 1e-3)
-            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            monkeypatch.setattr(simulate, "_PIECE", piece)
             got = arrays(scenario, n, 99, 2, burn_in=0)
-            ref = _concat_simulate(scenario, n, 99, 2, chunk)
+            ref = _cumsum_simulate(scenario, n, 99, 2)
             for x, y in zip(got, ref):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
         assert moves == {"reallocate", "move"}
+
     def test_deterministic_given_seed(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), EventTriggered(1), 1e-3)
         a = run_replications(scenario, 30_000, 2, 7, burn_in=1_000)
@@ -987,12 +913,12 @@ class TestRunReplications:
             assert a.peak_aoi.quantile(eps) == b.peak_aoi.quantile(eps)
 
     def test_workers_do_not_change_deviation_counts(self):
-        # event-triggered, a burn-in past the first chunk and a run that is
-        # no multiple of it, 3 x 19,999 peak samples: peak deviation keeps
+        # event-triggered, a burn-in that ends inside the ninth piece and a
+        # run that is no multiple of one, 3 x 19,999 peak samples: peak deviation keeps
         # one exact count per value at any worker count, the counts of the
         # reference arrays' deviations
         scenario = Scenario(Exponential(1.0), Exponential(0.25), EventTriggered(8), 1e-3)
-        burn_in = _CHUNK + 1_000
+        burn_in = 8 * _PIECE + 1_000
         n = burn_in + 20_000
         runs = [
             run_replications(scenario, n, 3, 5, burn_in=burn_in, workers=w)
@@ -1205,7 +1131,7 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_file_outlives_a_run(self, monkeypatch, tmp_path, workers):
-        # the chunk writer is looked up in the module when a replication
+        # the piece writer is looked up in the module when a replication
         # runs, so a patch made before the pool forks reaches the workers,
         # and one run in this process alike
         tmp, seen = tmp_path / "tmp", tmp_path / "seen"
@@ -1232,9 +1158,9 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "_append", full_disk_in_0)
         n_reps = 40
         with pytest.raises(OSError) as raised:
-            # two chunks per replication
+            # 13 pieces per replication
             run_replications(
-                scenario, _CHUNK + 40_000, n_reps, 5, burn_in=1_000, workers=workers
+                scenario, 8 * _PIECE + 40_000, n_reps, 5, burn_in=1_000, workers=workers
             )
         assert raised.value.errno == errno.ENOSPC
         assert list(tmp.iterdir()) == []
@@ -1254,8 +1180,8 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "sample", nan_in_second_service_draw(simulate.sample))
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
         with pytest.raises(ValueError, match="finite"):
-            # two chunks per replication
-            run_replications(scenario, _CHUNK + 40_000, 2, 5, burn_in=1_000, workers=workers)
+            # 13 pieces per replication
+            run_replications(scenario, 8 * _PIECE + 40_000, 2, 5, burn_in=1_000, workers=workers)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1266,23 +1192,23 @@ class TestRunReplications:
         [
             (5_000, 0),
             (5_000, 1),
-            (5_000, 1_023),  # one less than a chunk
-            (5_000, 1_024),  # exactly a chunk
+            (5_000, 1_023),  # one less than a piece
+            (5_000, 1_024),  # exactly a piece
             (5_000, 1_025),
-            (5_000, 3_500),  # several chunks
-            (4_096, 1_000),  # n a multiple of the chunk
-            (1_026, 1_024),  # n = burn_in + 2, across a chunk boundary
+            (5_000, 3_500),  # several pieces
+            (4_096, 1_000),  # n a multiple of the piece
+            (1_026, 1_024),  # n = burn_in + 2, across a piece boundary
             (2, 0),
         ],
     )
     def test_file_holds_the_serial_arrays(self, tmp_path, monkeypatch, policy, n, burn_in):
-        # chunks of 1,024: each array's file, appended to chunk by chunk,
-        # holds the burned-in delay or peak-age array of the chunks
+        # pieces of 1,024: each array's file, appended to piece by piece,
+        # holds the burned-in delay or peak-age array of the pieces
         # _simulate_chunks yields bit for bit, 8 B per update each, the
         # reported extremes are theirs, and the counts are those of the
         # burned-in deviations
         scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
-        monkeypatch.setattr(simulate, "_CHUNK", 1_024)
+        monkeypatch.setattr(simulate, "_PIECE", 1_024)
         delay, aoi, doi = arrays(scenario, n, 99, 1, burn_in)
         path = str(tmp_path / "1")
         records, counts = _simulate_to_file(scenario, n, 99, 1, burn_in, path)
@@ -1298,34 +1224,35 @@ class TestRunReplications:
         assert np.array_equal(counts, np.bincount(doi.astype(np.intp)))
 
     def test_file_path_holds_one_chunk_per_array(self, tmp_path):
-        # the worker writes each chunk as it is computed: its peak is below
-        # that of the three full-length arrays by those arrays less three chunks
+        # the worker writes each piece as it is computed: its peak is below
+        # that of the three full-length arrays by those arrays less three
+        # arrays of 2^16 updates
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
         n = 1_000_000
         whole = _traced_peak(lambda: arrays(scenario, n, 3, 0, 1_000))
         chunked = _traced_peak(
             lambda: _simulate_to_file(scenario, n, 3, 0, 1_000, str(tmp_path / "0"))
         )
-        assert whole - chunked >= 8 * (3 * n - 2) - 3 * 8 * _CHUNK
+        assert whole - chunked >= 8 * (3 * n - 2) - 3 * 8 * (8 * _PIECE)
 
     def test_serial_run_holds_no_deviation_array(self):
-        # a serial run counts each chunk's deviations as it is computed: its
+        # a serial run counts each piece's deviations as it is computed: its
         # peak is below that of the three full-length arrays by at least one
-        # of them less one chunk
+        # of them less one array of 2^16 updates
         scenario = Scenario(Exponential(0.5), Exponential(0.25), TimeTriggered(13.0), 1e-3)
         n = 1_000_000
         whole = _traced_peak(lambda: arrays(scenario, n, 3, 0, 1_000))
         serial = _traced_peak(lambda: run_replications(scenario, n, 1, 3, burn_in=1_000))
-        assert whole - serial >= 8 * (n - 1) - 8 * _CHUNK
+        assert whole - serial >= 8 * (n - 1) - 8 * (8 * _PIECE)
 
     def test_failed_chunk_write_keeps_its_errno(self, tmp_path):
-        # a file size limit of half a chunk's delay bytes fails the delay
+        # a file size limit of 2^15 - 500 delays fails the delay
         # write that crosses it part way, as a full disk does: the short
         # write is followed by one that raises, and the OSError carries its
         # errno (ndarray.tofile's has none). The limit is set in a child
         # process, which it alone constrains.
         pytest.importorskip("resource")
-        limit = 8 * (_CHUNK - 1_000) // 2
+        limit = 8 * (8 * _PIECE - 1_000) // 2
         code = (
             "import resource, signal, sys\n"
             "from agecalc import Exponential, Scenario, TimeTriggered\n"
@@ -1360,15 +1287,13 @@ class TestRunReplications:
         ids=["event-16", "event-200", "time-8", "time-200", "time-2.5", "event-4-u95"],
     )
     def test_working_set_is_bounded(self, tmp_path, policy, service):
-        # 2.5 to 200 events per update, three chunks: a replication draws,
+        # 2.5 to 200 events per update, 3 x 2^16 updates: a replication draws,
         # counts and writes pieces of at most _PIECE updates and about
         # _PIECE_EVENTS events into a store of _STORE events, one piece's
-        # window, so its peak stays under 2 MiB at any events per update,
-        # where the whole chunk's events took 15 MiB at threshold 16 and
-        # 130 MiB at 200, and a store of two windows 2.6 to 3.8 MiB
+        # window, so its peak stays under 2 MiB at any events per update
         scenario = Scenario(Exponential(1.0), service, policy, 1e-3)
         peak = _traced_peak(
-            lambda: _simulate_to_file(scenario, 3 * _CHUNK, 5, 0, 1_000, str(tmp_path / "0"))
+            lambda: _simulate_to_file(scenario, 24 * _PIECE, 5, 0, 1_000, str(tmp_path / "0"))
         )
         assert peak < 2 << 20
 
@@ -1392,7 +1317,7 @@ class TestRunReplications:
                 sizes.add(len(self._store))
 
         monkeypatch.setattr(simulate, "EventStream", SpyStream)
-        for _ in simulate._simulate_chunks(scenario, 3 * _CHUNK, 11, 0):
+        for _ in simulate._simulate_chunks(scenario, 24 * _PIECE, 11, 0):
             pass
         assert sizes == {_STORE}
 
@@ -1405,21 +1330,17 @@ class TestRunReplications:
             (Exponential(1.0), EventTriggered(16), Exponential(0.05), 2_600),
             (Deterministic(0.5), EventTriggered(3), Exponential(0.5), 2_600),
             (Erlang(3, 1.5), EventTriggered(5), Deterministic(3.0), 2_600),
-            # utilization 0.95: departures run past the event block of
-            # their chunk well before its last update
+            # utilization 0.95: departures run past the events the
+            # arrivals so far have drawn
             (Exponential(1.0), EventTriggered(4), Exponential(1.0 / 3.8), 3_000),
         ],
     )
-    def test_piece_sizes_change_no_byte(self, tmp_path, monkeypatch, events, policy,
-                                        service, n):
+    def test_piece_sizes_change_no_byte(self, tmp_path, events, policy, service, n):
         # pieces of 7 updates or 50 events, counts that draw 13 events at a
         # time into a store that must move and grow, against the default
-        # pieces, over chunks of 1,000 updates and blocks of 512 events:
-        # the arrays, the files, their extremes and the deviation counts
-        # are the same bytes
+        # pieces: the arrays, the files, their extremes and the deviation
+        # counts are the same bytes
         scenario = Scenario(events, service, policy, 1e-3)
-        monkeypatch.setattr(simulate, "_BLOCK", 512)
-        monkeypatch.setattr(simulate, "_CHUNK", 1_000)
         runs = []
         for limits in ((simulate._PIECE, simulate._PIECE_EVENTS, simulate._DRAW, simulate._STORE),
                        (7, 50, 13, 64)):
@@ -1436,58 +1357,13 @@ class TestRunReplications:
             assert x.tobytes() == y.tobytes()
         if n == 3_000:
             # deviation j counts the events up to update j + 2's departure
-            # less the alpha * (j + 1) its own update sampled: in each chunk
-            # an update before the last departs past the chunk's last event
+            # less the alpha * (j + 1) its own update sampled: within the
+            # first 1,000 and 2,000 updates an update before the last departs
+            # past the last event they sampled, so counts draw ahead of takes
             alpha = int(policy.threshold)
             reach = runs[0][2] + alpha * np.arange(1, n)
             for end in (1_000, 2_000):
                 assert reach[:end - 2].max() > alpha * end
-
-    @pytest.mark.parametrize("policy", [TimeTriggered(13.0), EventTriggered(16)])
-    def test_chunk_size_changes_no_draw(self, monkeypatch, policy):
-        # the chunk size sets where running sums add their offsets, not what
-        # is drawn: the event and service draws of a run in 2^16-update
-        # chunks are those in 2^18-update chunks, bit for bit, and the
-        # metrics differ by rounding only
-        n = (1 << 18) + 5_000
-        scenario = Scenario(Exponential(0.5), Exponential(0.25), policy, 1e-3)
-        streams, draws = {}, {}
-        simulate_sample = simulate.sample
-
-        def tagged(base_seed, replication, stream_id):
-            rng = derive_rng(base_seed, replication, stream_id)
-            streams[id(rng)] = stream_id
-            return rng
-
-        def recording(model, rng, k, out=None):
-            x = simulate_sample(model, rng, k, out=out)
-            draws[chunk][streams[id(rng)]].append(x.copy())
-            return x
-
-        monkeypatch.setattr(simulate, "derive_rng", tagged)
-        monkeypatch.setattr(simulate, "sample", recording)
-        metrics = {}
-        for chunk in (1 << 16, 1 << 18):
-            draws[chunk] = {STREAM_EVENTS: [], STREAM_SERVICE: []}
-            monkeypatch.setattr(simulate, "_CHUNK", chunk)
-            metrics[chunk] = arrays(scenario, n, 11, 3, burn_in=0)
-        events, service = (
-            [np.concatenate(draws[chunk][sid]) for chunk in draws]
-            for sid in (STREAM_EVENTS, STREAM_SERVICE)
-        )
-        assert len(service[0]) == len(service[1]) == n
-        assert np.array_equal(service[0], service[1])
-        k = min(map(len, events))
-        if isinstance(policy, EventTriggered):
-            assert k >= 16 * n  # every update's events
-        else:
-            assert events[0][:k].sum() > 13.0 * n  # the events up to the last arrival
-        assert np.array_equal(events[0][:k], events[1][:k])
-        (t16, a16, f16), (t18, a18, f18) = metrics.values()
-        horizon = n * policy.spacing(scenario.event_model)
-        for x, y in ((t16, t18), (a16, a18)):
-            assert np.allclose(x, y, rtol=0, atol=1e-12 * horizon)
-        assert np.array_equal(f16, f18)
 
     def test_rejects_workers_below_one(self):
         scenario = Scenario(Exponential(0.5), Exponential(1.0), TimeTriggered(2.0), 1e-3)
@@ -1510,12 +1386,12 @@ class TestRunReplications:
             run_replications(scenario, 3_000, 1, 1, burn_in=-5)
 
     def test_chunked_path_matches_operation_path(self, monkeypatch):
-        # the streaming path, in chunks shorter than the run, against a brute
+        # the streaming path, in pieces shorter than the run, against a brute
         # force over the same streams: the FIFO recursion
         # D(n) = max(A(n), D(n-1)) + L(n) as a loop, and event counts by one
         # search over the whole event array
         n = 5_000
-        monkeypatch.setattr(simulate, "_CHUNK", 1_024)
+        monkeypatch.setattr(simulate, "_PIECE", 1_024)
         for policy in (EventTriggered(3), TimeTriggered(2.0)):
             scenario = Scenario(Exponential(0.5), Exponential(1.0), policy, 1e-3)
             t, a, f = arrays(scenario, n, 99, 0, burn_in=0)
