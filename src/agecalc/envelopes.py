@@ -106,14 +106,9 @@ class EventTriggered:
 
     def arrivals(self, events, first: int, m: int) -> np.ndarray:
         """Arrival times of the m updates from 1-based index `first` on:
-        update n arrives with event n*threshold.
-
-        The copy is needed: `take` returns a view into the event store that
-        the stream's next call may overwrite.
-        """
+        update n arrives with event n*threshold."""
         alpha = int(self.threshold)
-        times = events.take(alpha * (first - 1), alpha * m)
-        return times[alpha - 1::alpha].astype(np.float64, copy=True)
+        return events.at(alpha * np.arange(first, first + m, dtype=np.int64))
 
     def sampled_counts(self, events, arrivals: np.ndarray, first: int) -> np.ndarray:
         """Events sampled by updates first, first+1, ...: exactly n*threshold."""

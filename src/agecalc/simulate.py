@@ -15,17 +15,20 @@ vectorized form through the equivalent running-maximum identity.
 Everything is deterministic given a base seed: replication r draws its event
 and service streams from Philox generators keyed by
 SeedSequence(base_seed, spawn_key=(r, stream_id)) with stream_id 0 for
-events and 1 for service. Beyond the seed, the model's own sums set every
-bit: event i's time is the running sum of the first i event draws, and
-the FIFO's service total the running sum of the service draws, each
-carried from one draw into the next, so no size sets a byte. A
-replication is simulated in pieces of at most _PIECE updates and about
-_PIECE_EVENTS events, which the stream draws lazily and discards once no
-later piece reads them. Each discard moves the events that stay live to
-the front of the store, and the store grows, with a quarter of headroom,
-only when a draw does not fit after them. So a replication's working set
-is one piece's arrays and a store of _STORE events, one piece's window
-(768 KiB), under 2 MiB at any sample count and any events per update.
+events and 1 for service. Beyond the seed, the model sets every bit, and
+the event model picks one of two event sources (`_events`): a random
+model's event i is at the running sum of its first i event draws (an
+`EventStream`), a deterministic model's at spacing * i, rounded once (an
+`_EventLattice`, which draws and stores nothing). The FIFO's service total
+is the running sum of the service draws. Each running sum is carried from
+one draw into the next, so no size sets a byte. A replication is
+simulated in pieces of at most _PIECE updates and about _PIECE_EVENTS
+events, which the stream draws lazily and discards once no later piece
+reads them. Each discard moves the events that stay live to the front of
+the store, and the store grows, with a quarter of headroom, only when a
+draw does not fit after them. So a replication's working set is one
+piece's arrays and a store of _STORE events, one piece's window (768 KiB),
+under 2 MiB at any sample count and any events per update.
 
 Every replication hands its metrics to the tails through files in a
 temporary directory (under TMPDIR), whether a pool worker runs it or the
@@ -75,7 +78,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .bounds import Scenario
-from .models import DistributionModel, sample
+from .models import Deterministic, DistributionModel, sample
 
 STREAM_EVENTS = 0
 STREAM_SERVICE = 1
@@ -112,14 +115,30 @@ def derive_rng(base_seed: int, replication: int, stream_id: int) -> np.random.Ge
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _anchors(times: np.ndarray) -> np.ndarray:
+    """The anchor times of a nonempty float64 array of times to count: every
+    _COUNT_BLOCK-th time and the last. Raises ValueError if the last time is
+    not finite or the anchors are not nondecreasing."""
+    t = float(times[-1])
+    if not math.isfinite(t):
+        raise ValueError("count_upto needs a finite last time, got %r" % t)
+    n = len(times)
+    marks = times[np.minimum(np.arange(0, n + _COUNT_BLOCK, _COUNT_BLOCK), n - 1)]
+    if not (marks[1:] >= marks[:-1]).all():  # a nan anchor fails too
+        raise ValueError("count_upto needs nondecreasing times")
+    return marks
+
+
 class EventStream:
-    """Lazily generated, nondecreasing sensor event times starting after 0.
+    """Lazily generated, nondecreasing sensor event times starting after 0,
+    of a random event model; deterministic events are an `_EventLattice`.
 
     Events are addressed by their global 1-based index, and every query is
     positional: `take(start, k)` returns the times of events start+1 ...
-    start+k, `count_upto(ts)` returns the number of events at or before each
-    time of a nondecreasing array, and `discard(count)` releases events
-    1 ... count, which no later query may read.
+    start+k, `at(indices)` those of the events at these indices,
+    `count_upto(ts)` the number of events at or before each time of a
+    nondecreasing array, and `discard(count)` releases events 1 ... count,
+    which no later query may read.
 
     Event i's time is the running sum of the stream's first i draws. The
     stream draws only as far as a query reads: a `take` or `discard` what it
@@ -180,6 +199,12 @@ class EventStream:
         i0 = start - (self._first - 1)
         return self._store[i0:i0 + k]
 
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """Times of the events at these increasing 1-based indices, in a new
+        array: a gather from the `take` of the events they span."""
+        lo = int(indices[0])
+        return self.take(lo - 1, int(indices[-1]) - lo + 1)[indices - lo]
+
     def count_upto(self, times: np.ndarray) -> np.ndarray:
         """Event counts at each time of a nondecreasing array; ties count.
 
@@ -196,19 +221,12 @@ class EventStream:
         counts = np.empty(n, dtype=np.intp)
         if n == 0:
             return counts
-        t = float(times[-1])
-        if not math.isfinite(t):
-            raise ValueError("count_upto needs a finite last time, got %r" % t)
-        # anchors: the counts at every _COUNT_BLOCK-th time and at the last
-        # one. The counts of the times from one anchor to the next lie
-        # between theirs, so each block searches only the events in between,
-        # a slice that stays in L2, and the counts are exactly those of a
-        # search of the whole window.
-        at = np.minimum(np.arange(0, n + _COUNT_BLOCK, _COUNT_BLOCK), n - 1)
-        marks = times[at]
-        if not (marks[1:] >= marks[:-1]).all():  # a nan anchor fails too
-            raise ValueError("count_upto needs nondecreasing times")
-        while self._last <= t:
+        # the counts of the times from one anchor to the next lie between
+        # theirs, so each block searches only the events in between, a slice
+        # that stays in L2, and the counts are exactly those of a search of
+        # the whole window
+        marks = _anchors(times)
+        while self._last <= marks[-1]:
             self._draw(_DRAW)
         live = self._store[:self._hi]
         anchors = np.searchsorted(live, marks, side="right").tolist()
@@ -229,6 +247,48 @@ class EventStream:
             self._hi -= k
             self._store[:self._hi] = self._store[k:k + self._hi]
             self._first += k
+
+
+class _EventLattice:
+    """Deterministic sensor events: event i at `spacing * i`, rounded once.
+
+    Every time is computed where a query reads it, so nothing is drawn or
+    stored, and a count is arithmetic: it answers `at` and `count_upto` as
+    an EventStream whose i-th event time were `spacing * i` would, and
+    raises the same ValueErrors on times it cannot count.
+    """
+
+    def __init__(self, spacing: float):
+        self.spacing = spacing
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """Times of the events at these 1-based indices, in a new array."""
+        return self.spacing * indices
+
+    def count_upto(self, times: np.ndarray) -> np.ndarray:
+        """Event counts at each time of a nondecreasing array; ties count."""
+        times = np.asarray(times, dtype=np.float64)
+        if len(times):
+            _anchors(times)
+        # floor(t / spacing) is within one of the count, which one step up
+        # and one down against the event times themselves make exact; no
+        # event is at or before a negative time
+        c = np.floor(times / self.spacing)
+        c += self.spacing * (c + 1.0) <= times
+        c -= self.spacing * c > times
+        np.maximum(c, 0.0, out=c)
+        return c.astype(np.intp)
+
+    def discard(self, count: int) -> None:
+        """Nothing to forget: no event is stored."""
+
+
+def _events(model: DistributionModel, base_seed: int, replication: int):
+    """The sensor events of a replication: a deterministic model's lattice,
+    and any other model's EventStream of the replication's event draws."""
+    if isinstance(model, Deterministic):
+        return _EventLattice(model.value)
+    return EventStream(model, derive_rng(base_seed, replication, STREAM_EVENTS))
 
 
 def _fifo_chunk(
@@ -594,9 +654,10 @@ def _simulate_chunks(
     """One replication, piece by piece, without burn-in.
 
     The run is simulated in pieces of at most _PIECE updates and about
-    _PIECE_EVENTS events, which change no byte: the event stream draws as
-    far as a piece reads, and the FIFO carries its running service total and
-    maximum from piece to piece, so every time is the running sum the model
+    _PIECE_EVENTS events, which change no byte: a random model's event
+    stream draws as far as a piece reads, a deterministic model's lattice
+    computes what it reads, and the FIFO carries its running service total
+    and maximum from piece to piece, so every time is the one the model
     defines, whatever the piece sizes.
 
     For the piece of updates done ... done + m - 1 (0-based), yields done and
@@ -608,9 +669,7 @@ def _simulate_chunks(
     """
     policy = scenario.policy
     policy.check_simulable()
-    events = EventStream(
-        scenario.event_model, derive_rng(base_seed, replication, STREAM_EVENTS)
-    )
+    events = _events(scenario.event_model, base_seed, replication)
     rng_service = derive_rng(base_seed, replication, STREAM_SERVICE)
     per_update = policy.spacing(scenario.event_model) / scenario.event_model.mean
     piece = min(_PIECE, max(int(_PIECE_EVENTS / per_update), 1), n_updates)

@@ -464,19 +464,21 @@ def figure_fig7(samples: int, seed: int, workers: int) -> Tuple[List[CsvRow], Di
 def _argmin_doi(event_model, service_model, epsilon: float, params: Iterable,
                 make_policy: Callable[..., TriggerPolicy], failure: str) -> Tuple:
     """(param, bound) of the first parameter whose policy gives the smallest
-    deviation bound; raises NoFeasibleTheta(failure) when none is stable."""
-    best = (None, math.inf)
+    certified deviation bound, the integer `value_int`, whose real roots
+    break ties as `_curve_min` breaks them; raises NoFeasibleTheta(failure)
+    when none is stable."""
+    best, key = None, (math.inf, math.inf)
     for p in params:
         try:
             scenario = Scenario(event_model, service_model, make_policy(p), epsilon)
             res = optimize_theta(scenario, Metric.PEAK_DOI)
         except NoFeasibleTheta:
             continue
-        if res.value < best[1]:
-            best = (p, res.value)
-    if best[0] is None:
+        if (res.value_int, res.value) < key:
+            best, key = p, (res.value_int, res.value)
+    if best is None:
         raise NoFeasibleTheta(failure)
-    return best
+    return best, key[0]
 
 
 MAX_THRESHOLD = 40

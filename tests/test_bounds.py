@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agecalc.bounds as bounds_mod
@@ -275,6 +275,78 @@ class TestDoiEpsilonBound:
         scenario = Scenario(Deterministic(1e-320), Exponential(0.25), TimeTriggered(10.0), 1e-6)
         assert scenario.event_model.log_mgf(-1e-12) == 0.0
         assert doi_epsilon_bound(scenario, 1e-12) == (math.inf, math.inf)
+
+
+def _bound(scenario, metric):
+    """optimize_theta's (value, value_int, vacuous), or None where no theta
+    is feasible."""
+    try:
+        res = optimize_theta(scenario, metric)
+    except NoFeasibleTheta:
+        return None
+    return res.value, res.value_int, res.vacuous
+
+
+def _same(a, b):
+    """Whether two _bound results agree to 12 digits."""
+    if a is None or b is None:
+        return a is b
+    return a[1:] == b[1:] and a[0] == pytest.approx(b[0], rel=1e-12)
+
+
+@st.composite
+def _equivalence_cases(draw):
+    """(rate, threshold, service model, policy kind, epsilon): a stable or
+    unstable scenario whose service mean is set by its utilization."""
+    rate = draw(st.floats(0.05, 5.0))
+    alpha = draw(st.integers(1, 20))
+    u = draw(st.floats(0.05, 1.2))
+    mean = u * alpha / rate  # utilization u at threshold alpha, or at w = alpha / rate
+    service = draw(st.sampled_from((
+        Exponential(1.0 / mean), Deterministic(mean), Erlang(3, 3.0 / mean))))
+    time_triggered = draw(st.booleans())
+    epsilon = draw(st.floats(1e-9, 0.5))
+    return rate, alpha, service, time_triggered, epsilon
+
+
+class TestModelEquivalences:
+    """Bound-only relations between models that describe the same process."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_equivalence_cases())
+    def test_one_stage_erlang_is_exponential(self, case):
+        # Erlang(1, lambda) and Exponential(lambda) have one MGF, so every
+        # bound agrees, but for the time-triggered deviation: there the
+        # exponential's memoryless residual factor is one more geometric
+        # factor M_I(-theta), which puts its root one event below the
+        # Erlang's, whose residual is bounded by 1
+        rate, alpha, service, time_triggered, epsilon = case
+        policy = TimeTriggered(alpha / rate) if time_triggered else EventTriggered(alpha)
+        for metric in Metric:
+            erlang = _bound(Scenario(Erlang(1, rate), service, policy, epsilon), metric)
+            exp = _bound(Scenario(Exponential(rate), service, policy, epsilon), metric)
+            if time_triggered and metric is Metric.PEAK_DOI and exp is not None:
+                assert erlang is not None
+                assert erlang[0] == pytest.approx(exp[0] + 1.0, rel=1e-12)
+                assert erlang[1] in (exp[1], exp[1] + 1)
+            else:
+                assert _same(erlang, exp), (metric, erlang, exp)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_equivalence_cases(), k=st.integers(2, 6))
+    def test_erlang_events_are_exponential_events_k_at_a_time(self, case, k):
+        # an update every alpha Erlang(k, k lambda) events waits for the sum
+        # of k alpha exponential gaps of rate k lambda: the same gap law, so
+        # the same delay and peak-age bounds. The deviation differs by
+        # definition: it counts Erlang events
+        rate, alpha, service, _, epsilon = case
+        for metric in (Metric.DELAY, Metric.PEAK_AOI):
+            erlang = _bound(
+                Scenario(Erlang(k, k * rate), service, EventTriggered(alpha), epsilon), metric)
+            exp = _bound(
+                Scenario(Exponential(k * rate), service, EventTriggered(k * alpha), epsilon),
+                metric)
+            assert _same(erlang, exp), (metric, erlang, exp)
 
 
 E, D, R = Exponential, Deterministic, Erlang

@@ -19,6 +19,8 @@ from agecalc import (
     Metric,
     Scenario,
     SweepSpec,
+    best_event_threshold,
+    best_update_interval,
     optimize_theta,
     params_for_utilization,
     round_threshold,
@@ -100,6 +102,16 @@ class TestSweeps:
         et = [r for r in rows if r.policy == EVENT_TRIGGERED]
         assert et and all(r.flag == "infeasible" for r in et)
         assert {r.metric for r in et} == {"delay", "peak_aoi", "peak_doi"}
+
+    def test_optimal_parameters_carry_the_certified_deviation_integer(self):
+        # both searches rank by the certified integer, the real root breaking
+        # ties, and return that integer: at threshold 8 the root is 52.29,
+        # the bound 53
+        events, service = Exponential(0.5), Exponential(0.25)
+        assert best_event_threshold(events, service, 1e-6) == (8, 53)
+        w, bound = best_update_interval(events, service, 1e-6)
+        assert 12.0 <= w <= 14.0 and bound == 53
+        assert isinstance(bound, int)
 
     def test_round_threshold(self):
         assert round_threshold(1.5) == 2

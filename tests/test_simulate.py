@@ -45,6 +45,7 @@ from agecalc.simulate import (
     _STORE,
     STREAM_EVENTS,
     STREAM_SERVICE,
+    _EventLattice,
     _fifo_chunk,
     _simulate_to_file,
 )
@@ -667,13 +668,16 @@ class TestEventStream:
     def test_count_upto_rejects_times_it_cannot_count(self, times):
         # an infinite last time would draw without end, a nan one counted
         # nothing, and decreasing times got counts that are not a search's
-        # ([9, 9, 9] for [5, 1, 3]); each raises before an event is drawn
-        stream = EventStream(Exponential(1.0), 1)
-        with pytest.raises(ValueError, match="finite|nondecreasing"):
-            stream.count_upto(np.array(times))
-        assert stream._drawn() == 0
+        # ([9, 9, 9] for [5, 1, 3]); each raises before an event is drawn,
+        # and the lattice of deterministic events raises the same errors
         ok = np.array([1.0, 3.0, 5.0])
-        assert np.array_equal(stream.count_upto(ok), EventStream(Exponential(1.0), 1).count_upto(ok))
+        for make in (lambda: EventStream(Exponential(1.0), 1), lambda: _EventLattice(0.3)):
+            events = make()
+            with pytest.raises(ValueError, match="finite|nondecreasing"):
+                events.count_upto(np.array(times))
+            if isinstance(events, EventStream):
+                assert events._drawn() == 0
+            assert np.array_equal(events.count_upto(ok), make().count_upto(ok))
 
     def test_take_rejects_a_negative_count(self):
         stream = EventStream(Exponential(1.0), 1)
@@ -775,7 +779,7 @@ class TestEventStream:
         assert np.array_equal(first, EventStream(Exponential(1.0), 8).take(0, _STORE - 10))
         # the discard leaves no event to move, so the next draw lands at the
         # front of the store, where the discarded events were: a view kept
-        # across calls changes, which is why EventTriggered.arrivals copies
+        # across calls changes, which is why `at` returns a new array
         stream.discard(_STORE - 10)
         second = stream.take(_STORE - 10, _STORE)
         assert np.shares_memory(first, second)
@@ -814,18 +818,51 @@ class TestEventStream:
         assert stream.take(start, 50).tobytes() == full[start:].tobytes()
 
 
+class TestEventLattice:
+    @pytest.mark.parametrize("d", [0.3, 0.1, 1 / 3, 1 / 7, 7.0, 1e-3, 123.456])
+    def test_counts_match_searchsorted(self, d):
+        # floor(t / d) stepped once each way against the lattice d * i is the
+        # count of a search of the explicit lattice, at every lattice point,
+        # at its neighbours either side and at random times, in a window of
+        # 2^20 events from the first and in one near t = 3e9, where a count
+        # is the `start` events before the window plus a search of it
+        lattice, rng, k = _EventLattice(d), np.random.default_rng(5), 1 << 20
+        for start in (0, int(3e9 / d)):
+            points = d * np.arange(start + 1, start + k + 1, dtype=np.float64)
+            times = np.sort(np.concatenate([
+                points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+                rng.uniform(points[0], points[-1], k),
+                [-1.0, -0.0, 0.0] if start == 0 else [],
+            ]))
+            expected = start + np.searchsorted(points, times, side="right")
+            got = lattice.count_upto(times)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_arrivals_are_lattice_points(self):
+        # update n arrives with event n * alpha, at d * n * alpha rounded
+        # once, and the lattice counts it
+        lattice = _EventLattice(0.3)
+        arrivals = EventTriggered(7).arrivals(lattice, 1_000, 500)
+        assert arrivals.tobytes() == (0.3 * (7.0 * np.arange(1_000, 1_500))).tobytes()
+        assert np.array_equal(lattice.count_upto(arrivals), 7 * np.arange(1_000, 1_500))
+
+
 def _cumsum_simulate(scenario, n, seed, replication):
-    """arrays by the model's sums, without burn-in: every event time one
-    cumsum of all the event draws, every running service total one cumsum
-    of all the service draws, the FIFO expression g = arrivals - s + service
-    and the event counts by one search of the whole event array."""
+    """arrays by the model's sums, without burn-in: every random event time
+    one cumsum of all the event draws, deterministic event i at d * i,
+    every running service total one cumsum of all the service draws, the
+    FIFO expression g = arrivals - s + service and the event counts by one
+    search of the whole event array."""
     policy = scenario.policy
     service = scenario.service_model.sample(derive_rng(seed, replication, STREAM_SERVICE), n)
     s = np.cumsum(service)
     k = int(2 * n * policy.spacing(scenario.event_model) / scenario.event_model.mean) + 1_000
     while True:  # enough events to count past the last departure
-        draws = scenario.event_model.sample(derive_rng(seed, replication, STREAM_EVENTS), k)
-        times = np.cumsum(draws)
+        if isinstance(scenario.event_model, Deterministic):
+            times = scenario.event_model.value * np.arange(1, k + 1, dtype=np.float64)
+        else:
+            draws = scenario.event_model.sample(derive_rng(seed, replication, STREAM_EVENTS), k)
+            times = np.cumsum(draws)
         if isinstance(policy, EventTriggered):
             alpha = int(policy.threshold)
             arr = times[alpha - 1::alpha][:n]
@@ -870,6 +907,8 @@ class TestRunReplications:
         cases = [
             (Exponential(0.5), TimeTriggered(13.0), Exponential(0.25), 1_000, n),
             (Deterministic(2.0), TimeTriggered(2.0), Deterministic(1.5), 7_000, n),
+            # ticks 37n/10 that tie with events 3i/10 (n = 3j, i = 37j): the
+            # lattice's d * i lands on the side the running sum's drift did not
             (Deterministic(0.3), TimeTriggered(3.7), Exponential(0.5), 2_500, n),
             (Exponential(0.5), EventTriggered(3), Exponential(0.25), 3_000, n),
             (Deterministic(0.3), EventTriggered(3), Deterministic(0.8), 20_000, n),
@@ -1308,10 +1347,15 @@ class TestRunReplications:
     def test_store_never_grows_on_the_dominance_plan(self, monkeypatch, scenario):
         # once a piece's events are discarded only the backlog and the draw
         # ahead stay live, and the discard moves them to the front, so each
-        # piece's window fits the store of _STORE events
-        sizes = set()
+        # piece's window fits the store of _STORE events; deterministic
+        # events are a lattice, which builds no stream and stores nothing
+        sizes, built = set(), []
 
         class SpyStream(EventStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
             def _draw(self, k):
                 super()._draw(k)
                 sizes.add(len(self._store))
@@ -1319,7 +1363,10 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "EventStream", SpyStream)
         for _ in simulate._simulate_chunks(scenario, 24 * _PIECE, 11, 0):
             pass
-        assert sizes == {_STORE}
+        if isinstance(scenario.event_model, Deterministic):
+            assert built == [] and sizes == set()
+        else:
+            assert len(built) == 1 and sizes == {_STORE}
 
     @pytest.mark.parametrize(
         "events, policy, service, n",
